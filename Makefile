@@ -22,8 +22,9 @@ all: check
 
 # The default gate: compile, vet, tests, and the race detector in one target.
 # check-race runs first: it covers the packages with the trickiest
-# concurrency (seqlock rings, the lifecycle ledger/auditor, the LFRC core)
-# and fails fast before the full -race sweep. check-fault stresses every
+# concurrency (seqlock rings, the lifecycle ledger/auditor, the LFRC core,
+# the MCAS engine's descriptors reused in place under a version) and fails
+# fast before the full -race sweep. check-fault stresses every
 # structure under deterministic fault injection with the lifecycle auditor
 # armed. check-reclaim repeats that sweep across both reclamation backends.
 # check-rc repeats it again across both reference-count strategies — the
@@ -39,7 +40,7 @@ check: build vet test check-race check-fault check-reclaim check-rc check-timeli
 
 # Focused race gate over the concurrency-critical packages.
 check-race:
-	$(GO) test -race ./internal/obs ./internal/lifecycle ./internal/core ./internal/contend
+	$(GO) test -race ./internal/obs ./internal/lifecycle ./internal/core ./internal/contend ./internal/dcas
 
 # Fault-injection gate: the multi-seed chaos sweep and the degraded-mode /
 # typed-error tests, under the race detector.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
 )
 
@@ -53,6 +54,69 @@ func TestLoadSurvivesConcurrentFree(t *testing.T) {
 				t.Errorf("heap Corruptions = %d, want 0", got)
 			}
 			w.rc.Destroy(dst, q)
+		})
+	}
+}
+
+// poisonOnceEngine answers the first read of cell rcA with mem.Poison — what
+// a Load sees when the referent is freed between its pointer and count reads
+// — and counts DCASes issued with a poisoned comparand.
+type poisonOnceEngine struct {
+	dcas.Engine
+	rcA            mem.Addr
+	poisoned       bool
+	poisonedDCASes int
+}
+
+func (e *poisonOnceEngine) Read(a mem.Addr) uint64 {
+	if a == e.rcA && !e.poisoned {
+		e.poisoned = true
+		return mem.Poison
+	}
+	return e.Engine.Read(a)
+}
+
+func (e *poisonOnceEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
+	if old0 >= mem.Poison || old1 >= mem.Poison {
+		e.poisonedDCASes++
+	}
+	return e.Engine.DCAS(a0, a1, old0, old1, new0, new1)
+}
+
+// TestLoadRetriesOnPoisonedCount checks that a figure2 Load reading a
+// poisoned count retries without issuing its DCAS: a software DCAS installs
+// into its lower address first, so a DCAS comparing the freed rc cell could
+// briefly write a descriptor into freed memory before failing.
+func TestLoadRetriesOnPoisonedCount(t *testing.T) {
+	engines := map[string]func(*mem.Heap) dcas.Engine{
+		"locking": func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) },
+		"mcas":    func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) },
+	}
+	for name, mk := range engines {
+		t.Run(name, func(t *testing.T) {
+			h := mem.NewHeap()
+			e := &poisonOnceEngine{Engine: mk(h)}
+			rc := New(h, e)
+			holder, _ := rc.NewObject(h.MustRegisterType(mem.TypeDesc{Name: "cell", NumFields: 1, PtrFields: []int{0}}))
+			p, _ := rc.NewObject(h.MustRegisterType(mem.TypeDesc{Name: "leaf", NumFields: 1}))
+			a := h.FieldAddr(holder, 0)
+			rc.StoreAlloc(a, p)
+			e.rcA = h.RCAddr(p)
+
+			var dst mem.Ref
+			rc.Load(a, &dst)
+			if !e.poisoned {
+				t.Fatal("the count was never read")
+			}
+			if e.poisonedDCASes != 0 {
+				t.Errorf("%d DCASes issued with a comparand >= mem.Poison", e.poisonedDCASes)
+			}
+			if dst != p || rc.RCOf(p) != 2 {
+				t.Errorf("Load = %d with rc %d, want %d with rc 2", dst, rc.RCOf(p), p)
+			}
+			if got := rc.Stats().LoadRetries; got != 1 {
+				t.Errorf("LoadRetries = %d, want 1", got)
+			}
 		})
 	}
 }

@@ -141,11 +141,11 @@ func strategyFor(k StrategyKind, link, refill int64) Strategy {
 // reference worth 1, Load guarded by the Figure-2 DCAS.
 type figure2Strategy struct{}
 
-func (figure2Strategy) Name() string            { return "figure2" }
-func (figure2Strategy) Ref(w uint64) mem.Ref    { return mem.Ref(w) }
-func (figure2Strategy) Pack(v mem.Ref) uint64   { return uint64(v) }
-func (figure2Strategy) LinkCredit() int64       { return 1 }
-func (figure2Strategy) AllocCredit() int64      { return 0 }
+func (figure2Strategy) Name() string          { return "figure2" }
+func (figure2Strategy) Ref(w uint64) mem.Ref  { return mem.Ref(w) }
+func (figure2Strategy) Pack(v mem.Ref) uint64 { return uint64(v) }
+func (figure2Strategy) LinkCredit() int64     { return 1 }
+func (figure2Strategy) AllocCredit() int64    { return 0 }
 func (figure2Strategy) Weight(w uint64) int64 {
 	if w == 0 {
 		return 0
@@ -168,9 +168,12 @@ func (figure2Strategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32) 
 		if c.LoadHook != nil {
 			c.LoadHook(v)
 		}
-		// An injected firing here lands in the paper's §5 window — between
-		// reading (v, rc) and the DCAS — and forces the retry path.
-		if c.fj.Inject(fault.CoreLoad) {
+		// A poisoned count means v was freed after the pointer read, so the
+		// DCAS would fail on a; retry without issuing it, because a software
+		// DCAS may briefly install a descriptor into the freed rc cell before
+		// it fails. An injected firing here lands in the paper's §5 window —
+		// between reading (v, rc) and the DCAS — and forces the same path.
+		if r >= mem.Poison || c.fj.Inject(fault.CoreLoad) {
 			retries++
 			c.st().loadRetries.Add(1)
 			continue
@@ -291,8 +294,9 @@ func (s *splitStrategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32)
 				return v, uint64(w), -1, retries
 			}
 		} else {
+			// A poisoned count: v was freed; see figure2Strategy.Load.
 			r := c.e.Read(c.h.RCAddr(v))
-			if c.e.DCAS(a, c.h.RCAddr(v), u, r, s.pack(v, s.refill), r+uint64(s.refill)) {
+			if r < mem.Poison && c.e.DCAS(a, c.h.RCAddr(v), u, r, s.pack(v, s.refill), r+uint64(s.refill)) {
 				c.st().weightRefills.Add(1)
 				c.loadDone(a, v, retries)
 				return v, r, s.refill, retries

@@ -13,8 +13,9 @@
 //     modeled hardware, not of the simulation.
 //   - MCASEngine is a genuinely lock-free software DCAS built from
 //     single-word CAS using the RDCSS and MCAS constructions of Harris,
-//     Fraser & Pratt (DISC 2002), with a version-validated descriptor pool
-//     so helpers can never be confused by descriptor reuse.
+//     Fraser & Pratt (DISC 2002). Each operation reuses its own padded
+//     descriptor slot in place under a bumped version, which helpers
+//     validate, so they can never be confused by that reuse.
 //
 // All pointer and reference-count cells of LFRC-managed objects are accessed
 // exclusively through an Engine, which is what lets the two implementations
@@ -38,6 +39,14 @@ type CellStore interface {
 }
 
 var _ CellStore = (*mem.Heap)(nil)
+
+// Stepper is implemented by a CellStore that also wants control at the
+// MCASEngine's internal steps: each descriptor-field access and slot claim
+// or release, with wait set when every slot was busy. Only test harnesses
+// implement it (see internal/explore).
+type Stepper interface {
+	Step(wait bool)
+}
 
 // Engine provides atomic access to heap cells, including the two-word DCAS
 // the LFRC algorithms are built on.

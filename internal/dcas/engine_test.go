@@ -17,7 +17,7 @@ func engineFactories() map[string]func(h *mem.Heap) Engine {
 }
 
 // newCells allocates n adjacent test cells and returns their addresses.
-func newCells(t *testing.T, h *mem.Heap, n int) []mem.Addr {
+func newCells(t testing.TB, h *mem.Heap, n int) []mem.Addr {
 	t.Helper()
 	id := h.MustRegisterType(mem.TypeDesc{Name: fmt.Sprintf("cells%d", n), NumFields: n})
 	r := h.MustAlloc(id)

@@ -1,7 +1,7 @@
 package dcas
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"lfrc/internal/mem"
@@ -29,9 +29,9 @@ func NewLocking(h CellStore) *LockingEngine {
 // Name implements Engine.
 func (e *LockingEngine) Name() string { return "locking" }
 
-// stripe maps an address onto a lock index with a multiplicative hash so
+// stripeOf maps an address onto a lock index with a multiplicative hash so
 // that neighbouring cells of one object spread across stripes.
-func stripe(a mem.Addr) uint32 {
+func stripeOf(a mem.Addr) uint32 {
 	return uint32((uint64(a) * 0x9E3779B97F4A7C15) >> 56)
 }
 
@@ -40,7 +40,7 @@ func (e *LockingEngine) Read(a mem.Addr) uint64 { return e.h.Load(a) }
 
 // Write implements Engine.
 func (e *LockingEngine) Write(a mem.Addr, v uint64) {
-	s := stripe(a)
+	s := stripeOf(a)
 	e.locks[s].Lock()
 	e.h.Store(a, v)
 	e.locks[s].Unlock()
@@ -48,7 +48,7 @@ func (e *LockingEngine) Write(a mem.Addr, v uint64) {
 
 // CAS implements Engine.
 func (e *LockingEngine) CAS(a mem.Addr, old, new uint64) bool {
-	s := stripe(a)
+	s := stripeOf(a)
 	e.locks[s].Lock()
 	ok := e.h.Load(a) == old
 	if ok {
@@ -63,7 +63,7 @@ func (e *LockingEngine) CAS(a mem.Addr, old, new uint64) bool {
 // validation rules apply.
 func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 	n := len(addrs)
-	if n == 0 || n > 4 || len(olds) != n || len(news) != n {
+	if n == 0 || n > maxNCAS || len(olds) != n || len(news) != n {
 		return false
 	}
 	if n == 1 {
@@ -77,20 +77,12 @@ func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 		}
 	}
 	// Lock the deduplicated stripes in ascending order.
-	var stripes []uint32
+	stripes := make([]uint32, 0, maxNCAS)
 	for _, a := range addrs {
-		s := stripe(a)
-		dup := false
-		for _, x := range stripes {
-			if x == s {
-				dup = true
-			}
-		}
-		if !dup {
-			stripes = append(stripes, s)
-		}
+		stripes = append(stripes, stripeOf(a))
 	}
-	sort.Slice(stripes, func(i, j int) bool { return stripes[i] < stripes[j] })
+	slices.Sort(stripes)
+	stripes = slices.Compact(stripes)
 	for _, s := range stripes {
 		e.locks[s].Lock()
 	}
@@ -120,7 +112,7 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 		}
 		return e.CAS(a0, old0, new0)
 	}
-	s0, s1 := stripe(a0), stripe(a1)
+	s0, s1 := stripeOf(a0), stripeOf(a1)
 	if s0 > s1 {
 		s0, s1 = s1, s0
 	}

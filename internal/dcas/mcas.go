@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"lfrc/internal/mem"
+	"lfrc/internal/stripe"
 )
 
 // MCASEngine is a lock-free DCAS built from single-word CAS, following the
@@ -12,31 +13,29 @@ import (
 // Multi-Word Compare-and-Swap Operation" (DISC 2002), specialized to two
 // locations.
 //
-// Descriptors do not live in the heap; they live in two fixed pools of
-// slots, and a descriptor *reference* — the value temporarily stored in a
-// heap cell — packs a tag, a slot index, and a 42-bit version:
+// Descriptors do not live in the heap. Each operation claims one slot of a
+// fixed array of cache-line-padded records, each holding one MCAS and one
+// RDCSS descriptor, and reuses them in place under a bumped version
+// (Arbel-Raviv & Brown, "Reuse, don't Recycle"). A descriptor *reference* —
+// the value temporarily stored in a heap cell — packs a tag, a slot index,
+// and a 42-bit version:
 //
 //	bit 63        descriptor tag (never set by application values)
 //	bit 62        1 = RDCSS descriptor, 0 = MCAS descriptor
-//	bits 20..61   slot version at publication time
+//	bits 20..61   descriptor version at publication time
 //	bits  0..19   slot index
 //
-// A slot's version is bumped when the slot is acquired (becoming odd) and
-// again when it is released (becoming even). Helpers snapshot a descriptor's
+// A descriptor's version is bumped when it is published (becoming odd) and
+// again when it is retired (becoming even). Helpers snapshot a descriptor's
 // fields, re-validate the version, and perform only CAS operations whose
 // expected value embeds the version — so a helper that raced with completion
-// and slot reuse can never corrupt anything: its CASes simply fail.
-//
-// The MCAS status word additionally packs the version
-// (version<<2 | state), so a stale helper cannot decide a recycled
-// descriptor's status either.
+// and reuse can never corrupt anything: its CASes simply fail. An MCAS
+// descriptor keeps its version in its status word (version<<2 | state), so
+// a stale helper cannot decide a reused descriptor's status either.
 type MCASEngine struct {
-	h CellStore
-
-	mcasPool  descPool
-	rdcssPool descPool
-	mcas      []mcasDesc
-	rdcss     []rdcssDesc
+	h     CellStore
+	step  func(wait bool) // the CellStore's Stepper, if it has one
+	slots []descSlot
 }
 
 var _ Engine = (*MCASEngine)(nil)
@@ -49,6 +48,9 @@ const (
 	slotMask = 1<<slotBits - 1
 	verBits  = 42
 	verMask  = 1<<verBits - 1
+
+	// noSlot is the own-slot argument of a helper that holds no slot.
+	noSlot = ^uint32(0)
 
 	// MCAS status states (low two bits of the packed status word).
 	stUndecided = 0
@@ -79,13 +81,18 @@ func unpackRef(ref uint64) (slot uint32, ver uint64) {
 // maxNCAS is the largest location count one MCAS operation may cover.
 const maxNCAS = 4
 
-// mcasDesc is one MCAS operation: up to maxNCAS (addr, old, new) triples
-// plus a version-packed status word.
+// mcasOp is one operation's (addr, old, new) triples.
+type mcasOp struct {
+	n          int
+	addrs      [maxNCAS]mem.Addr
+	olds, news [maxNCAS]uint64
+}
+
+// mcasDesc publishes an mcasOp plus a version-packed status word.
 type mcasDesc struct {
-	ver    atomic.Uint64 // odd while active
-	status atomic.Uint64 // ver<<2 | state
-	n      atomic.Uint32
-	addrs  [maxNCAS]atomic.Uint32
+	status atomic.Uint64 // ver<<2 | state; ver is odd while active
+	n      atomic.Uint64
+	addrs  [maxNCAS]atomic.Uint64
 	olds   [maxNCAS]atomic.Uint64
 	news   [maxNCAS]atomic.Uint64
 }
@@ -95,8 +102,17 @@ type mcasDesc struct {
 type rdcssDesc struct {
 	ver  atomic.Uint64 // odd while active
 	mref atomic.Uint64 // the MCAS descriptor reference being installed
-	a2   atomic.Uint32
+	a2   atomic.Uint64
 	o2   atomic.Uint64
+}
+
+// descSlot is one owner's descriptors, padded to three cache lines so that
+// owners on different cores never share a line.
+type descSlot struct {
+	busy  atomic.Uint64 // 1 while claimed
+	mcas  mcasDesc
+	rdcss rdcssDesc
+	_     [40]byte
 }
 
 // Option configures an MCASEngine.
@@ -106,35 +122,29 @@ type config struct {
 	poolSize int
 }
 
-// WithPoolSize sets the number of descriptor slots in each pool. A slot is
-// held only for the duration of one DCAS (plus helping), so the pool bounds
-// the number of concurrent operations, not the total; the default of 4096 is
-// far beyond any realistic goroutine count. An exhausted pool makes the
-// *requester* wait for a slot — a documented deviation from pure
-// lock-freedom, configurable away by sizing the pool to the thread count.
+// WithPoolSize sets the number of descriptor slots. A goroutine holds a slot
+// only while it is inside the engine — for one DCAS or NCAS, or for one
+// helping install made from Read, Write or CAS — so the count bounds the
+// goroutines inside the engine at once, not the operations; the default of
+// 4096 is far beyond any realistic goroutine count. A goroutine that finds
+// every slot busy waits for a release. That is the engine's only wait, a
+// documented deviation from pure lock-freedom that sizing the count to the
+// goroutine count removes.
 func WithPoolSize(n int) Option {
 	return func(c *config) { c.poolSize = n }
 }
 
-// NewMCAS returns a lock-free MCAS engine over h.
+// NewMCAS returns a lock-free MCAS engine over h. If h implements Stepper,
+// the engine calls it at each of its internal steps.
 func NewMCAS(h CellStore, opts ...Option) *MCASEngine {
 	cfg := config{poolSize: 4096}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.poolSize < 2 {
-		cfg.poolSize = 2
+	e := &MCASEngine{h: h, slots: make([]descSlot, min(max(cfg.poolSize, 2), slotMask))}
+	if s, ok := h.(Stepper); ok {
+		e.step = s.Step
 	}
-	if cfg.poolSize > slotMask {
-		cfg.poolSize = slotMask
-	}
-	e := &MCASEngine{
-		h:     h,
-		mcas:  make([]mcasDesc, cfg.poolSize),
-		rdcss: make([]rdcssDesc, cfg.poolSize),
-	}
-	e.mcasPool.init(cfg.poolSize)
-	e.rdcssPool.init(cfg.poolSize)
 	return e
 }
 
@@ -148,21 +158,13 @@ func (e *MCASEngine) Read(a mem.Addr) uint64 {
 		if !isDescriptor(v) {
 			return v
 		}
-		e.help(v)
+		e.help(v, noSlot)
 	}
 }
 
 // Write implements Engine.
 func (e *MCASEngine) Write(a mem.Addr, v uint64) {
-	for {
-		cur := e.h.Load(a)
-		if isDescriptor(cur) {
-			e.help(cur)
-			continue
-		}
-		if e.h.CAS(a, cur, v) {
-			return
-		}
+	for !e.CAS(a, e.Read(a), v) {
 	}
 }
 
@@ -174,7 +176,7 @@ func (e *MCASEngine) CAS(a mem.Addr, old, new uint64) bool {
 		}
 		cur := e.h.Load(a)
 		if isDescriptor(cur) {
-			e.help(cur)
+			e.help(cur, noSlot)
 			continue
 		}
 		if cur != old {
@@ -192,14 +194,8 @@ func (e *MCASEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
 		}
 		return e.CAS(a0, old0, new0)
 	}
-	// Process addresses in increasing order so concurrent MCASes that
-	// overlap acquire locations in a consistent order.
-	if a0 > a1 {
-		a0, a1 = a1, a0
-		old0, old1 = old1, old0
-		new0, new1 = new1, new0
-	}
-	return e.runMCAS([]mem.Addr{a0, a1}, []uint64{old0, old1}, []uint64{new0, new1})
+	return e.runMCAS(&mcasOp{n: 2, addrs: [maxNCAS]mem.Addr{a0, a1},
+		olds: [maxNCAS]uint64{old0, old1}, news: [maxNCAS]uint64{new0, new1}})
 }
 
 // NCAS atomically compares-and-swaps up to maxNCAS distinct locations — the
@@ -215,135 +211,179 @@ func (e *MCASEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 	if n == 1 {
 		return e.CAS(addrs[0], olds[0], news[0])
 	}
-	// Sort the triples by address (n is tiny; insertion sort) and reject
-	// duplicates.
-	as := append([]mem.Addr(nil), addrs...)
-	os := append([]uint64(nil), olds...)
-	ns := append([]uint64(nil), news...)
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && as[j] < as[j-1]; j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-			os[j], os[j-1] = os[j-1], os[j]
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
+	op := mcasOp{n: n}
+	copy(op.addrs[:], addrs)
+	copy(op.olds[:], olds)
+	copy(op.news[:], news)
+	return e.runMCAS(&op)
+}
+
+// yield hands control to the Stepper, if any, before an internal step.
+func (e *MCASEngine) yield() {
+	if e.step != nil {
+		e.step(false)
 	}
-	for i := 1; i < n; i++ {
-		if as[i] == as[i-1] {
+}
+
+// ld and st access a descriptor field another goroutine may access too.
+func (e *MCASEngine) ld(p *atomic.Uint64) uint64    { e.yield(); return p.Load() }
+func (e *MCASEngine) st(p *atomic.Uint64, v uint64) { e.yield(); p.Store(v) }
+
+// claim takes a free slot, probing linearly from the caller's stripe hint.
+func (e *MCASEngine) claim() uint32 {
+	n := len(e.slots)
+	i := stripe.Hint(n)
+	for {
+		for range n {
+			e.yield()
+			if b := &e.slots[i].busy; b.Load() == 0 && b.CompareAndSwap(0, 1) {
+				return uint32(i)
+			}
+			if i++; i == n {
+				i = 0
+			}
+		}
+		// Every slot is busy: wait for a release. See WithPoolSize.
+		if e.step != nil {
+			e.step(true)
+		}
+		runtime.Gosched()
+	}
+}
+
+// release frees a claimed slot.
+func (e *MCASEngine) release(s uint32) {
+	e.yield()
+	e.slots[s].busy.Store(0)
+}
+
+// runMCAS sorts op by address, so that concurrent MCASes that overlap
+// acquire locations in a consistent order, and rejects a repeated address.
+// It then publishes op in a claimed slot's MCAS descriptor, drives it to
+// completion, and retires it.
+func (e *MCASEngine) runMCAS(op *mcasOp) bool {
+	for i := 1; i < op.n; i++ {
+		j := i
+		for ; j > 0 && op.addrs[j] < op.addrs[j-1]; j-- {
+			op.addrs[j], op.addrs[j-1] = op.addrs[j-1], op.addrs[j]
+			op.olds[j], op.olds[j-1] = op.olds[j-1], op.olds[j]
+			op.news[j], op.news[j-1] = op.news[j-1], op.news[j]
+		}
+		if j > 0 && op.addrs[j] == op.addrs[j-1] {
 			return false
 		}
 	}
-	return e.runMCAS(as, os, ns)
-}
 
-// runMCAS publishes a descriptor for the (sorted, distinct) triples and
-// drives it to completion.
-func (e *MCASEngine) runMCAS(addrs []mem.Addr, olds, news []uint64) bool {
-	n := len(addrs)
-	slot := e.mcasPool.acquire()
-	d := &e.mcas[slot]
-	ver := d.ver.Load() + 1 // becomes odd
-	d.n.Store(uint32(n))
-	for i := 0; i < n; i++ {
-		d.addrs[i].Store(uint32(addrs[i]))
-		d.olds[i].Store(olds[i])
-		d.news[i].Store(news[i])
+	own := e.claim()
+	d := &e.slots[own].mcas
+	ver := d.status.Load()>>2 + 1 // becomes odd
+	e.st(&d.n, uint64(op.n))
+	for i := range op.n {
+		e.st(&d.addrs[i], uint64(op.addrs[i]))
+		e.st(&d.olds[i], op.olds[i])
+		e.st(&d.news[i], op.news[i])
 	}
-	d.status.Store(ver<<2 | stUndecided)
-	d.ver.Store(ver) // publish
+	e.st(&d.status, ver<<2|stUndecided) // publish
 
-	ref := packRef(false, slot, ver)
-	ok := e.helpMCAS(ref)
+	ref := packRef(false, own, ver)
+	ok := e.installFirst(ref, op, own) && e.helpMCAS(ref, op, 1, own)
 
-	d.ver.Store(ver + 1) // retire (even)
-	e.mcasPool.release(slot)
+	e.st(&d.status, (ver+1)<<2) // retire (even)
+	e.release(own)
 	return ok
 }
 
-// help advances whatever operation published the descriptor reference v.
-func (e *MCASEngine) help(v uint64) {
-	if isRDCSSRef(v) {
-		e.completeRDCSS(v)
-	} else {
-		e.helpMCAS(v)
+// installFirst places ref into the op's lowest location with a plain CAS.
+// The RDCSS guard is unnecessary there: until ref is in a cell no other
+// goroutine can name it, so the op cannot have been decided. It returns
+// false if the location holds some other value; the op then fails without
+// anyone having seen it.
+func (e *MCASEngine) installFirst(ref uint64, op *mcasOp, own uint32) bool {
+	a, old := op.addrs[0], op.olds[0]
+	for !e.h.CAS(a, old, ref) {
+		v := e.h.Load(a)
+		if isDescriptor(v) {
+			e.help(v, own)
+		} else if v != old {
+			return false
+		}
 	}
+	return true
 }
 
 // statusOf reads the packed status of the MCAS op named by mref. ok is
-// false if the descriptor has been retired (the op finished long ago).
+// false if the descriptor has been reused (the op finished long ago).
 func (e *MCASEngine) statusOf(mref uint64) (state uint64, ok bool) {
 	slot, ver := unpackRef(mref)
-	st := e.mcas[slot].status.Load()
+	st := e.ld(&e.slots[slot].mcas.status)
 	if (st>>2)&verMask != ver {
 		return 0, false
 	}
 	return st & 3, true
 }
 
-// helpMCAS drives the MCAS op named by ref to completion (phases 1 and 2 of
-// Harris et al.) and reports whether it succeeded. It is idempotent and may
-// be called by any number of helpers concurrently.
-func (e *MCASEngine) helpMCAS(ref uint64) bool {
-	slot, ver := unpackRef(ref)
-	d := &e.mcas[slot]
+// help advances whatever operation published the descriptor reference v. It
+// is idempotent and may be called by any number of helpers concurrently.
+// own is the slot whose RDCSS descriptor the caller installs with, or noSlot.
+func (e *MCASEngine) help(v uint64, own uint32) {
+	if isRDCSSRef(v) {
+		e.completeRDCSS(v)
+		return
+	}
+	// Snapshot the op, then validate the version: a retired op's snapshot
+	// is garbage, but then the caller's cell no longer holds v either.
+	d := &e.slots[v&slotMask].mcas
+	op := mcasOp{n: min(int(e.ld(&d.n)), maxNCAS)}
+	for i := range op.n {
+		op.addrs[i] = mem.Addr(e.ld(&d.addrs[i]))
+		op.olds[i] = e.ld(&d.olds[i])
+		op.news[i] = e.ld(&d.news[i])
+	}
+	if _, ok := e.statusOf(v); ok {
+		e.helpMCAS(v, &op, 0, own)
+	}
+}
 
-	// Snapshot fields, then validate the version: if the op has been
-	// retired the snapshot is garbage, but then our caller's cell no
-	// longer holds ref either, so there is nothing to do.
-	n := int(d.n.Load())
-	var addrs [maxNCAS]mem.Addr
-	var olds, news [maxNCAS]uint64
-	if n > maxNCAS {
-		n = maxNCAS
-	}
-	for i := 0; i < n; i++ {
-		addrs[i] = mem.Addr(d.addrs[i].Load())
-		olds[i] = d.olds[i].Load()
-		news[i] = d.news[i].Load()
-	}
-	if d.ver.Load() != ver {
-		st, ok := e.statusOf(ref)
-		return ok && st == stSucceeded
-	}
-
+// helpMCAS runs phases 1 and 2 of Harris et al. for the op named by ref,
+// whose triples are op, installing ref from location from onwards, and
+// reports whether the op succeeded.
+func (e *MCASEngine) helpMCAS(ref uint64, op *mcasOp, from int, own uint32) bool {
 	// Phase 1: install ref into every location, gated on the op still
 	// being undecided.
 	desired := uint64(stSucceeded)
 phase1:
-	for i := 0; i < n; i++ {
+	for i := from; i < op.n; i++ {
 		for {
 			st, ok := e.statusOf(ref)
 			if !ok {
-				// Retired while we were helping; outcome
-				// unknowable here, but the owner knows it.
-				return false
+				return false // reused: the op is over; its owner knows the outcome
 			}
 			if st != stUndecided {
 				desired = st
 				break phase1
 			}
-			v := e.rdcssInstall(ref, addrs[i], olds[i])
+			v := e.rdcssInstall(ref, op.addrs[i], op.olds[i], own)
 			if v == ref {
 				break // installed (by us or a helper)
 			}
 			if isDescriptor(v) && !isRDCSSRef(v) {
-				// Another MCAS holds the cell; help it out of
-				// the way first.
-				e.helpMCAS(v)
+				e.help(v, own) // another MCAS holds the cell
 				continue
 			}
-			if v != olds[i] {
+			if v != op.olds[i] {
 				desired = stFailed
 				break phase1
 			}
-			// v == olds[i]: the status was decided while our
-			// install was in flight and the cell was restored;
-			// loop to re-check the status.
+			// v == olds[i]: the status was decided while our install
+			// was in flight and the cell was restored; re-check it.
 		}
 	}
 
-	// Decide. The CAS embeds the version, so deciding a recycled slot is
+	// Decide. The CAS embeds the version, so deciding a reused slot is
 	// impossible.
-	d.status.CompareAndSwap(ver<<2|stUndecided, ver<<2|desired)
+	slot, ver := unpackRef(ref)
+	e.yield()
+	e.slots[slot].mcas.status.CompareAndSwap(ver<<2|stUndecided, ver<<2|desired)
 	st, ok := e.statusOf(ref)
 	if !ok {
 		return false
@@ -351,12 +391,12 @@ phase1:
 
 	// Phase 2: release the cells, writing news on success and restoring
 	// olds on failure.
-	for i := 0; i < n; i++ {
-		v := olds[i]
+	for i := range op.n {
+		v := op.olds[i]
 		if st == stSucceeded {
-			v = news[i]
+			v = op.news[i]
 		}
-		e.h.CAS(addrs[i], ref, v)
+		e.h.CAS(op.addrs[i], ref, v)
 	}
 	return st == stSucceeded
 }
@@ -366,104 +406,60 @@ phase1:
 // control location). It returns mref if the descriptor was installed, or the
 // conflicting cell value otherwise; a return of o2 means the status was
 // decided concurrently and the caller must re-check it.
-func (e *MCASEngine) rdcssInstall(mref uint64, a2 mem.Addr, o2 uint64) uint64 {
-	slot := e.rdcssPool.acquire()
-	d := &e.rdcss[slot]
+//
+// It installs with own's RDCSS descriptor: a goroutine runs at most one
+// install at a time, so helping from inside an op reuses the op's slot. A
+// helper holding no slot claims one for the install.
+func (e *MCASEngine) rdcssInstall(mref uint64, a2 mem.Addr, o2 uint64, own uint32) uint64 {
+	slot := own
+	if own == noSlot {
+		slot = e.claim()
+		defer e.release(slot)
+	}
+	d := &e.slots[slot].rdcss
 	ver := d.ver.Load() + 1
-	d.mref.Store(mref)
-	d.a2.Store(uint32(a2))
-	d.o2.Store(o2)
-	d.ver.Store(ver) // publish
+	e.st(&d.mref, mref)
+	e.st(&d.a2, uint64(a2))
+	e.st(&d.o2, o2)
+	e.st(&d.ver, ver)         // publish
+	defer e.st(&d.ver, ver+1) // retire
 
 	ref := packRef(true, slot, ver)
-	result := o2
 	for {
 		if e.h.CAS(a2, o2, ref) {
-			// Installed; resolve against the op status.
-			if st, ok := e.statusOf(mref); ok && st == stUndecided {
-				e.h.CAS(a2, ref, mref)
-				result = mref
-			} else {
-				e.h.CAS(a2, ref, o2)
-				result = o2
-			}
-			break
+			return e.resolveRDCSS(ref, mref, a2, o2)
 		}
 		v := e.h.Load(a2)
-		if v == o2 {
-			continue // transient race; retry the install
-		}
 		if isDescriptor(v) && isRDCSSRef(v) {
 			e.completeRDCSS(v)
-			continue
+		} else if v != o2 {
+			return v // plain mismatch or an MCAS descriptor
 		}
-		result = v // plain mismatch or an MCAS descriptor
-		break
+		// Otherwise a transient race; retry the install.
 	}
-
-	d.ver.Store(ver + 1) // retire
-	e.rdcssPool.release(slot)
-	return result
 }
 
 // completeRDCSS finishes an RDCSS whose descriptor reference was found in a
-// cell: it replaces the descriptor with the MCAS reference if the op is
-// still undecided, and restores the expected old value otherwise.
+// cell.
 func (e *MCASEngine) completeRDCSS(ref uint64) {
 	slot, ver := unpackRef(ref)
-	d := &e.rdcss[slot]
-	mref := d.mref.Load()
-	a2 := mem.Addr(d.a2.Load())
-	o2 := d.o2.Load()
-	if d.ver.Load() != ver {
-		return // retired; the cell has been cleaned already
+	d := &e.slots[slot].rdcss
+	mref := e.ld(&d.mref)
+	a2 := mem.Addr(e.ld(&d.a2))
+	o2 := e.ld(&d.o2)
+	if e.ld(&d.ver) == ver { // else retired; the cell has been cleaned already
+		e.resolveRDCSS(ref, mref, a2, o2)
 	}
+}
+
+// resolveRDCSS replaces the RDCSS reference ref in cell a2 with mref if the
+// MCAS op mref names is still undecided, and restores o2 otherwise. It
+// returns the value it chose; another resolver may have written it first.
+func (e *MCASEngine) resolveRDCSS(ref, mref uint64, a2 mem.Addr, o2 uint64) uint64 {
 	if st, ok := e.statusOf(mref); ok && st == stUndecided {
 		e.h.CAS(a2, ref, mref)
-	} else {
-		e.h.CAS(a2, ref, o2)
+		return mref
 	}
-}
-
-// descPool is a lock-free stack of free descriptor slots. The head packs a
-// 32-bit pop counter with a 32-bit (index+1); links live in next.
-type descPool struct {
-	head atomic.Uint64
-	next []atomic.Uint32
-}
-
-func (p *descPool) init(n int) {
-	p.next = make([]atomic.Uint32, n)
-	for i := n - 1; i >= 0; i-- {
-		p.releaseSlot(uint32(i))
-	}
-}
-
-func (p *descPool) acquire() uint32 {
-	for spins := 0; ; spins++ {
-		old := p.head.Load()
-		idx1 := uint32(old)
-		if idx1 == 0 {
-			// Pool exhausted: wait for a slot. See WithPoolSize.
-			runtime.Gosched()
-			continue
-		}
-		next := p.next[idx1-1].Load()
-		cnt := (old >> 32) + 1
-		if p.head.CompareAndSwap(old, cnt<<32|uint64(next)) {
-			return idx1 - 1
-		}
-	}
-}
-
-func (p *descPool) release(slot uint32) { p.releaseSlot(slot) }
-
-func (p *descPool) releaseSlot(slot uint32) {
-	for {
-		old := p.head.Load()
-		p.next[slot].Store(uint32(old))
-		if p.head.CompareAndSwap(old, old&^uint64(0xFFFF_FFFF)|uint64(slot+1)) {
-			return
-		}
-	}
+	e.h.CAS(a2, ref, o2)
+	return o2
 }

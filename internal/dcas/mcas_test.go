@@ -3,9 +3,12 @@ package dcas
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lfrc/internal/mem"
 )
@@ -218,6 +221,108 @@ func TestMCASSmallPool(t *testing.T) {
 	if y := e.Read(cells[1]); y != want {
 		t.Errorf("cell1 = %d, want %d", y, want)
 	}
+}
+
+// TestMCASFirstInstallMismatch covers the RDCSS-free first install: a DCAS
+// whose lowest location mismatches fails in either argument order, leaves
+// both cells holding plain values, and never publishes an RDCSS descriptor.
+func TestMCASFirstInstallMismatch(t *testing.T) {
+	h := mem.NewHeap()
+	e := NewMCAS(h)
+	c := newCells(t, h, 2) // c[0] is the lower address
+	e.Write(c[0], 5)
+	if e.DCAS(c[0], c[1], 0, 0, 1, 1) || e.DCAS(c[1], c[0], 0, 0, 1, 1) {
+		t.Fatal("DCAS succeeded with a mismatched lowest location")
+	}
+	if v0, v1 := h.Load(c[0]), h.Load(c[1]); v0 != 5 || v1 != 0 {
+		t.Errorf("cells = %#x, %#x; want 5, 0", v0, v1)
+	}
+	for i := range e.slots {
+		s := &e.slots[i]
+		if s.busy.Load() != 0 || s.mcas.status.Load()>>2%2 != 0 || s.rdcss.ver.Load() != 0 {
+			t.Errorf("slot %d: busy=%d mcas status=%#x rdcss ver=%d; want released, retired, no RDCSS",
+				i, s.busy.Load(), s.mcas.status.Load(), s.rdcss.ver.Load())
+		}
+	}
+}
+
+// TestMCASSlotReuseInPlace runs 100k sequential DCASes from one goroutine:
+// each must bump exactly one slot's MCAS version by 2 (publish, retire), the
+// slot's own RDCSS descriptor must serve the second install, and one slot
+// must serve nearly every op.
+func TestMCASSlotReuseInPlace(t *testing.T) {
+	if s := unsafe.Sizeof(descSlot{}); s%64 != 0 {
+		t.Errorf("descSlot is %d bytes, not a whole number of cache lines", s)
+	}
+	h := mem.NewHeap()
+	e := NewMCAS(h, WithPoolSize(8))
+	c := newCells(t, h, 2)
+	const ops = 100_000
+	last := make([]uint64, len(e.slots))
+	uses := make([]int, len(e.slots))
+	for i := range uint64(ops) {
+		if !e.DCAS(c[0], c[1], i, i, i+1, i+1) {
+			t.Fatalf("op %d failed", i)
+		}
+		moved := -1
+		for s := range e.slots {
+			v := e.slots[s].mcas.status.Load() >> 2
+			if v == last[s] {
+				continue
+			}
+			if v != last[s]+2 || moved >= 0 {
+				t.Fatalf("op %d: slot %d version %d -> %d (another slot moved: %d)", i, s, last[s], v, moved)
+			}
+			last[s], moved = v, s
+		}
+		if moved < 0 {
+			t.Fatalf("op %d moved no slot's version", i)
+		}
+		if r := e.slots[moved].rdcss.ver.Load(); r != last[moved] {
+			t.Fatalf("op %d: slot %d rdcss version %d, want %d", i, moved, r, last[moved])
+		}
+		uses[moved]++
+	}
+	if top := slices.Max(uses); top < ops*99/100 {
+		t.Errorf("busiest slot served %d of %d ops (%v); want one slot reused in place", top, ops, uses)
+	}
+}
+
+// BenchmarkMCASDCAS measures one DCAS on a cell pair: from one goroutine
+// (serial), and from two goroutines reading and DCASing the same pair
+// (shared, ns per op across both, success share reported).
+func BenchmarkMCASDCAS(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		h := mem.NewHeap()
+		e := NewMCAS(h)
+		c := newCells(b, h, 2)
+		b.ResetTimer()
+		for i := range uint64(b.N) {
+			e.DCAS(c[0], c[1], i, i, i+1, i+1)
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		h := mem.NewHeap()
+		e := NewMCAS(h)
+		c := newCells(b, h, 2)
+		var wins atomic.Int64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for w := range 2 {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for range n {
+					o0, o1 := e.Read(c[0]), e.Read(c[1])
+					if e.DCAS(c[0], c[1], o0, o1, o0+1, o1+1) {
+						wins.Add(1)
+					}
+				}
+			}(b.N/2 + w*(b.N%2))
+		}
+		wg.Wait()
+		b.ReportMetric(float64(wins.Load())/float64(b.N), "success")
+	})
 }
 
 // TestMCASMixedSingleAndDouble mixes single CAS, DCAS and writes on

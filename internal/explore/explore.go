@@ -5,10 +5,11 @@
 //
 // The preemption points are exactly the shared-memory operations: the
 // harness wraps the DCAS engine so that every Read/Write/CAS/DCAS yields to
-// the scheduler first. Since all shared state in this repository is accessed
-// through an engine, engine-operation granularity captures every observable
-// interleaving of the algorithms — the same granularity a model checker of
-// the paper's pseudocode would use.
+// the scheduler first (for a CellScenario, every cell operation and every
+// internal step of the software MCAS engine). Since all shared state in this
+// repository is accessed through an engine, engine-operation granularity
+// captures every observable interleaving of the algorithms — the same
+// granularity a model checker of the paper's pseudocode would use.
 //
 // Two search modes are provided:
 //
@@ -36,7 +37,7 @@ import (
 // or a CellScenario (preemption points at cell granularity — fine enough to
 // interleave the internal steps of the software MCAS engine itself).
 type SUT interface {
-	build(yield func()) (threads []func(), check func() error)
+	build(yield func(wait bool)) (threads []func(), check func() error)
 }
 
 // Scenario builds one fresh instance of a system under test. The supplied
@@ -45,7 +46,7 @@ type SUT interface {
 // all threads finish (single-threaded) and reports a property violation.
 type Scenario func(instrument func(dcas.Engine) dcas.Engine) (threads []func(), check func() error)
 
-func (s Scenario) build(yield func()) ([]func(), func() error) {
+func (s Scenario) build(yield func(wait bool)) ([]func(), func() error) {
 	return s(func(e dcas.Engine) dcas.Engine {
 		return &instrumentedEngine{inner: e, yield: yield}
 	})
@@ -53,37 +54,47 @@ func (s Scenario) build(yield func()) ([]func(), func() error) {
 
 // CellScenario builds a system whose *memory cells* are instrumented, so
 // every single Load/Store/CAS — including those inside an engine's helping
-// protocol — is a scheduling point.
+// protocol — is a scheduling point. The instrumented store is also a
+// dcas.Stepper, so an MCAS engine built over it adds its descriptor-field
+// accesses and slot claims and releases as scheduling points too.
 type CellScenario func(instrument func(dcas.CellStore) dcas.CellStore) (threads []func(), check func() error)
 
-func (s CellScenario) build(yield func()) ([]func(), func() error) {
+func (s CellScenario) build(yield func(wait bool)) ([]func(), func() error) {
 	return s(func(cs dcas.CellStore) dcas.CellStore {
 		return &instrumentedCells{inner: cs, yield: yield}
 	})
 }
 
-// instrumentedCells yields to the scheduler before every cell operation.
+// instrumentedCells yields to the scheduler before every cell operation and
+// every engine step.
 type instrumentedCells struct {
 	inner dcas.CellStore
-	yield func()
+	yield func(wait bool)
 }
 
-var _ dcas.CellStore = (*instrumentedCells)(nil)
+var (
+	_ dcas.CellStore = (*instrumentedCells)(nil)
+	_ dcas.Stepper   = (*instrumentedCells)(nil)
+)
 
 func (c *instrumentedCells) Load(a mem.Addr) uint64 {
-	c.yield()
+	c.yield(false)
 	return c.inner.Load(a)
 }
 
 func (c *instrumentedCells) Store(a mem.Addr, v uint64) {
-	c.yield()
+	c.yield(false)
 	c.inner.Store(a, v)
 }
 
 func (c *instrumentedCells) CAS(a mem.Addr, old, new uint64) bool {
-	c.yield()
+	c.yield(false)
 	return c.inner.CAS(a, old, new)
 }
+
+// Step implements dcas.Stepper. A thread that waits for a descriptor slot
+// is not scheduled again until another thread has taken a step.
+func (c *instrumentedCells) Step(wait bool) { c.yield(wait) }
 
 // Result summarizes one exploration.
 type Result struct {
@@ -105,7 +116,7 @@ type Result struct {
 // instrumentedEngine yields to the scheduler before every operation.
 type instrumentedEngine struct {
 	inner dcas.Engine
-	yield func()
+	yield func(wait bool)
 }
 
 var _ dcas.Engine = (*instrumentedEngine)(nil)
@@ -113,22 +124,22 @@ var _ dcas.Engine = (*instrumentedEngine)(nil)
 func (e *instrumentedEngine) Name() string { return e.inner.Name() + "+explore" }
 
 func (e *instrumentedEngine) Read(a mem.Addr) uint64 {
-	e.yield()
+	e.yield(false)
 	return e.inner.Read(a)
 }
 
 func (e *instrumentedEngine) Write(a mem.Addr, v uint64) {
-	e.yield()
+	e.yield(false)
 	e.inner.Write(a, v)
 }
 
 func (e *instrumentedEngine) CAS(a mem.Addr, old, new uint64) bool {
-	e.yield()
+	e.yield(false)
 	return e.inner.CAS(a, old, new)
 }
 
 func (e *instrumentedEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
-	e.yield()
+	e.yield(false)
 	return e.inner.DCAS(a0, a1, old0, old1, new0, new1)
 }
 
@@ -136,10 +147,12 @@ func (e *instrumentedEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64
 // cur is the previously running thread (-1 initially; may not be runnable).
 type picker func(runnable []int, cur int) int
 
-// schedEvent is a thread's announcement: parked at a yield point, or done.
+// schedEvent is a thread's announcement: parked at a yield point (waiting
+// for another thread's progress if wait is set), or done.
 type schedEvent struct {
 	tid  int
 	done bool
+	wait bool
 }
 
 // runOnce executes the scenario under the given picker, returning the
@@ -155,7 +168,7 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 	// are ordered by the grant/event channels.
 	active := false
 
-	yield := func() {
+	yield := func(wait bool) {
 		if !active {
 			return
 		}
@@ -165,7 +178,7 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 		// moment the event is received the scheduler may grant another
 		// thread and overwrite cur.
 		tid := cur
-		events <- schedEvent{tid: tid}
+		events <- schedEvent{tid: tid, wait: wait}
 		<-grants[tid]
 	}
 	threads, check := s.build(yield)
@@ -177,6 +190,7 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 
 	parked := make([]bool, n)
 	done := make([]bool, n)
+	waiting := make([]bool, n)
 	active = true
 	for i := range threads {
 		go func(i int) {
@@ -191,55 +205,51 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 	}
 
 	live := n
+	aborted := false
 	for live > 0 {
-		if len(trace) >= maxSteps {
-			// Livelock guard: release everything and drain.
-			releaseAll(grants, parked, done, events, &live)
-			active = false
-			return trace, false, nil
-		}
-		var runnable []int
+		// A waiting thread is runnable again once another thread has
+		// taken a step, or when every live thread is waiting.
+		var runnable, waiters []int
 		for i := 0; i < n; i++ {
 			if parked[i] && !done[i] {
-				runnable = append(runnable, i)
+				if waiting[i] {
+					waiters = append(waiters, i)
+				} else {
+					runnable = append(runnable, i)
+				}
 			}
 		}
-		t := pick(runnable, cur)
-		trace = append(trace, t)
+		if len(runnable) == 0 {
+			runnable = waiters
+		}
+		var t int
+		if len(trace) >= maxSteps {
+			// Livelock guard: stop recording and run the threads to
+			// completion one at a time.
+			aborted = true
+			t = runnable[0]
+		} else {
+			t = pick(runnable, cur)
+			trace = append(trace, t)
+		}
 		parked[t] = false
 		cur = t
 		grants[t] <- struct{}{}
 		ev := <-events
+		clear(waiting)
 		if ev.done {
 			done[ev.tid] = true
 			live--
 		} else {
 			parked[ev.tid] = true
+			waiting[ev.tid] = ev.wait
 		}
 	}
 	active = false
-	return trace, true, check()
-}
-
-// releaseAll ends an aborted run by letting every remaining thread run to
-// completion one at a time.
-func releaseAll(grants []chan struct{}, parked, done []bool, events chan schedEvent, live *int) {
-	for *live > 0 {
-		for i := range grants {
-			if parked[i] && !done[i] {
-				parked[i] = false
-				grants[i] <- struct{}{}
-				ev := <-events
-				if ev.done {
-					done[ev.tid] = true
-					*live--
-				} else {
-					parked[ev.tid] = true
-				}
-				break
-			}
-		}
+	if aborted {
+		return trace, false, nil
 	}
+	return trace, true, check()
 }
 
 // RunRandom explores the scenario under `runs` seeded random schedules.

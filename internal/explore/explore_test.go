@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"lfrc/internal/core"
@@ -77,6 +78,39 @@ func TestExplorerRandomModeFindsLostUpdate(t *testing.T) {
 	res := RunRandom(racyCounterScenario(false), 200, 3, 10_000)
 	if res.Violations == 0 {
 		t.Fatal("random exploration missed the lost update in 200 runs")
+	}
+}
+
+// waitSUT has thread 0 wait, by yielding with wait set, for a flag thread 1
+// sets after two steps: the shape of an MCAS owner waiting for a free slot.
+type waitSUT struct{}
+
+func (waitSUT) build(yield func(wait bool)) ([]func(), func() error) {
+	var set atomic.Bool
+	waiter := func() {
+		for !set.Load() {
+			yield(true)
+		}
+	}
+	setter := func() {
+		yield(false)
+		yield(false)
+		set.Store(true)
+	}
+	return []func(){waiter, setter}, func() error { return nil }
+}
+
+func TestExplorerSchedulesAroundWaitingThread(t *testing.T) {
+	// The default policy keeps running the current thread; a waiting
+	// thread must yield the processor instead of spinning to the step cap.
+	res := RunDFS(waitSUT{}, 0, 10, 1000)
+	if res.Incomplete != 0 || res.Violations != 0 || res.Runs == 0 {
+		t.Fatalf("waiting thread: %+v, want every run complete", res)
+	}
+	// A run that hits the step cap is counted incomplete and still drains.
+	res = RunRandom(racyCounterScenario(false), 20, 3, 2)
+	if res.Incomplete != res.Runs {
+		t.Fatalf("step cap 2: %d of %d runs incomplete, want all", res.Incomplete, res.Runs)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 
 // This file model-checks the software MCAS engine itself: the CellScenario
 // instrumentation interleaves every *internal* Load/Store/CAS of the
-// RDCSS/MCAS protocol, so the preemption-bounded DFS exercises descriptor
-// installation, helping, and removal at every explored switch point. The
+// RDCSS/MCAS protocol, and every descriptor-field access and slot claim or
+// release, so the preemption-bounded DFS exercises descriptor publication,
+// installation, helping, removal and in-place reuse at every explored switch
+// point. The engine runs with two descriptor slots, so claims collide. The
 // oracle is permutation-based: because the engine's operations must be
 // linearizable and every thread runs exactly one (or two sequential)
 // operations, the observed (results, final cells) must equal the outcome of
@@ -103,15 +105,20 @@ func legalOutcomes(nCells int, threads [][]memOp) map[outcome]bool {
 // mcasCellScenario builds the engine over instrumented cells and runs the
 // threads' op streams, checking the observed outcome against the oracle.
 func mcasCellScenario(nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
+	// Runs are sequential, so they share one heap (building a heap costs
+	// more than a run) and each starts from zeroed cells.
+	h := mem.NewHeap()
+	id := h.MustRegisterType(mem.TypeDesc{Name: "cells", NumFields: nCells})
+	r := h.MustAlloc(id)
+	addr := make([]mem.Addr, nCells)
+	for i := range addr {
+		addr[i] = h.FieldAddr(r, i)
+	}
 	return func(instrument func(dcas.CellStore) dcas.CellStore) ([]func(), func() error) {
-		h := mem.NewHeap()
-		id := h.MustRegisterType(mem.TypeDesc{Name: "cells", NumFields: nCells})
-		r := h.MustAlloc(id)
-		addr := make([]mem.Addr, nCells)
-		for i := range addr {
-			addr[i] = h.FieldAddr(r, i)
+		for _, a := range addr {
+			h.Store(a, 0)
 		}
-		e := dcas.NewMCAS(instrument(h), dcas.WithPoolSize(8))
+		e := dcas.NewMCAS(instrument(h), dcas.WithPoolSize(2))
 
 		results := make([][]string, len(threads))
 		for i := range results {
@@ -216,6 +223,28 @@ func TestMCASModelCheckWriterInterference(t *testing.T) {
 		{dcasOp(0, 1, 0, 0, 1, 1)},
 		{write(0, 9)},
 	}, 2, 50_000)
+}
+
+// TestMCASModelCheckFirstInstallVsWriter races the owner's RDCSS-free first
+// install on the lowest cell against a thread that moves that cell away with
+// a CAS and writes it back (ABA), so the install may meet either value, and
+// a DCAS that succeeded without holding the cell shows in the outcome.
+func TestMCASModelCheckFirstInstallVsWriter(t *testing.T) {
+	checkMCASLinearizable(t, "first install vs ABA writer", 2, [][]memOp{
+		{dcasOp(0, 1, 0, 0, 1, 1)},
+		{cas(0, 0, 9), write(0, 0)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckSlotReuse runs two back-to-back DCASes on one thread, so
+// the second reuses the first's slot in place, while a reader finds and
+// helps the first: a helper holding a stale descriptor reference must see
+// the reuse through the version and leave the new op alone.
+func TestMCASModelCheckSlotReuse(t *testing.T) {
+	checkMCASLinearizable(t, "slot reuse vs helping reader", 2, [][]memOp{
+		{dcasOp(0, 1, 0, 0, 1, 1), dcasOp(0, 1, 1, 1, 2, 2)},
+		{read(1), read(0)},
+	}, 3, 50_000)
 }
 
 func TestMCASModelCheckThreeWay(t *testing.T) {

@@ -43,6 +43,7 @@ func RunE1(kind EngineKind, scale Scale) *Table {
 		Header: []string{"protocol", "engine", "loads", "injected swings", "poisoned rc updates", "heap corruptions", "double frees"},
 		Notes: []string{
 			"expected shape: naive > 0 corruption events, safe == 0 under the identical injected schedule",
+			"heap corruptions include naive loaders that crashed following a garbage ref (recovered)",
 		},
 	}
 
@@ -77,6 +78,34 @@ func RunE1(kind EngineKind, scale Scale) *Table {
 		rc.LoadHook = inject
 		rc.NaiveHook = inject
 
+		// step releases the previous reference first, as a loader with no
+		// stake in the target (the paper's scenario), and then loads unless
+		// the loader is done. The naive protocol can hand back a ref to
+		// recycled memory, whose Destroy then follows garbage out of the
+		// heap and panics; such a crash is counted as a heap corruption and
+		// the loader carries on empty-handed.
+		var crashes atomic.Int64
+		step := func(dst *mem.Ref, load bool) {
+			if naive {
+				defer func() {
+					if recover() != nil {
+						crashes.Add(1)
+						*dst = 0
+					}
+				}()
+			}
+			rc.Destroy(*dst)
+			*dst = 0
+			if !load {
+				return
+			}
+			if naive {
+				rc.NaiveLoad(a, dst)
+			} else {
+				rc.Load(a, dst)
+			}
+		}
+
 		var (
 			stop atomic.Bool
 			wg   sync.WaitGroup
@@ -87,31 +116,17 @@ func RunE1(kind EngineKind, scale Scale) *Table {
 			defer wg.Done()
 			var dst mem.Ref
 			for !stop.Load() {
-				// Release the previous reference first, as a loader
-				// with no stake in the target (the paper's scenario).
-				rc.Destroy(dst)
-				dst = 0
-				if naive {
-					rc.NaiveLoad(a, &dst)
-				} else {
-					rc.Load(a, &dst)
-				}
+				step(&dst, true)
 				runtime.Gosched()
 			}
-			rc.Destroy(dst)
+			step(&dst, false)
 		}()
 
 		var dst mem.Ref
 		for i := 0; i < loadsPerRun; i++ {
-			rc.Destroy(dst)
-			dst = 0
-			if naive {
-				rc.NaiveLoad(a, &dst)
-			} else {
-				rc.Load(a, &dst)
-			}
+			step(&dst, true)
 		}
-		rc.Destroy(dst)
+		step(&dst, false)
 		stop.Store(true)
 		wg.Wait()
 
@@ -120,7 +135,7 @@ func RunE1(kind EngineKind, scale Scale) *Table {
 			name = "naive (CAS-only)"
 		}
 		hs, rs := h.Stats(), rc.Stats()
-		t.AddRow(name, kind.String(), rs.Loads, swings.Load(), rs.PoisonedRCUpdates, hs.Corruptions, hs.DoubleFrees)
+		t.AddRow(name, kind.String(), rs.Loads, swings.Load(), rs.PoisonedRCUpdates, hs.Corruptions+crashes.Load(), hs.DoubleFrees)
 	}
 	return t
 }
