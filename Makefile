@@ -16,6 +16,12 @@ PERF_BASELINE ?= BENCH_0009.json
 PERF_TOL ?= 0.25
 PERF_STRICT ?= 0
 
+# The sorted set's cross-configuration tests: its unit tests that run every
+# {figure2, split} x {lfrc, epoch} x {locking, mcas} cell (the hop-cost pin
+# and the concurrent key-churn checks) plus its linearizability oracle over
+# the same matrix. check-rc and check-reclaim both run them under -race.
+SET_MATRIX = -race -count=1 -run 'TestSearchHandsCountsAlong|TestConcurrent(Disjoint|Contended)Keys|TestSortedSetLinearizable' ./internal/dlist ./internal/linear
+
 .PHONY: all check build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke perf-baseline perf-check fuzz experiments stress explore examples clean
 
 all: check
@@ -49,20 +55,23 @@ check-fault:
 
 # Cross-backend reclamation gate: the backend unit matrix (both backends share
 # one suite in internal/reclaim) plus the system-level fault/chaos/auditor
-# sweep parameterized over {lfrc, epoch}, 3 seeds each, under the race
-# detector.
+# sweep parameterized over {lfrc, epoch}, 3 seeds each, and the sorted set's
+# configuration matrix, under the race detector.
 check-reclaim:
 	$(GO) test -race -count=1 ./internal/reclaim
 	$(GO) test -race -count=1 -run 'TestReclaim|TestReclamation' .
+	$(GO) test $(SET_MATRIX)
 
 # Cross-strategy RC gate: the strategy unit matrix in internal/core (figure2
 # vs split protocol equivalence, packing boundaries, refill/merge paths), the
 # split boundary tests on both engines, and the system-level fault/chaos/
 # auditor sweep over every {figure2, split} x {locking, mcas} x {lfrc, epoch}
-# cell, 2 seeds each, under the race detector.
+# cell, 2 seeds each, and the sorted set's configuration matrix, under the
+# race detector.
 check-rc:
 	$(GO) test -race -count=1 ./internal/core
 	$(GO) test -race -count=1 -run 'TestRCStrategy|TestSplit' .
+	$(GO) test $(SET_MATRIX)
 
 # Telemetry-timeline gate: the ring's concurrent capture-vs-read seqlock
 # tests, the system-level timeline tests, and the lfrctop render/fetch tests.

@@ -53,7 +53,43 @@ func TestCloseIsIdempotent(t *testing.T) {
 		c.Close()
 	}
 
+	// Every read on a closed structure is inert: it finds nothing and
+	// touches none of the freed memory.
+	if v, ok := d.PopLeft(); ok {
+		t.Errorf("PopLeft after Close = %d, true", v)
+	}
+	if v, ok := d.PopRight(); ok {
+		t.Errorf("PopRight after Close = %d, true", v)
+	}
+	for v := range d.Drain() {
+		t.Errorf("Drain after Close yielded %d", v)
+	}
+	if v, ok := q.Dequeue(); ok {
+		t.Errorf("Dequeue after Close = %d, true", v)
+	}
+	if v, ok := st.Pop(); ok {
+		t.Errorf("Pop after Close = %d, true", v)
+	}
+	if set.Contains(4) {
+		t.Error("Contains after Close = true")
+	}
+	if set.Delete(4) {
+		t.Error("Delete after Close = true")
+	}
+	if k, ok := set.PopMin(); ok {
+		t.Errorf("PopMin after Close = %d, true", k)
+	}
+	if n := set.Len(); n != 0 {
+		t.Errorf("Len after Close = %d", n)
+	}
+	if keys := set.Keys(); len(keys) != 0 {
+		t.Errorf("Keys after Close = %v", keys)
+	}
+
 	s := sys.Stats()
+	if s.Heap.Corruptions != 0 {
+		t.Errorf("Corruptions = %d after reads on closed structures, want 0", s.Heap.Corruptions)
+	}
 	if s.Heap.LiveObjects != 0 {
 		t.Errorf("LiveObjects = %d after closing every structure, want 0", s.Heap.LiveObjects)
 	}

@@ -128,12 +128,22 @@ func (d *Deque) PushRight(v Value) error {
 }
 
 // PopLeft removes and returns the leftmost value; ok is false when the
-// deque is observed empty.
-func (d *Deque) PopLeft() (v Value, ok bool) { return d.d.PopLeft() }
+// deque is observed empty or closed.
+func (d *Deque) PopLeft() (v Value, ok bool) {
+	if d.closed.Load() {
+		return 0, false
+	}
+	return d.d.PopLeft()
+}
 
 // PopRight removes and returns the rightmost value; ok is false when the
-// deque is observed empty.
-func (d *Deque) PopRight() (v Value, ok bool) { return d.d.PopRight() }
+// deque is observed empty or closed.
+func (d *Deque) PopRight() (v Value, ok bool) {
+	if d.closed.Load() {
+		return 0, false
+	}
+	return d.d.PopRight()
+}
 
 // Drain returns an iterator that pops values from the left end until the
 // deque is observed empty, consuming the deque:
@@ -194,8 +204,13 @@ func (q *Queue) Enqueue(v Value) error {
 }
 
 // Dequeue removes and returns the oldest value; ok is false when the queue
-// is observed empty.
-func (q *Queue) Dequeue() (v Value, ok bool) { return q.q.Dequeue() }
+// is observed empty or closed.
+func (q *Queue) Dequeue() (v Value, ok bool) {
+	if q.closed.Load() {
+		return 0, false
+	}
+	return q.q.Dequeue()
+}
 
 // Stack is a GC-independent Treiber lock-free stack.
 type Stack struct {
@@ -235,5 +250,10 @@ func (s *Stack) Push(v Value) error {
 }
 
 // Pop removes and returns the top value; ok is false when the stack is
-// observed empty.
-func (s *Stack) Pop() (v Value, ok bool) { return s.s.Pop() }
+// observed empty or closed.
+func (s *Stack) Pop() (v Value, ok bool) {
+	if s.closed.Load() {
+		return 0, false
+	}
+	return s.s.Pop()
+}

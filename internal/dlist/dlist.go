@@ -18,6 +18,15 @@
 //     update.
 //   - Traversals help unlink the first marked node they meet and restart.
 //
+// Traversals are counted hand-over-hand: a search holds counted references
+// to pred and curr, and each hop hands curr's count to pred. The paper's
+// Step 5 would write pred = curr as an LFRCCopy (count curr again) and the
+// following Load would Destroy curr's old value (uncount it again); that
+// +1/-1 pair on one node cancels, so it is dropped. The next cell is still
+// read only from a node whose count the traversal holds, and a hop costs two
+// count updates instead of four. The Snark deque, the paper-faithful
+// reproduction, keeps the mechanical Step-5 form.
+//
 // Garbage is acyclic (nodes point only forward), so the methodology's
 // Cycle-Free Garbage criterion holds with no extra work, and unlinked nodes
 // are reclaimed by their reference counts as the last traverser lets go.
@@ -136,8 +145,13 @@ func (l *List) search(k Key) (pred, curr mem.Ref) {
 			if l.rc.WordLoad(l.keyA(curr)) >= k {
 				return pred, curr
 			}
-			l.rc.Copy(&pred, curr)
-			l.rc.Load(l.nextA(curr), &curr)
+			// Hand-off (see the package doc): pred inherits curr's count
+			// instead of taking a fresh one (Copy) that the Load below
+			// would then drop; the successor is read through pred, whose
+			// count the traversal still holds.
+			l.rc.Destroy(pred)
+			pred, curr = curr, 0
+			l.rc.Load(l.nextA(pred), &curr)
 		}
 		if !helping {
 			return pred, curr // curr == 0: ran off the end

@@ -12,6 +12,7 @@ import (
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
+	"lfrc/internal/reclaim"
 )
 
 type world struct {
@@ -20,18 +21,43 @@ type world struct {
 	ts Types
 }
 
+// worldFactories covers every supported configuration: {locking, mcas}
+// engines x {figure2, split} rc strategies x {lfrc, epoch} reclaimers. The
+// paper-faithful figure2/lfrc cell keeps the bare engine name; the others
+// append their non-default dimensions, e.g. "mcas-split-epoch".
 func worldFactories() map[string]func(t *testing.T) *world {
-	mk := func(engine func(h *mem.Heap) dcas.Engine) func(t *testing.T) *world {
-		return func(t *testing.T) *world {
-			t.Helper()
-			h := mem.NewHeap()
-			return &world{h: h, rc: core.New(h, engine(h)), ts: MustRegisterTypes(h)}
+	engines := map[string]func(h *mem.Heap) dcas.Engine{
+		"locking": func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) },
+		"mcas":    func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) },
+	}
+	out := map[string]func(t *testing.T) *world{}
+	for ename, engine := range engines {
+		for _, strat := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
+			for _, rk := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
+				name := ename
+				if strat == core.StrategySplit {
+					name += "-split"
+				}
+				if rk == reclaim.KindEpoch {
+					name += "-epoch"
+				}
+				out[name] = func(t *testing.T) *world {
+					t.Helper()
+					h := mem.NewHeap()
+					rc := core.New(h, engine(h), core.WithStrategyKind(strat), core.WithReclaimerKind(rk))
+					return &world{h: h, rc: rc, ts: MustRegisterTypes(h)}
+				}
+			}
 		}
 	}
-	return map[string]func(t *testing.T) *world{
-		"locking": mk(func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) }),
-		"mcas":    mk(func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) }),
-	}
+	return out
+}
+
+// closeAndDrain closes l and finishes any reclamation the backend deferred, so
+// the heap can be checked for leaks (the epoch backend parks frees in limbo).
+func (w *world) closeAndDrain(l *List) {
+	l.Close()
+	w.rc.DrainZombies(0)
 }
 
 func newList(t *testing.T, w *world) *List {
@@ -253,7 +279,7 @@ func TestCloseReclaimsEverything(t *testing.T) {
 			for k := Key(0); k < 300; k += 3 {
 				l.Delete(k)
 			}
-			l.Close()
+			w.closeAndDrain(l)
 			if got := w.h.Stats().LiveObjects; got != 0 {
 				t.Errorf("LiveObjects = %d after Close, want 0", got)
 			}
@@ -319,7 +345,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 			if got := l.Len(); got != want {
 				t.Errorf("Len = %d, want %d", got, want)
 			}
-			l.Close()
+			w.closeAndDrain(l)
 			hs := w.h.Stats()
 			if hs.LiveObjects != 0 || hs.Corruptions != 0 || hs.DoubleFrees != 0 {
 				t.Errorf("Live=%d Corruptions=%d DoubleFrees=%d, want 0/0/0",
@@ -375,7 +401,7 @@ func TestConcurrentContendedKeys(t *testing.T) {
 					t.Errorf("key %d: insertWins-deleteWins = %d, presence = %d", k, got, present)
 				}
 			}
-			l.Close()
+			w.closeAndDrain(l)
 			hs := w.h.Stats()
 			if hs.LiveObjects != 0 || hs.Corruptions != 0 {
 				t.Errorf("Live=%d Corruptions=%d, want 0/0", hs.LiveObjects, hs.Corruptions)

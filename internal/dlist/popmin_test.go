@@ -123,7 +123,7 @@ func TestPopMinConcurrentExactness(t *testing.T) {
 					t.Errorf("key %d delivered %d times", k, c)
 				}
 			}
-			l.Close()
+			w.closeAndDrain(l)
 			if live := w.h.Stats().LiveObjects; live != 0 {
 				t.Errorf("LiveObjects = %d, want 0", live)
 			}

@@ -11,6 +11,7 @@ import (
 	"lfrc/internal/dlist"
 	"lfrc/internal/mem"
 	"lfrc/internal/msqueue"
+	"lfrc/internal/reclaim"
 	"lfrc/internal/snark"
 	"lfrc/internal/stackrc"
 )
@@ -24,7 +25,7 @@ type env struct {
 	rc *core.RC
 }
 
-func newEnv(t *testing.T, engine string) *env {
+func newEnv(t *testing.T, engine string, opts ...core.Option) *env {
 	t.Helper()
 	h := mem.NewHeap()
 	var e dcas.Engine
@@ -33,7 +34,37 @@ func newEnv(t *testing.T, engine string) *env {
 	} else {
 		e = dcas.NewLocking(h)
 	}
-	return &env{h: h, rc: core.New(h, e)}
+	return &env{h: h, rc: core.New(h, e, opts...)}
+}
+
+// config is one supported configuration: an engine plus the core options
+// selecting its rc strategy and reclaimer.
+type config struct {
+	name, engine string
+	opts         []core.Option
+}
+
+// configMatrix lists every {engine} x {rc strategy} x {reclaimer} cell. The
+// paper-faithful figure2/lfrc cell keeps the bare engine name; the others
+// append their non-default dimensions, e.g. "mcas-split-epoch".
+func configMatrix() []config {
+	var out []config
+	for _, engine := range []string{"locking", "mcas"} {
+		for _, strat := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
+			for _, rk := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
+				name := engine
+				if strat == core.StrategySplit {
+					name += "-split"
+				}
+				if rk == reclaim.KindEpoch {
+					name += "-epoch"
+				}
+				out = append(out, config{name, engine,
+					[]core.Option{core.WithStrategyKind(strat), core.WithReclaimerKind(rk)}})
+			}
+		}
+	}
+	return out
 }
 
 // runRecorded drives ops workers through fn, recording each operation.
@@ -159,9 +190,9 @@ func TestTreiberStackLinearizable(t *testing.T) {
 }
 
 func TestSortedSetLinearizable(t *testing.T) {
-	for _, engine := range []string{"locking", "mcas"} {
-		t.Run(engine, func(t *testing.T) {
-			e := newEnv(t, engine)
+	for _, cfg := range configMatrix() {
+		t.Run(cfg.name, func(t *testing.T) {
+			e := newEnv(t, cfg.engine, cfg.opts...)
 			l, err := dlist.New(e.rc, dlist.MustRegisterTypes(e.h))
 			if err != nil {
 				t.Fatal(err)

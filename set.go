@@ -52,18 +52,40 @@ func (st *Set) Insert(k Value) (bool, error) {
 	return added, err
 }
 
-// Delete removes k, returning whether this call removed it.
-func (st *Set) Delete(k Value) bool { return st.l.Delete(k) }
+// Delete removes k, returning whether this call removed it. A closed set
+// holds nothing, so it returns false.
+func (st *Set) Delete(k Value) bool {
+	if st.closed.Load() {
+		return false
+	}
+	return st.l.Delete(k)
+}
 
-// Contains reports whether k is in the set.
-func (st *Set) Contains(k Value) bool { return st.l.Contains(k) }
+// Contains reports whether k is in the set. A closed set contains nothing.
+func (st *Set) Contains(k Value) bool {
+	if st.closed.Load() {
+		return false
+	}
+	return st.l.Contains(k)
+}
 
 // PopMin removes and returns the smallest element — the set doubles as a
-// priority queue; ok is false when the set is observed empty.
-func (st *Set) PopMin() (k Value, ok bool) { return st.l.PopMin() }
+// priority queue; ok is false when the set is observed empty or closed.
+func (st *Set) PopMin() (k Value, ok bool) {
+	if st.closed.Load() {
+		return 0, false
+	}
+	return st.l.PopMin()
+}
 
-// Len counts the elements. Exact at quiescence; a snapshot otherwise.
-func (st *Set) Len() int { return st.l.Len() }
+// Len counts the elements. Exact at quiescence; a snapshot otherwise. A
+// closed set has none.
+func (st *Set) Len() int {
+	if st.closed.Load() {
+		return 0
+	}
+	return st.l.Len()
+}
 
 // All returns an iterator over the elements in ascending order:
 //
