@@ -7,22 +7,13 @@ GO ?= go
 # iteration counts).
 BENCHTIME ?=
 
-# Perf-regression gate knobs (see perf-check). PERF_BASELINE is the committed
-# trajectory point to compare against — BENCH_0007.json is a multi-record
-# array (one record per GOMAXPROCS; lfrcperf selects the one matching the
-# candidate). PERF_TOL is the relative tolerance; PERF_STRICT=1 turns a
-# regression into a hard failure.
-PERF_BASELINE ?= BENCH_0009.json
-PERF_TOL ?= 0.25
-PERF_STRICT ?= 0
-
 # The sorted set's cross-configuration tests: its unit tests that run every
 # {figure2, split} x {lfrc, epoch} x {locking, mcas} cell (the hop-cost pin
 # and the concurrent key-churn checks) plus its linearizability oracle over
 # the same matrix. check-rc and check-reclaim both run them under -race.
 SET_MATRIX = -race -count=1 -run 'TestSearchHandsCountsAlong|TestConcurrent(Disjoint|Contended)Keys|TestSortedSetLinearizable' ./internal/dlist ./internal/linear
 
-.PHONY: all check build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke perf-baseline perf-check fuzz experiments stress explore examples clean
+.PHONY: all check build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
 
 all: check
 
@@ -41,8 +32,9 @@ all: check
 # while mutators run, which must be race-clean and strictly read-only.
 # check-doctor covers the health watchdog's rule engine, bundle capture, and
 # the chaos -> bundle -> lfrcdoctor offline-diagnosis loop on both backends.
-# perf-check rides along as a soft gate (warn-only unless PERF_STRICT=1).
-check: build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race perf-check
+# check-bench builds and tests the benchmark under bench/, its own module that
+# root `go test ./...` never reaches.
+check: build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
 
 # Focused race gate over the concurrency-critical packages.
 check-race:
@@ -113,30 +105,11 @@ bench:
 bench-smoke:
 	$(GO) test -bench='BenchmarkAllocShards|BenchmarkObserverOverhead|BenchmarkLifecycleLedger|BenchmarkContention|BenchmarkTimelineCapture|BenchmarkWatchdogQuietPath' -benchtime=1x -run='^$$' .
 
-# Record a new perf-trajectory point against which perf-check gates. Commit
-# the refreshed $(PERF_BASELINE) when the change in performance is intended.
-# NOTE: this writes a single record at the current GOMAXPROCS; multi-record
-# baselines like BENCH_0007.json are assembled by running it once per proc
-# count and wrapping the records in a JSON array.
-perf-baseline:
-	$(GO) run ./cmd/lfrcbench -bench-json $(PERF_BASELINE) -bench-runs 5 -dur 250ms
-
-# Compare current performance against the committed baseline. Soft by
-# default: a regression prints the lfrcperf table and a warning. Set
-# PERF_STRICT=1 (CI on quiet hardware) to fail the build instead.
-perf-check:
-	@tmp=$$(mktemp /tmp/lfrc-bench-XXXXXX.json); \
-	$(GO) run ./cmd/lfrcbench -bench-json $$tmp -bench-runs 5 -dur 250ms >/dev/null || exit 1; \
-	if $(GO) run ./cmd/lfrcperf -old $(PERF_BASELINE) -new $$tmp -tol $(PERF_TOL); then \
-		rm -f $$tmp; \
-	else \
-		status=$$?; rm -f $$tmp; \
-		if [ "$(PERF_STRICT)" = "1" ]; then \
-			echo "perf-check: FAILED (PERF_STRICT=1)"; exit $$status; \
-		else \
-			echo "perf-check: regression vs $(PERF_BASELINE) (warn-only; set PERF_STRICT=1 to enforce)"; \
-		fi; \
-	fi
+# The benchmark's own tests (bench/ is a separate module importing this one).
+# Performance records are taken with `bash bench/run.sh` and compared with
+# its --compare mode; see bench/README.md.
+check-bench:
+	cd bench && $(GO) test -count=1 ./...
 
 # Watchdog / diagnostic-bundle gate. Three layers:
 #   1. the rule-engine unit suite and the system-level watchdog/bundle tests

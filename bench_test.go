@@ -663,9 +663,9 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		opts []lfrc.Option
 	}{
 		{"baseline", nil},
-		{"disabled", []lfrc.Option{lfrc.WithTraceSampling(0)}},
-		{"sampled64", []lfrc.Option{lfrc.WithTraceSampling(64)}},
-		{"full", []lfrc.Option{lfrc.WithTraceSampling(1)}},
+		{"disabled", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: -1})}},
+		{"sampled64", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 64})}},
+		{"full", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1})}},
 	}
 	for _, m := range modes {
 		b.Run(m.name+"/g1", func(b *testing.B) {
@@ -783,8 +783,8 @@ func BenchmarkLifecycleLedger(b *testing.B) {
 		opts []lfrc.Option
 	}{
 		{"baseline", nil},
-		{"sampled64", []lfrc.Option{lfrc.WithLifecycleLedger(64)}},
-		{"full", []lfrc.Option{lfrc.WithLifecycleLedger(1)}},
+		{"sampled64", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{LifecycleEvery: 64})}},
+		{"full", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{LifecycleEvery: 1})}},
 	}
 	for _, m := range modes {
 		b.Run(m.name+"/g1", func(b *testing.B) { benchDequeMix(b, false, m.opts...) })
@@ -796,7 +796,7 @@ func BenchmarkLifecycleLedger(b *testing.B) {
 
 // BenchmarkContention measures the contention observatory's cost on the
 // balanced deque mix (experiment O3's workload). The observer mode isolates
-// the tax: WithContention implies the recorder, so its delta over
+// the tax: Contention implies the recorder, so its delta over
 // observer64 alone is the observatory's own cost — failed-attempt
 // attribution plus the wasted-ns aggregation tap. Under g1 there is no
 // contention, so only the fixed per-retry-loop nil checks are visible.
@@ -806,8 +806,8 @@ func BenchmarkContention(b *testing.B) {
 		opts []lfrc.Option
 	}{
 		{"baseline", nil},
-		{"observer64", []lfrc.Option{lfrc.WithTraceSampling(64)}},
-		{"contention", []lfrc.Option{lfrc.WithContention(true), lfrc.WithTraceSampling(64)}},
+		{"observer64", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 64})}},
+		{"contention", []lfrc.Option{lfrc.WithObservability(lfrc.ObservabilityOptions{Contention: true, SampleEvery: 64})}},
 	}
 	for _, m := range modes {
 		b.Run(m.name+"/g1", func(b *testing.B) { benchDequeMix(b, false, m.opts...) })
@@ -826,7 +826,7 @@ func BenchmarkContention(b *testing.B) {
 func BenchmarkTimelineCapture(b *testing.B) {
 	sys, err := lfrc.New(
 		lfrc.WithTimeline(lfrc.TimelineOptions{Manual: true}),
-		lfrc.WithContention(true), lfrc.WithTraceSampling(64),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{Contention: true, SampleEvery: 64}),
 	)
 	if err != nil {
 		b.Fatalf("New: %v", err)

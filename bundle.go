@@ -50,7 +50,7 @@ type BundleManifest struct {
 // WriteBundle writes the system's diagnostic bundle: one tar.gz capturing the
 // whole observability stack at this instant — manifest.json, stats.json,
 // timeline.json, incidents.json, census.json + census.pb.gz,
-// contention.pb.gz (when WithContention), postmortems.json, and metrics.txt
+// contention.pb.gz (when contention is observed), postmortems.json, and metrics.txt
 // — every artifact the bytes the corresponding live endpoint would have
 // served. The bundle is the black box cmd/lfrcdoctor diagnoses offline; it is
 // also served on /debug/lfrc/bundle.tar.gz and auto-captured on incidents

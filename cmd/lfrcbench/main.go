@@ -1,36 +1,34 @@
-// Command lfrcbench runs the reproduction's experiment suite (E1..E9, A1,
-// A2, A3, L1, G1, R2, O1..O6 — see DESIGN.md §4 and EXPERIMENTS.md)
-// and prints
+// Command lfrcbench runs the reproduction's experiment suite (E1..E9, A1..A3,
+// L1, G1, R2, R3, O1..O6 — see DESIGN.md §4 and EXPERIMENTS.md) and prints
 // one table per experiment, in the same format EXPERIMENTS.md records. A3's
-// notes include the unified System.Stats snapshot as JSON.
+// notes include the unified System.Stats snapshot as JSON. Performance
+// records are taken and compared by the benchmark under bench/, not here.
 //
 // Usage:
 //
 //	lfrcbench [-run E1,E5] [-engine locking|mcas|both] [-reclaim lfrc|epoch]
 //	          [-rc figure2|split] [-scale N] [-dur 250ms] [-workers 1,2,4,8]
 //	          [-markdown] [-stats-json] [-census] [-metrics addr]
-//	          [-trace out.json] [-bench-json out.json] [-bench-runs N]
+//	          [-trace out.json] [-fault-plan plan] [-fault-seed N]
 //
-// With no -run flag every experiment runs. -stats-json appends the final
-// unified System.Stats of the last system an experiment published (O1, O2,
-// O3, O4, A3) as one JSON object on stdout. -metrics serves /metrics (Prometheus
-// text), /debug/vars (expvar), /debug/lfrc/{stats,trace} (JSON),
-// /debug/lfrc/trace.json (Chrome trace_event export) and /debug/pprof on
-// addr for the lifetime of the run, reporting on the same published system;
-// the bound address is echoed as a machine-readable "metrics_addr=" line so
-// harnesses can pass ":0". -trace writes the published system's Chrome
-// trace_event export (flight events plus lifecycle timelines; open in
-// Perfetto) to a file after the run. -bench-json skips the experiment tables
-// and instead writes a schema-versioned perf-telemetry record (medians over
-// -bench-runs adjacent runs per workload, plus a contention summary) for
-// cmd/lfrcperf to gate regressions on; the path is echoed as a
-// machine-readable "bench_json=" line. -reclaim selects the reclamation
-// backend for -bench-json, -fault-plan chaos runs, and the R2 backend
-// comparison (experiment R2 itself always measures both backends).
+// With no -run flag every experiment runs; an unknown id is an error.
+// -fault-plan replaces the experiment tables with a chaos run of all four
+// structures under that fault-injection plan (see chaos.go); -reclaim and -rc
+// select its reclamation backend and counting strategy. -stats-json appends
+// the final unified System.Stats of the last system an experiment or the
+// chaos run published (O1, O2, O3, O4, A3) as one JSON object on stdout.
+// -metrics serves /metrics (Prometheus text), /debug/vars (expvar),
+// /debug/lfrc/{stats,trace} (JSON), /debug/lfrc/trace.json (Chrome
+// trace_event export) and /debug/pprof on addr for the lifetime of the run,
+// reporting on the same published system; the bound address is echoed as a
+// machine-readable "metrics_addr=" line so harnesses can pass ":0". -trace
+// writes the published system's Chrome trace_event export (flight events
+// plus lifecycle timelines; open in Perfetto) to a file after the run.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,8 +48,8 @@ import (
 func main() {
 	// SIGQUIT is the field escape hatch: instead of the runtime's goroutine
 	// dump, capture a diagnostic bundle of whatever system is currently
-	// published (chaos runs, O-series experiments, -bench-json) so a stuck or
-	// misbehaving run can be frozen for cmd/lfrcdoctor without killing it.
+	// published (chaos runs, O-series experiments) so a stuck or misbehaving
+	// run can be frozen for cmd/lfrcdoctor without killing it.
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {
@@ -90,6 +88,73 @@ func writeSignalBundle(w io.Writer) {
 	fmt.Fprintf(w, "bundle=%s\n", path)
 }
 
+// experiment is one table lfrcbench can print. perEngine experiments run once
+// per selected engine; the rest sweep the engines themselves and run once.
+type experiment struct {
+	id        string
+	perEngine bool
+	run       func(p params) *workload.Table
+}
+
+// params carries the flag values an experiment may read.
+type params struct {
+	kind    workload.EngineKind
+	scale   workload.Scale
+	dur     time.Duration
+	workers []int
+}
+
+// experiments is the registry behind both -run validation and dispatch, in
+// output order.
+var experiments = []experiment{
+	{"E1", true, func(p params) *workload.Table { return workload.RunE1(p.kind, p.scale) }},
+	{"E2", true, func(p params) *workload.Table { return workload.RunE2(p.kind, p.scale) }},
+	{"E3", true, func(p params) *workload.Table { return workload.RunE3(p.kind, p.scale) }},
+	{"E4", true, func(p params) *workload.Table { return workload.RunE4(p.kind, p.dur) }},
+	{"E7", true, func(p params) *workload.Table { return workload.RunE7(p.kind, p.scale) }},
+	{"E8", true, func(p params) *workload.Table { return workload.RunE8(p.kind, p.scale) }},
+	{"E9", true, func(p params) *workload.Table { return workload.RunE9(p.kind, p.scale) }},
+	{"A2", true, func(p params) *workload.Table { return workload.RunA2(p.kind, p.scale) }},
+	{"L1", true, func(p params) *workload.Table { return workload.RunL1(p.kind, p.scale) }},
+	{"G1", true, func(p params) *workload.Table { return workload.RunG1(p.kind, p.dur) }},
+	{"R2", true, func(p params) *workload.Table { return workload.RunR2(p.kind, p.dur) }},
+	{"O1", true, func(p params) *workload.Table { return workload.RunO1(p.kind, p.dur) }},
+	{"O2", true, func(p params) *workload.Table { return workload.RunO2(p.kind, p.dur) }},
+	{"O3", true, func(p params) *workload.Table { return workload.RunO3(p.kind, p.dur) }},
+	{"O4", true, func(p params) *workload.Table { return workload.RunO4(p.kind, p.dur) }},
+	{"O5", true, func(p params) *workload.Table { return workload.RunO5(p.kind, p.scale) }},
+	{"O6", true, func(p params) *workload.Table { return workload.RunO6(p.kind, p.dur) }},
+	{"E5", false, func(p params) *workload.Table { return workload.RunE5(p.dur, p.workers) }},
+	{"E6", false, func(p params) *workload.Table { return workload.RunE6(p.scale) }},
+	{"A1", false, func(p params) *workload.Table { return workload.RunA1(p.dur) }},
+	{"A3", false, func(p params) *workload.Table { return workload.RunA3(p.dur) }},
+	{"R3", false, func(p params) *workload.Table { return workload.RunR3(p.dur) }},
+}
+
+// parseRunList turns -run into a set of upper-cased experiment ids; empty
+// means every experiment. An id not in the registry is an error naming the
+// valid ones.
+func parseRunList(s string) (map[string]bool, error) {
+	wanted := map[string]bool{}
+	known := map[string]bool{}
+	var ids []string
+	for _, e := range experiments {
+		known[e.id] = true
+		ids = append(ids, e.id)
+	}
+	for _, id := range strings.Split(s, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if id == "" {
+			continue
+		}
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(ids, ", "))
+		}
+		wanted[id] = true
+	}
+	return wanted, nil
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lfrcbench", flag.ContinueOnError)
 	var (
@@ -102,8 +167,6 @@ func run(args []string, stdout io.Writer) error {
 		statsJSON = fs.Bool("stats-json", false, "dump the published system's unified Stats as JSON on stdout after the run")
 		metrics   = fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9100) during the run")
 		tracePath = fs.String("trace", "", "write the published system's Chrome trace_event export to this file after the run")
-		benchJSON = fs.String("bench-json", "", "skip the experiment tables and write a perf-telemetry record (for cmd/lfrcperf) to this file")
-		benchRuns = fs.Int("bench-runs", 5, "adjacent runs per workload in -bench-json mode")
 		faultPlan = fs.String("fault-plan", "", "chaos mode: skip the experiment tables and stress all structures under this fault-injection plan (e.g. 'core.*:p=0.01;mem.alloc:every=500')")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection seed; same seed and plan replay the same firing schedule")
 		bundle    = fs.String("bundle", "", "chaos mode: write the diagnostic bundle here even on PASS; a FAIL always captures one (auto-named lfrc-chaos-<engine>-<reclaim>.tar.gz when unset)")
@@ -112,9 +175,9 @@ func run(args []string, stdout io.Writer) error {
 		doCensus  = fs.Bool("census", false, "after the run, take a heap census of the published system, drain zombies, take another, and print the summaries plus the diff")
 	)
 	reclaimer := lfrc.ReclaimerLFRC
-	fs.Var(&reclaimer, "reclaim", "reclamation backend: lfrc or epoch (applies to -bench-json, -fault-plan and R2)")
+	fs.Var(&reclaimer, "reclaim", "chaos mode: reclamation backend, lfrc or epoch (experiment R2 always measures both)")
 	rcStrategy := lfrc.RCFigure2
-	fs.Var(&rcStrategy, "rc", "reference-count strategy: figure2 or split (applies to -bench-json and -fault-plan; experiment R3 always measures both)")
+	fs.Var(&rcStrategy, "rc", "chaos mode: reference-count strategy, figure2 or split (experiment R3 always measures both)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,7 +190,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-workers: %w", err)
 	}
-	sc := workload.Scale(*scale)
+	wanted, err := parseRunList(*runList)
+	if err != nil {
+		return fmt.Errorf("-run: %w", err)
+	}
+	chaosMode := *faultPlan != ""
+	if chaosMode && len(kinds) != 1 {
+		return fmt.Errorf("-fault-plan: pick a single engine (locking or mcas), not both")
+	}
 
 	if *metrics != "" {
 		ln, err := net.Listen("tcp", *metrics)
@@ -144,134 +214,48 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	wanted := map[string]bool{}
-	if *runList != "" {
-		for _, id := range strings.Split(*runList, ",") {
-			wanted[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-	// -bench-json and -fault-plan each replace the experiment tables with
-	// their own harness; the tail flags (-metrics, -stats-json, -trace) still
-	// apply to the system the harness publishes.
-	benchMode := *benchJSON != ""
-	chaosMode := *faultPlan != ""
-	want := func(id string) bool { return !benchMode && !chaosMode && (len(wanted) == 0 || wanted[id]) }
-
+	// -fault-plan replaces the experiment tables with the chaos run; the tail
+	// flags (-trace, -census, -stats-json) still apply to the system it
+	// published, and its verdict is returned after them.
+	var chaosErr error
 	if chaosMode {
-		if len(kinds) != 1 {
-			return fmt.Errorf("-fault-plan: pick a single engine (locking or mcas), not both")
-		}
 		nw := workerCounts[len(workerCounts)-1]
-		return runChaos(stdout, lfrc.Engine(kinds[0]), reclaimer, rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB, *heapWords)
+		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), reclaimer, rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB, *heapWords)
+	} else {
+		emit := func(t *workload.Table) {
+			if *markdown {
+				fmt.Fprintln(stdout, t.Markdown())
+			} else {
+				fmt.Fprintln(stdout, t.String())
+			}
+		}
+		want := func(e experiment) bool { return len(wanted) == 0 || wanted[e.id] }
+		p := params{scale: workload.Scale(*scale), dur: *dur, workers: workerCounts}
+		for _, kind := range kinds {
+			p.kind = kind
+			for _, e := range experiments {
+				if e.perEngine && want(e) {
+					emit(e.run(p))
+				}
+			}
+		}
+		for _, e := range experiments {
+			if !e.perEngine && want(e) {
+				emit(e.run(p))
+			}
+		}
 	}
+	return errors.Join(chaosErr, tail(stdout, *tracePath, *doCensus, *statsJSON))
+}
 
-	if benchMode {
-		if len(kinds) != 1 {
-			return fmt.Errorf("-bench-json: pick a single engine (locking or mcas), not both")
-		}
-		if *benchRuns < 1 {
-			return fmt.Errorf("-bench-runs %d < 1", *benchRuns)
-		}
-		rec, err := workload.RunBenchJSON(kinds[0], reclaimer, rcStrategy, *dur, *benchRuns)
-		if err != nil {
-			return fmt.Errorf("-bench-json: %w", err)
-		}
-		rec.CreatedUnixNS = time.Now().UnixNano()
-		raw, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("-bench-json: %w", err)
-		}
-		if err := os.WriteFile(*benchJSON, append(raw, '\n'), 0o644); err != nil {
-			return fmt.Errorf("-bench-json: %w", err)
-		}
-		// Machine-readable form, mirroring metrics_addr=.
-		fmt.Fprintf(stdout, "bench_json=%s\n", *benchJSON)
-	}
-
-	emit := func(t *workload.Table) {
-		if *markdown {
-			fmt.Fprintln(stdout, t.Markdown())
-		} else {
-			fmt.Fprintln(stdout, t.String())
-		}
-	}
-
-	for _, kind := range kinds {
-		if want("E1") {
-			emit(workload.RunE1(kind, sc))
-		}
-		if want("E2") {
-			emit(workload.RunE2(kind, sc))
-		}
-		if want("E3") {
-			emit(workload.RunE3(kind, sc))
-		}
-		if want("E4") {
-			emit(workload.RunE4(kind, *dur))
-		}
-		if want("E7") {
-			emit(workload.RunE7(kind, sc))
-		}
-		if want("E8") {
-			emit(workload.RunE8(kind, sc))
-		}
-		if want("E9") {
-			emit(workload.RunE9(kind, sc))
-		}
-		if want("A2") {
-			emit(workload.RunA2(kind, sc))
-		}
-		if want("L1") {
-			emit(workload.RunL1(kind, sc))
-		}
-		if want("G1") {
-			emit(workload.RunG1(kind, *dur))
-		}
-		if want("R2") {
-			emit(workload.RunR2(kind, *dur))
-		}
-		if want("O1") {
-			emit(workload.RunO1(kind, *dur))
-		}
-		if want("O2") {
-			emit(workload.RunO2(kind, *dur))
-		}
-		if want("O3") {
-			emit(workload.RunO3(kind, *dur))
-		}
-		if want("O4") {
-			emit(workload.RunO4(kind, *dur))
-		}
-		if want("O5") {
-			emit(workload.RunO5(kind, sc))
-		}
-		if want("O6") {
-			emit(workload.RunO6(kind, *dur))
-		}
-	}
-	// Engine-sweeping experiments run once.
-	if want("E5") {
-		emit(workload.RunE5(*dur, workerCounts))
-	}
-	if want("E6") {
-		emit(workload.RunE6(sc))
-	}
-	if want("A1") {
-		emit(workload.RunA1(*dur))
-	}
-	if want("A3") {
-		emit(workload.RunA3(*dur))
-	}
-	if want("R3") {
-		emit(workload.RunR3(*dur))
-	}
-
-	if *tracePath != "" {
+// tail runs the after-the-run flags on the published system.
+func tail(stdout io.Writer, tracePath string, doCensus, statsJSON bool) error {
+	if tracePath != "" {
 		sys := workload.CurrentSystem()
 		if sys == nil {
 			return fmt.Errorf("-trace: no experiment published a System (include O1, O2 or A3 in -run)")
 		}
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(tracePath)
 		if err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
@@ -282,10 +266,10 @@ func run(args []string, stdout io.Writer) error {
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
-		fmt.Fprintf(stdout, "trace written to %s\n", *tracePath)
+		fmt.Fprintf(stdout, "trace written to %s\n", tracePath)
 	}
 
-	if *doCensus {
+	if doCensus {
 		sys := workload.CurrentSystem()
 		if sys == nil {
 			return fmt.Errorf("-census: no experiment published a System (include O1, O5 or A3 in -run)")
@@ -293,7 +277,7 @@ func run(args []string, stdout io.Writer) error {
 		reportCensus(stdout, sys)
 	}
 
-	if *statsJSON {
+	if statsJSON {
 		sys := workload.CurrentSystem()
 		if sys == nil {
 			return fmt.Errorf("-stats-json: no experiment published a System (include O1 or A3 in -run)")

@@ -93,6 +93,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-workers", "0"}, io.Discard); err == nil {
 		t.Error("run accepted zero workers")
 	}
+	err := run([]string{"-run", "E7,F1"}, io.Discard)
+	if err == nil {
+		t.Fatal("run accepted an unknown -run id")
+	}
+	if !strings.Contains(err.Error(), `"F1"`) || !strings.Contains(err.Error(), "R3") {
+		t.Errorf("unknown -run id error should name the id and the valid ids: %v", err)
+	}
 }
 
 func TestRunSingleQuickExperiment(t *testing.T) {
@@ -251,85 +258,46 @@ func TestTraceFlagWritesChromeExport(t *testing.T) {
 	}
 }
 
-func TestBenchJSONWritesRecordAndComposesWithMetrics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+func TestChaosComposesWithTailFlags(t *testing.T) {
+	workload.SetCurrentSystem(nil)
 	var out bytes.Buffer
 	err := run([]string{
-		"-bench-json", path, "-bench-runs", "2", "-dur", "10ms",
+		"-fault-plan", "core.load:p=0.01", "-dur", "50ms", "-workers", "2",
 		"-metrics", "127.0.0.1:0", "-stats-json",
 	}, &out)
 	if err != nil {
-		t.Fatalf("run(-bench-json -metrics): %v", err)
+		t.Fatalf("run(-fault-plan -metrics -stats-json): %v\n%s", err, out.String())
 	}
-
-	// Both machine-readable lines must be present: harnesses scrape
-	// metrics_addr= for the port and bench_json= for the record path.
-	var benchPath, metricsAddr string
-	for _, line := range strings.Split(out.String(), "\n") {
-		if p, ok := strings.CutPrefix(line, "bench_json="); ok {
-			benchPath = strings.TrimSpace(p)
-		}
-		if a, ok := strings.CutPrefix(line, "metrics_addr="); ok {
-			metricsAddr = strings.TrimSpace(a)
-		}
-	}
-	if benchPath != path {
-		t.Errorf("bench_json= line = %q, want %q", benchPath, path)
-	}
-	if metricsAddr == "" {
-		t.Errorf("no metrics_addr= line alongside -bench-json:\n%.400s", out.String())
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("record not written: %v", err)
-	}
-	var rec workload.BenchRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatalf("record is not valid JSON: %v", err)
-	}
-	if rec.SchemaVersion != workload.BenchSchemaVersion {
-		t.Errorf("schema_version = %d, want %d", rec.SchemaVersion, workload.BenchSchemaVersion)
-	}
-	if rec.CreatedUnixNS == 0 {
-		t.Error("created_unix_ns not stamped")
-	}
-	if rec.Engine != "locking" {
-		t.Errorf("engine = %q, want locking", rec.Engine)
-	}
-	if len(rec.Experiments) == 0 {
-		t.Fatal("record has no experiments")
-	}
-	for _, e := range rec.Experiments {
-		if len(e.Runs) != 2 {
-			t.Errorf("%s: %d runs, want 2", e.ID, len(e.Runs))
-		}
-		if e.Median <= 0 {
-			t.Errorf("%s: non-positive median %v", e.ID, e.Median)
-		}
-	}
-	if rec.Contention == nil {
-		t.Error("record lacks the contention summary")
-	}
-
-	// The contention-instrumented run publishes its system, so -stats-json
-	// composes with -bench-json: the last line is a Stats object.
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var sawAddr, sawPass bool
+	for _, line := range lines {
+		sawAddr = sawAddr || strings.HasPrefix(line, "metrics_addr=")
+		sawPass = sawPass || strings.HasPrefix(line, "chaos: PASS")
+	}
+	if !sawAddr {
+		t.Errorf("no metrics_addr= line alongside -fault-plan:\n%.400s", out.String())
+	}
+	if !sawPass {
+		t.Errorf("no chaos: PASS line:\n%.400s", out.String())
+	}
+	// The chaos run publishes its system, so -stats-json still applies: the
+	// last line is a Stats object describing the chaos system.
 	var stats struct {
 		Engine string `json:"engine"`
+		Fault  struct {
+			Enabled bool `json:"enabled"`
+		} `json:"fault"`
 	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &stats); err != nil {
-		t.Errorf("-stats-json after -bench-json did not emit a Stats object: %v", err)
+	last := lines[len(lines)-1]
+	if err := json.Unmarshal([]byte(last), &stats); err != nil {
+		t.Fatalf("-stats-json after -fault-plan did not end with a Stats object: %v\n%s", err, last)
 	}
-}
+	if stats.Engine != "locking" || !stats.Fault.Enabled {
+		t.Errorf("stats do not describe the chaos system: %s", last)
+	}
 
-func TestBenchJSONRejectsBothEngines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-bench-json", path, "-engine", "both"}, io.Discard); err == nil {
-		t.Error("run accepted -bench-json with -engine both")
-	}
-	if err := run([]string{"-bench-json", path, "-bench-runs", "0"}, io.Discard); err == nil {
-		t.Error("run accepted -bench-runs 0")
+	if err := run([]string{"-fault-plan", "x", "-engine", "both"}, io.Discard); err == nil {
+		t.Error("run accepted -fault-plan with -engine both")
 	}
 }
 

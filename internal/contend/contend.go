@@ -171,7 +171,7 @@ type Table struct {
 	// wasted-ns fallback: with sparse op sampling (one CPU, 1-in-64
 	// sampling) the recorder can easily keep no latency sample for any
 	// retried attempt of a kind, which used to leave every cell's
-	// wasted_ns at exactly 0 (BENCH_0004) while failures were plainly
+	// wasted_ns at exactly 0 while failures were plainly
 	// being counted. Indexed by the kind's low byte, matching the key
 	// encoding.
 	ewma    [256]atomic.Int64

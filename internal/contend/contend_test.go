@@ -123,8 +123,8 @@ func TestAggregateWastedNS(t *testing.T) {
 	}
 }
 
-// TestWastedNSFallbackEWMA is the regression test for the all-zero wasted_ns
-// columns in BENCH_0004: a cell whose failures are counted exactly (Attempt
+// TestWastedNSFallbackEWMA is the regression test for all-zero wasted_ns
+// columns under sparse op sampling: a cell whose failures are counted exactly (Attempt
 // is unsampled) but whose retried operations the op sampler never timed used
 // to report wasted_ns = 0 forever. The snapshot must fall back to the kind's
 // EWMA of per-attempt latency instead of multiplying by zero.

@@ -3,8 +3,8 @@
 // inspectable time series.
 //
 // Every observability surface built before it — /metrics, Stats(), the
-// contention report — answers "what is true now"; bench-json records answer
-// "what was the median over a whole run". The phenomena that matter to the
+// contention report — answers "what is true now"; the benchmark under bench/
+// answers "what was the median over a whole run". The phenomena that matter to the
 // north star are trajectories between those two extremes: the epoch
 // backend's limbo backlog grows and drains over seconds, degradation retry
 // storms are bursty, and contention hot-spots migrate between the deque's

@@ -15,7 +15,7 @@ import (
 // diagnosis tests want for determinism.
 func diagSystem(t *testing.T) (*System, mem.TypeID) {
 	t.Helper()
-	sys, err := New(WithTraceSampling(1), WithLifecycleLedger(1))
+	sys, err := New(WithObservability(ObservabilityOptions{SampleEvery: 1, LifecycleEvery: 1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -382,7 +382,7 @@ var (
 //	                       schema-versioned telemetry timeline (WithTimeline)
 //	/debug/lfrc/timeline.csv
 //	                       the same series as CSV for spreadsheets/gnuplot
-//	/debug/lfrc/contention human-readable contention report (WithContention)
+//	/debug/lfrc/contention human-readable contention report (ObservabilityOptions.Contention)
 //	/debug/lfrc/contention.pb.gz
 //	                       pprof-compatible contention profile; feed it to
 //	                       `go tool pprof` to rank cells by wasted-ns
@@ -496,7 +496,7 @@ func NewDebugMux(get func() *System) *http.ServeMux {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 				}
 			})},
-		{"/debug/lfrc/contention", "human-readable contention report (WithContention)",
+		{"/debug/lfrc/contention", "human-readable contention report (ObservabilityOptions.Contention)",
 			withSys(func(s *System, w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 				s.WriteContentionReport(w)

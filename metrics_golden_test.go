@@ -20,9 +20,7 @@ import (
 // Regenerate with: UPDATE_GOLDEN=1 go test -run TestMetricNamesGolden .
 func TestMetricNamesGolden(t *testing.T) {
 	sys, err := lfrc.New(
-		lfrc.WithTraceSampling(1),
-		lfrc.WithLifecycleLedger(1),
-		lfrc.WithContention(true),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1, LifecycleEvery: 1, Contention: true}),
 		// Arm the fault injector with a rule that can never fire so the
 		// lfrc_fault_* names are part of the locked surface without
 		// perturbing the run, and enable the pressure policy.

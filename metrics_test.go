@@ -17,7 +17,7 @@ import (
 // tracedSystem builds a fully-sampled system with some deque traffic on it.
 func tracedSystem(t *testing.T) *lfrc.System {
 	t.Helper()
-	sys, err := lfrc.New(lfrc.WithTraceSampling(1))
+	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestDebugMuxContentTypesAnd404(t *testing.T) {
 // from several goroutines so the observatory has real failed attempts in it.
 func contendedSystem(t *testing.T) *lfrc.System {
 	t.Helper()
-	sys, err := lfrc.New(lfrc.WithContention(true), lfrc.WithTraceSampling(1))
+	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{Contention: true, SampleEvery: 1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestMetricsIncludeContentionSeries(t *testing.T) {
 		!strings.Contains(body, `role="pointer"`) && !strings.Contains(body, `role="left_hat"`) {
 		t.Errorf("no role-labeled contention series in:\n%s", body)
 	}
-	// A system without WithContention emits none of these series.
+	// A system without contention observation emits none of these series.
 	plain, err := lfrc.New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -332,6 +332,6 @@ func TestMetricsIncludeContentionSeries(t *testing.T) {
 	sb.Reset()
 	plain.WriteMetrics(&sb)
 	if strings.Contains(sb.String(), "lfrc_contention_") {
-		t.Error("contention series present without WithContention")
+		t.Error("contention series present without contention observation")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTraceRecordsOperations(t *testing.T) {
-	sys, err := lfrc.New(lfrc.WithTraceSampling(1))
+	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestObserverDisabledByDefault(t *testing.T) {
 // experiment O1: the recorder is installed (its fixed hot-path cost is paid)
 // but records nothing.
 func TestTraceSamplingZeroInstallsDisabledRecorder(t *testing.T) {
-	sys, err := lfrc.New(lfrc.WithTraceSampling(0))
+	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: -1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestTraceSamplingZeroInstallsDisabledRecorder(t *testing.T) {
 }
 
 func TestTraceSampledIsSparse(t *testing.T) {
-	sys, err := lfrc.New(lfrc.WithObserver(true)) // default 1-in-64 sampling
+	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{Observer: true})) // default 1-in-64 sampling
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -85,8 +85,7 @@ func (r RCStrategy) kind() core.StrategyKind {
 // RCFigure2, the paper-faithful protocol. Both strategies run under the same
 // structures, engines, reclamation backends, fault points, lifecycle auditor
 // and census, so they can be compared on identical workloads (experiment
-// R3); cmd/lfrcperf refuses to compare bench records taken under different
-// strategies.
+// R3).
 func WithRCStrategy(r RCStrategy) Option {
 	return optionFunc(func(c *config) { c.rcStrategy = r })
 }

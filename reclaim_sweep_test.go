@@ -44,7 +44,7 @@ func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, pla
 		lfrc.WithFaultPlan(plan),
 		lfrc.WithFaultSeed(seed),
 		lfrc.WithHeapPressurePolicy(lfrc.DefaultHeapPressurePolicy()),
-		lfrc.WithLifecycleLedger(1),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{LifecycleEvery: 1}),
 	}
 	if strat != 0 {
 		opts = append(opts, lfrc.WithRCStrategy(strat))

@@ -133,11 +133,11 @@ type System struct {
 	engine    dcas.Engine
 	rc        *core.RC
 	collector *gctrace.Collector
-	obs       *obs.Recorder  // nil unless WithObserver/WithTraceSampling
-	ct        *contend.Table // nil unless WithContention
+	obs       *obs.Recorder  // nil unless the flight recorder is on
+	ct        *contend.Table // nil unless ObservabilityOptions.Contention
 
-	// ledger and auditor are nil unless WithLifecycleLedger /
-	// WithLifecycleAudit; every consumer below is nil-safe.
+	// ledger and auditor are nil unless ObservabilityOptions.LifecycleEvery
+	// or AuditEvery is set; every consumer below is nil-safe.
 	ledger  *lifecycle.Ledger
 	auditor *lifecycle.Auditor
 
@@ -354,7 +354,7 @@ func (p heapProbe) Freed(ref uint32) bool {
 func (p heapProbe) AdvanceEpoch() uint64 { return p.h.AdvanceEpoch() }
 
 // Close stops the system's background machinery (the lifecycle auditor
-// started by WithLifecycleAudit and the timeline sampler started by
+// started by ObservabilityOptions.AuditEvery and the timeline sampler started by
 // WithTimeline). It is safe to call on any System, multiple times; the
 // system's data structures remain usable afterwards, and the timeline ring
 // stays readable.
@@ -370,7 +370,7 @@ func (s *System) Close() {
 // captured postmortems.
 type Trace = obs.Trace
 
-// Trace dumps the flight recorder. Without WithObserver it returns a zero
+// Trace dumps the flight recorder. Without the flight recorder it returns a zero
 // Trace. The events are the newest survivors of fixed-size per-stripe rings;
 // use it for flight-recorder style postmortems, not exhaustive logs.
 func (s *System) Trace() Trace { return s.obs.Trace() }
@@ -383,12 +383,12 @@ func (s *System) Postmortems() []obs.Postmortem { return s.obs.Postmortems() }
 
 // ObjectTimeline is one sampled object's ledgered event chain: allocation,
 // every rc-manipulating touch with before/after counts and goroutine
-// attribution, zombie transit, and free. See WithLifecycleLedger. (The name
+// attribution, zombie transit, and free. See ObservabilityOptions.LifecycleEvery. (The name
 // System.Timeline belongs to the telemetry timeline — see WithTimeline.)
 type ObjectTimeline = lifecycle.Timeline
 
 // Violation is one invariant breach flagged by the lifecycle auditor,
-// carrying the offending object's timeline. See WithLifecycleAudit.
+// carrying the offending object's timeline. See ObservabilityOptions.AuditEvery.
 type Violation = lifecycle.Violation
 
 // Population is a point-in-time heap population report bucketed by reference
@@ -398,7 +398,7 @@ type Population = lifecycle.Census
 
 // ObjectTimeline returns the lifecycle timeline for ref — the live
 // incarnation if the object is still tracked, else its most recent completed
-// incarnation. Without WithLifecycleLedger (or for unsampled objects) it
+// incarnation. Without the lifecycle ledger (or for unsampled objects) it
 // reports false.
 func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.ledger.Timeline(ref) }
 
@@ -410,9 +410,10 @@ func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.le
 func (s *System) Population() Population { return lifecycle.TakeCensus(s.heap, s.ledger) }
 
 // AuditPass runs one lifecycle audit pass immediately and returns the
-// violations newly flagged by it. It requires WithLifecycleLedger (the
-// auditor exists whenever the ledger does; WithLifecycleAudit additionally
-// runs passes on a background interval) and returns nil without one.
+// violations newly flagged by it. It requires the lifecycle ledger (the
+// auditor exists whenever the ledger does; ObservabilityOptions.AuditEvery
+// additionally runs passes on a background interval) and returns nil without
+// one.
 func (s *System) AuditPass() []Violation {
 	if s.auditor == nil {
 		return nil
@@ -432,11 +433,11 @@ func (s *System) Violations() []Violation {
 
 // ContentionReport is the contention observatory's merged snapshot: every
 // (cell, op) accumulator ranked by wasted work, plus the decaying top-K
-// heatmap. See WithContention.
+// heatmap. See ObservabilityOptions.Contention.
 type ContentionReport = contend.Report
 
 // ContentionReport snapshots the contention observatory. Without
-// WithContention it returns an empty report.
+// ObservabilityOptions.Contention it returns an empty report.
 func (s *System) ContentionReport() ContentionReport { return s.ct.Snapshot() }
 
 // WriteContentionReport writes the human-readable contention report (the
@@ -551,7 +552,7 @@ type Stats struct {
 	Zombies int64 `json:"zombies"`
 
 	// Lifecycle is the diagnosis layer's accounting; zero unless the
-	// system was built WithLifecycleLedger / WithLifecycleAudit.
+	// system was built with a lifecycle ledger or auditor.
 	Lifecycle LifecycleStats `json:"lifecycle"`
 
 	// Fault is the fault injector's accounting; zero unless the system was
