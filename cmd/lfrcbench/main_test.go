@@ -258,7 +258,7 @@ func TestTraceFlagWritesChromeExport(t *testing.T) {
 	}
 }
 
-func TestChaosComposesWithTailFlags(t *testing.T) {
+func TestChaosComposesWithMetricsAndStatsJSON(t *testing.T) {
 	workload.SetCurrentSystem(nil)
 	var out bytes.Buffer
 	err := run([]string{
@@ -295,7 +295,9 @@ func TestChaosComposesWithTailFlags(t *testing.T) {
 	if stats.Engine != "locking" || !stats.Fault.Enabled {
 		t.Errorf("stats do not describe the chaos system: %s", last)
 	}
+}
 
+func TestChaosRejectsBothEngines(t *testing.T) {
 	if err := run([]string{"-fault-plan", "x", "-engine", "both"}, io.Discard); err == nil {
 		t.Error("run accepted -fault-plan with -engine both")
 	}
