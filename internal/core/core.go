@@ -580,7 +580,10 @@ func (c *RC) addToRC(kind obs.Kind, p mem.Ref, v int64) uint64 {
 			retries++
 			continue
 		}
-		if c.e.CAS(a, old, uint64(int64(old)+v)) {
+		// The mask keeps a count that corruption drove below zero (a
+		// NaiveLoad decrement on a recycled slot) out of the engines' tag
+		// bits, where the locking engine would read it as held forever.
+		if c.e.CAS(a, old, uint64(int64(old)+v)&mem.ValueMask) {
 			if retries > 0 {
 				c.ct.OpDone(kind, uint32(a), contend.RoleRC, 0, contend.RoleUnknown, retries)
 			}
@@ -625,14 +628,15 @@ func (c *RC) RCOf(p mem.Ref) uint64 { return c.e.Read(c.h.RCAddr(p)) }
 func (c *RC) WordLoad(a mem.Addr) uint64 { return c.e.Read(a) }
 
 // SnapshotRead reads the cell at a for a strictly read-only observer (the
-// heap census). Unlike WordLoad it never goes through the engine: Engine.Read
-// helps in-flight MCAS operations to completion, which mutates shared cells —
-// exactly what an observer guaranteed to be side-effect-free must not do.
-// Instead it takes a plain atomic load; if the value carries a descriptor tag
-// (a software-MCAS operation is mid-flight through this cell) it backs off
-// briefly and retries, and after a bounded number of attempts reports 0. The
-// observer sees the edge as momentarily absent rather than dereferencing
-// engine-internal descriptor state.
+// heap census, the lifecycle auditor and population census). Unlike WordLoad
+// it never goes through the engine: Engine.Read helps in-flight MCAS
+// operations to completion, which mutates shared cells — exactly what an
+// observer guaranteed to be side-effect-free must not do. Instead it takes a
+// plain atomic load; if the value carries an engine tag (a software-MCAS
+// descriptor, or the locking engine's lock bit while a DCAS holds the cell)
+// it backs off briefly and retries, and after a bounded number of attempts
+// reports 0. The observer sees the edge as momentarily absent rather than
+// reading engine-internal state.
 func (c *RC) SnapshotRead(a mem.Addr) uint64 {
 	for i := 0; ; i++ {
 		v := c.h.Load(a)

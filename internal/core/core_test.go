@@ -408,3 +408,22 @@ func TestStatsCounting(t *testing.T) {
 		})
 	}
 }
+
+// TestCorruptCountStaysClearOfTagBits drives a count below zero, as the
+// naive protocol of experiment E1 does when its compensating decrement lands
+// on a recycled slot. The count may be garbage, but it must stay inside
+// mem.ValueMask: the locking engine reads a set top bit as a held lock and
+// would wait on the cell forever, and the MCAS engine as a descriptor.
+func TestCorruptCountStaysClearOfTagBits(t *testing.T) {
+	for name, mk := range worldFactories() {
+		t.Run(name, func(t *testing.T) {
+			w := mk(t)
+			p, _ := w.rc.NewObject(w.node)
+			w.h.Store(w.h.RCAddr(p), 0) // the count a corrupting thread left
+			w.rc.Destroy(p)
+			if got := w.h.Load(w.h.RCAddr(p)); got&^mem.ValueMask != 0 {
+				t.Fatalf("count after underflow = %#x, has tag bits set", got)
+			}
+		})
+	}
+}

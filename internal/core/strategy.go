@@ -168,12 +168,15 @@ func (figure2Strategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32) 
 		if c.LoadHook != nil {
 			c.LoadHook(v)
 		}
-		// A poisoned count means v was freed after the pointer read, so the
-		// DCAS would fail on a; retry without issuing it, because a software
-		// DCAS may briefly install a descriptor into the freed rc cell before
-		// it fails. An injected firing here lands in the paper's §5 window —
-		// between reading (v, rc) and the DCAS — and forces the same path.
-		if r >= mem.Poison || c.fj.Inject(fault.CoreLoad) {
+		// A zero or poisoned count means v died after the pointer read: a
+		// link to v holds a count, so the DCAS would fail on a. Retry
+		// without issuing it. Issued, it would lock the count cell, or
+		// install a descriptor in it, while the heap poisons and recycles
+		// the slot; were the new object then linked into a, the DCAS would
+		// commit against a count it no longer holds. An injected firing
+		// here lands in the paper's §5 window — between reading (v, rc) and
+		// the DCAS — and forces the same path.
+		if r == 0 || r >= mem.Poison || c.fj.Inject(fault.CoreLoad) {
 			retries++
 			c.st().loadRetries.Add(1)
 			continue
@@ -294,9 +297,9 @@ func (s *splitStrategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32)
 				return v, uint64(w), -1, retries
 			}
 		} else {
-			// A poisoned count: v was freed; see figure2Strategy.Load.
+			// A zero or poisoned count: v died; see figure2Strategy.Load.
 			r := c.e.Read(c.h.RCAddr(v))
-			if r < mem.Poison && c.e.DCAS(a, c.h.RCAddr(v), u, r, s.pack(v, s.refill), r+uint64(s.refill)) {
+			if r != 0 && r < mem.Poison && c.e.DCAS(a, c.h.RCAddr(v), u, r, s.pack(v, s.refill), r+uint64(s.refill)) {
 				c.st().weightRefills.Add(1)
 				c.loadDone(a, v, retries)
 				return v, r, s.refill, retries

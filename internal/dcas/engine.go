@@ -7,10 +7,11 @@
 // only single-word atomics, so this package supplies two interchangeable
 // engines over the simulated heap:
 //
-//   - LockingEngine simulates the hardware: an address-striped lock table
-//     stands in for the atomic execution the instruction would provide.
-//     It is simple and fast, but its lock-freedom is a property of the
-//     modeled hardware, not of the simulation.
+//   - LockingEngine simulates the hardware: a lock bit in every cell,
+//     taken in address order, stands in for the atomic execution the
+//     instruction would provide, and reads wait out a held lock. It is
+//     simple and fast, but its lock-freedom is a property of the modeled
+//     hardware, not of the simulation.
 //   - MCASEngine is a genuinely lock-free software DCAS built from
 //     single-word CAS using the RDCSS and MCAS constructions of Harris,
 //     Fraser & Pratt (DISC 2002). Each operation reuses its own padded
@@ -40,9 +41,10 @@ type CellStore interface {
 
 var _ CellStore = (*mem.Heap)(nil)
 
-// Stepper is implemented by a CellStore that also wants control at the
-// MCASEngine's internal steps: each descriptor-field access and slot claim
-// or release, with wait set when every slot was busy. Only test harnesses
+// Stepper is implemented by a CellStore that also wants control at an
+// engine's internal steps: the MCASEngine's descriptor-field accesses and
+// slot claims and releases, with wait set when every slot was busy, and the
+// LockingEngine's waits on a locked cell, with wait set. Only test harnesses
 // implement it (see internal/explore).
 type Stepper interface {
 	Step(wait bool)
@@ -52,7 +54,8 @@ type Stepper interface {
 // the LFRC algorithms are built on.
 //
 // Values stored through an Engine must fit in mem.ValueMask (top two bits
-// clear); those bits are reserved for MCAS descriptor tags.
+// clear); those bits are reserved for MCAS descriptor tags and the
+// LockingEngine's lock bit.
 type Engine interface {
 	// Name identifies the engine in benchmark output.
 	Name() string

@@ -1,107 +1,108 @@
 package dcas
 
 import (
-	"slices"
-	"sync"
+	"runtime"
 
 	"lfrc/internal/mem"
 )
 
-const lockStripes = 256
+// lockBit marks a cell held by an in-flight DCAS or NCAS of the
+// LockingEngine. It is the bit the MCASEngine uses as its descriptor tag;
+// the two engines never share a heap, and application values keep it clear
+// (mem.ValueMask).
+const lockBit = descBit
 
-// LockingEngine models a hardware DCAS with an address-striped lock table:
-// the critical section stands in for the bus lock the original instruction
-// used. Reads bypass the locks entirely — single-word atomic loads commute
-// with DCAS when observed one word at a time — so only writers pay for the
-// simulation.
+// LockingEngine models a hardware DCAS with a lock bit in every cell: the
+// per-cell lock stands in for the atomicity the original instruction had.
+//
+//   - CAS is one hardware CAS. Only if it fails on a locked cell does it
+//     wait for the unlock and compare again, so a CAS never fails against a
+//     DCAS that is itself going to fail.
+//   - DCAS and NCAS lock their cells in address order, each with a CAS from
+//     the expected value to the same value with lockBit set. A cell that
+//     holds a different value fails the operation at once and releases the
+//     cells already locked; once every cell is locked the operation commits
+//     by storing the new values, which also unlocks them.
+//   - Read and Write wait while a cell is locked, so no reader sees a DCAS
+//     half done. A waiter yields its processor between looks.
+//
+// A failed operation unlocks with a CAS back to the expected value, never a
+// plain store: the engine is atomic only against its own operations, and a
+// value the heap stores straight into a held cell (the poison mem.Free
+// writes) must survive the unlock.
+//
+// Waiting on a lock makes the engine blocking: its lock-freedom is a
+// property of the modeled hardware, not of the simulation.
 type LockingEngine struct {
-	h     CellStore
-	locks [lockStripes]sync.Mutex
+	h    CellStore
+	step func(wait bool) // the CellStore's Stepper, if it has one
 }
 
 var _ Engine = (*LockingEngine)(nil)
 
-// NewLocking returns a LockingEngine over h.
+// NewLocking returns a LockingEngine over h. If h implements Stepper, the
+// engine calls it with wait set each time it finds a cell locked.
 func NewLocking(h CellStore) *LockingEngine {
-	return &LockingEngine{h: h}
+	e := &LockingEngine{h: h}
+	if s, ok := h.(Stepper); ok {
+		e.step = s.Step
+	}
+	return e
 }
 
 // Name implements Engine.
 func (e *LockingEngine) Name() string { return "locking" }
 
-// stripeOf maps an address onto a lock index with a multiplicative hash so
-// that neighbouring cells of one object spread across stripes.
-func stripeOf(a mem.Addr) uint32 {
-	return uint32((uint64(a) * 0x9E3779B97F4A7C15) >> 56)
+// backoff waits for another operation to release a locked cell. It yields
+// the processor at once rather than spinning: with every thread on two
+// cells, re-reading a locked cell keeps pulling its line away from the
+// holder, and on a 2-CPU host a 32-read spin before yielding nearly doubled
+// the cost of a shared DCAS against yielding right away.
+func (e *LockingEngine) backoff() {
+	if e.step != nil {
+		e.step(true)
+	} else {
+		runtime.Gosched()
+	}
 }
 
 // Read implements Engine.
-func (e *LockingEngine) Read(a mem.Addr) uint64 { return e.h.Load(a) }
+func (e *LockingEngine) Read(a mem.Addr) uint64 {
+	v := e.h.Load(a)
+	for v&lockBit != 0 {
+		e.backoff()
+		v = e.h.Load(a)
+	}
+	return v
+}
 
 // Write implements Engine.
 func (e *LockingEngine) Write(a mem.Addr, v uint64) {
-	s := stripeOf(a)
-	e.locks[s].Lock()
-	e.h.Store(a, v)
-	e.locks[s].Unlock()
+	for !e.CAS(a, e.Read(a), v) {
+	}
 }
 
-// CAS implements Engine.
+// CAS implements Engine. A failed hardware CAS re-reads the cell, waiting
+// out a lock, and tries again if the cell still holds old.
 func (e *LockingEngine) CAS(a mem.Addr, old, new uint64) bool {
-	s := stripeOf(a)
-	e.locks[s].Lock()
-	ok := e.h.Load(a) == old
-	if ok {
-		e.h.Store(a, new)
+	for !e.h.CAS(a, old, new) {
+		if e.Read(a) != old {
+			return false
+		}
 	}
-	e.locks[s].Unlock()
-	return ok
+	return true
 }
 
-// NCAS atomically compares-and-swaps up to four distinct locations,
-// mirroring MCASEngine.NCAS on the modeled hardware. Same argument
-// validation rules apply.
-func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
-	n := len(addrs)
-	if n == 0 || n > maxNCAS || len(olds) != n || len(news) != n {
-		return false
-	}
-	if n == 1 {
-		return e.CAS(addrs[0], olds[0], news[0])
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if addrs[i] == addrs[j] {
-				return false
-			}
-		}
-	}
-	// Lock the deduplicated stripes in ascending order.
-	stripes := make([]uint32, 0, maxNCAS)
-	for _, a := range addrs {
-		stripes = append(stripes, stripeOf(a))
-	}
-	slices.Sort(stripes)
-	stripes = slices.Compact(stripes)
-	for _, s := range stripes {
-		e.locks[s].Lock()
-	}
-	ok := true
-	for i := 0; i < n; i++ {
-		if e.h.Load(addrs[i]) != olds[i] {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		for i := 0; i < n; i++ {
-			e.h.Store(addrs[i], news[i])
-		}
-	}
-	for i := len(stripes) - 1; i >= 0; i-- {
-		e.locks[stripes[i]].Unlock()
-	}
-	return ok
+// lock locks the cell at a if it holds old, waiting out another operation's
+// lock. It reports false if the cell holds a different value.
+func (e *LockingEngine) lock(a mem.Addr, old uint64) bool {
+	return e.CAS(a, old, old|lockBit)
+}
+
+// unlock releases a lock taken on a cell that held old, leaving the cell as
+// it was. If the heap poisoned the cell meanwhile, the poison stays.
+func (e *LockingEngine) unlock(a mem.Addr, old uint64) {
+	e.h.CAS(a, old|lockBit, old)
 }
 
 // DCAS implements Engine.
@@ -112,22 +113,45 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 		}
 		return e.CAS(a0, old0, new0)
 	}
-	s0, s1 := stripeOf(a0), stripeOf(a1)
-	if s0 > s1 {
-		s0, s1 = s1, s0
+	if a0 > a1 {
+		a0, a1, old0, old1, new0, new1 = a1, a0, old1, old0, new1, new0
 	}
-	e.locks[s0].Lock()
-	if s1 != s0 {
-		e.locks[s1].Lock()
+	if !e.lock(a0, old0) {
+		return false
 	}
-	ok := e.h.Load(a0) == old0 && e.h.Load(a1) == old1
-	if ok {
-		e.h.Store(a0, new0)
-		e.h.Store(a1, new1)
+	if !e.lock(a1, old1) {
+		e.unlock(a0, old0)
+		return false
 	}
-	if s1 != s0 {
-		e.locks[s1].Unlock()
+	e.h.Store(a0, new0)
+	e.h.Store(a1, new1)
+	return true
+}
+
+// NCAS atomically compares-and-swaps up to four distinct locations,
+// mirroring MCASEngine.NCAS on the modeled hardware. Same argument
+// validation rules apply.
+func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
+	op, ok := newOp(addrs, olds, news)
+	if !ok {
+		return false
 	}
-	e.locks[s0].Unlock()
-	return ok
+	if op.n == 1 {
+		return e.CAS(op.addrs[0], op.olds[0], op.news[0])
+	}
+	if !op.sort() {
+		return false
+	}
+	for i := range op.n {
+		if !e.lock(op.addrs[i], op.olds[i]) {
+			for j := i - 1; j >= 0; j-- {
+				e.unlock(op.addrs[j], op.olds[j])
+			}
+			return false
+		}
+	}
+	for i := range op.n {
+		e.h.Store(op.addrs[i], op.news[i])
+	}
+	return true
 }

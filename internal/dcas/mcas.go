@@ -88,6 +88,38 @@ type mcasOp struct {
 	olds, news [maxNCAS]uint64
 }
 
+// newOp validates the lengths of an NCAS request and returns it as an
+// mcasOp. ok is false if the slices disagree in length, are empty or exceed
+// maxNCAS locations.
+func newOp(addrs []mem.Addr, olds, news []uint64) (op mcasOp, ok bool) {
+	n := len(addrs)
+	if n == 0 || n > maxNCAS || len(olds) != n || len(news) != n {
+		return op, false
+	}
+	op.n = n
+	copy(op.addrs[:], addrs)
+	copy(op.olds[:], olds)
+	copy(op.news[:], news)
+	return op, true
+}
+
+// sort orders op's triples by address, so that overlapping operations take
+// their locations in one order, and reports false if an address repeats.
+func (op *mcasOp) sort() bool {
+	for i := 1; i < op.n; i++ {
+		j := i
+		for ; j > 0 && op.addrs[j] < op.addrs[j-1]; j-- {
+			op.addrs[j], op.addrs[j-1] = op.addrs[j-1], op.addrs[j]
+			op.olds[j], op.olds[j-1] = op.olds[j-1], op.olds[j]
+			op.news[j], op.news[j-1] = op.news[j-1], op.news[j]
+		}
+		if j > 0 && op.addrs[j] == op.addrs[j-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // mcasDesc publishes an mcasOp plus a version-packed status word.
 type mcasDesc struct {
 	status atomic.Uint64 // ver<<2 | state; ver is odd while active
@@ -204,17 +236,13 @@ func (e *MCASEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
 // disagree in length, are empty, exceed maxNCAS locations, or repeat an
 // address.
 func (e *MCASEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
-	n := len(addrs)
-	if n == 0 || n > maxNCAS || len(olds) != n || len(news) != n {
+	op, ok := newOp(addrs, olds, news)
+	if !ok {
 		return false
 	}
-	if n == 1 {
-		return e.CAS(addrs[0], olds[0], news[0])
+	if op.n == 1 {
+		return e.CAS(op.addrs[0], op.olds[0], op.news[0])
 	}
-	op := mcasOp{n: n}
-	copy(op.addrs[:], addrs)
-	copy(op.olds[:], olds)
-	copy(op.news[:], news)
 	return e.runMCAS(&op)
 }
 
@@ -257,21 +285,12 @@ func (e *MCASEngine) release(s uint32) {
 	e.slots[s].busy.Store(0)
 }
 
-// runMCAS sorts op by address, so that concurrent MCASes that overlap
-// acquire locations in a consistent order, and rejects a repeated address.
-// It then publishes op in a claimed slot's MCAS descriptor, drives it to
+// runMCAS sorts op by address and rejects a repeated address. It then
+// publishes op in a claimed slot's MCAS descriptor, drives it to
 // completion, and retires it.
 func (e *MCASEngine) runMCAS(op *mcasOp) bool {
-	for i := 1; i < op.n; i++ {
-		j := i
-		for ; j > 0 && op.addrs[j] < op.addrs[j-1]; j-- {
-			op.addrs[j], op.addrs[j-1] = op.addrs[j-1], op.addrs[j]
-			op.olds[j], op.olds[j-1] = op.olds[j-1], op.olds[j]
-			op.news[j], op.news[j-1] = op.news[j-1], op.news[j]
-		}
-		if j > 0 && op.addrs[j] == op.addrs[j-1] {
-			return false
-		}
+	if !op.sort() {
+		return false
 	}
 
 	own := e.claim()

@@ -5,8 +5,9 @@
 //
 // The preemption points are exactly the shared-memory operations: the
 // harness wraps the DCAS engine so that every Read/Write/CAS/DCAS yields to
-// the scheduler first (for a CellScenario, every cell operation and every
-// internal step of the software MCAS engine). Since all shared state in this
+// the scheduler first (for a CellScenario, every cell operation, every
+// internal step of the software MCAS engine and every wait of the locking
+// engine on a locked cell). Since all shared state in this
 // repository is accessed through an engine, engine-operation granularity
 // captures every observable interleaving of the algorithms — the same
 // granularity a model checker of the paper's pseudocode would use.
@@ -54,9 +55,10 @@ func (s Scenario) build(yield func(wait bool)) ([]func(), func() error) {
 
 // CellScenario builds a system whose *memory cells* are instrumented, so
 // every single Load/Store/CAS — including those inside an engine's helping
-// protocol — is a scheduling point. The instrumented store is also a
-// dcas.Stepper, so an MCAS engine built over it adds its descriptor-field
-// accesses and slot claims and releases as scheduling points too.
+// or locking protocol — is a scheduling point. The instrumented store is
+// also a dcas.Stepper, so an MCAS engine built over it adds its
+// descriptor-field accesses and slot claims and releases as scheduling
+// points too, and a locking engine marks its waits on a locked cell.
 type CellScenario func(instrument func(dcas.CellStore) dcas.CellStore) (threads []func(), check func() error)
 
 func (s CellScenario) build(yield func(wait bool)) ([]func(), func() error) {
@@ -92,8 +94,10 @@ func (c *instrumentedCells) CAS(a mem.Addr, old, new uint64) bool {
 	return c.inner.CAS(a, old, new)
 }
 
-// Step implements dcas.Stepper. A thread that waits for a descriptor slot
-// is not scheduled again until another thread has taken a step.
+// Step implements dcas.Stepper. A thread that waits — for a descriptor slot
+// or for a locked cell — is not scheduled again until another thread has
+// made progress: taken a step that is neither a wait nor the first step
+// after one.
 func (c *instrumentedCells) Step(wait bool) { c.yield(wait) }
 
 // Result summarizes one exploration.
@@ -191,6 +195,7 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 	parked := make([]bool, n)
 	done := make([]bool, n)
 	waiting := make([]bool, n)
+	waited := make([]bool, n) // the thread's last event was a wait
 	active = true
 	for i := range threads {
 		go func(i int) {
@@ -208,7 +213,7 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 	aborted := false
 	for live > 0 {
 		// A waiting thread is runnable again once another thread has
-		// taken a step, or when every live thread is waiting.
+		// made progress, or when every live thread is waiting.
 		var runnable, waiters []int
 		for i := 0; i < n; i++ {
 			if parked[i] && !done[i] {
@@ -236,13 +241,18 @@ func runOnce(s SUT, pick picker, maxSteps int) (trace []int, completed bool, che
 		cur = t
 		grants[t] <- struct{}{}
 		ev := <-events
-		clear(waiting)
+		// A wait and the re-check that follows it are one spin of a
+		// waiter, not progress: two waiters must not wake each other.
+		if ev.done || !ev.wait && !waited[ev.tid] {
+			clear(waiting)
+		}
 		if ev.done {
 			done[ev.tid] = true
 			live--
 		} else {
 			parked[ev.tid] = true
 			waiting[ev.tid] = ev.wait
+			waited[ev.tid] = ev.wait
 		}
 	}
 	active = false

@@ -8,20 +8,28 @@ import (
 	"lfrc/internal/mem"
 )
 
-// This file model-checks the software MCAS engine itself: the CellScenario
-// instrumentation interleaves every *internal* Load/Store/CAS of the
-// RDCSS/MCAS protocol, and every descriptor-field access and slot claim or
-// release, so the preemption-bounded DFS exercises descriptor publication,
-// installation, helping, removal and in-place reuse at every explored switch
-// point. The engine runs with two descriptor slots, so claims collide. The
-// oracle is permutation-based: because the engine's operations must be
-// linearizable and every thread runs exactly one (or two sequential)
-// operations, the observed (results, final cells) must equal the outcome of
-// SOME sequential order of the operations.
+// This file model-checks the DCAS engines themselves: the CellScenario
+// instrumentation interleaves every *internal* Load/Store/CAS of an engine.
+// For the software MCAS engine it also interleaves every descriptor-field
+// access and slot claim or release, so the preemption-bounded DFS exercises
+// descriptor publication, installation, helping, removal and in-place reuse
+// at every explored switch point; it runs with two descriptor slots, so
+// claims collide. For the locking engine it interleaves every lock, unlock
+// and commit store, and a thread that finds a cell locked waits until
+// another thread steps. The oracle is permutation-based: because the
+// engine's operations must be linearizable and every thread runs exactly one
+// (or two sequential) operations, the observed (results, final cells) must
+// equal the outcome of SOME sequential order of the operations.
+
+// cellEngines builds each engine under test over an instrumented cell store.
+var cellEngines = map[string]func(dcas.CellStore) dcas.MultiEngine{
+	"locking": func(cs dcas.CellStore) dcas.MultiEngine { return dcas.NewLocking(cs) },
+	"mcas":    func(cs dcas.CellStore) dcas.MultiEngine { return dcas.NewMCAS(cs, dcas.WithPoolSize(2)) },
+}
 
 // memOp is one engine operation a thread performs.
 type memOp struct {
-	kind             int // 0 = CAS, 1 = DCAS, 2 = Read, 3 = Write, 4 = 3-word NCAS
+	kind             int // 0 = CAS, 1 = DCAS, 2 = Read, 3 = Write, 4 = 3-word NCAS, 5 = heap store
 	a0, a1, a2       int // cell indices
 	old0, old1, old2 uint64
 	new0, new1, new2 uint64
@@ -102,9 +110,9 @@ func legalOutcomes(nCells int, threads [][]memOp) map[outcome]bool {
 	return legal
 }
 
-// mcasCellScenario builds the engine over instrumented cells and runs the
+// engineCellScenario builds an engine over instrumented cells and runs the
 // threads' op streams, checking the observed outcome against the oracle.
-func mcasCellScenario(nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
+func engineCellScenario(mk func(dcas.CellStore) dcas.MultiEngine, nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
 	// Runs are sequential, so they share one heap (building a heap costs
 	// more than a run) and each starts from zeroed cells.
 	h := mem.NewHeap()
@@ -118,7 +126,8 @@ func mcasCellScenario(nCells int, threads [][]memOp, legal map[outcome]bool) Cel
 		for _, a := range addr {
 			h.Store(a, 0)
 		}
-		e := dcas.NewMCAS(instrument(h), dcas.WithPoolSize(2))
+		cs := instrument(h)
+		e := mk(cs)
 
 		results := make([][]string, len(threads))
 		for i := range results {
@@ -143,6 +152,9 @@ func mcasCellScenario(nCells int, threads [][]memOp, legal map[outcome]bool) Cel
 							[]mem.Addr{addr[op.a0], addr[op.a1], addr[op.a2]},
 							[]uint64{op.old0, op.old1, op.old2},
 							[]uint64{op.new0, op.new1, op.new2})
+					case 5:
+						ok = true
+						cs.Store(addr[op.a0], op.new0)
 					default:
 						ok = true
 						e.Write(addr[op.a0], op.new0)
@@ -166,21 +178,25 @@ func mcasCellScenario(nCells int, threads [][]memOp, legal map[outcome]bool) Cel
 	}
 }
 
-// checkMCASLinearizable explores the scenario and fails on any outcome
-// outside the sequential-oracle set.
+// checkMCASLinearizable explores the scenario on every engine and fails on
+// any outcome outside the sequential-oracle set.
 func checkMCASLinearizable(t *testing.T, name string, nCells int, threads [][]memOp, preemptions, maxRuns int) {
 	t.Helper()
 	legal := legalOutcomes(nCells, threads)
-	s := mcasCellScenario(nCells, threads, legal)
-	res := RunDFS(s, preemptions, maxRuns, 100_000)
-	if res.Violations != 0 {
-		t.Errorf("%s: %d non-linearizable outcomes in %d schedules; first: %v (trace %v)",
-			name, res.Violations, res.Runs, res.FirstError, res.FirstViolation)
+	for engine, mk := range cellEngines {
+		t.Run(engine, func(t *testing.T) {
+			s := engineCellScenario(mk, nCells, threads, legal)
+			res := RunDFS(s, preemptions, maxRuns, 100_000)
+			if res.Violations != 0 {
+				t.Errorf("%s: %d non-linearizable outcomes in %d schedules; first: %v (trace %v)",
+					name, res.Violations, res.Runs, res.FirstError, res.FirstViolation)
+			}
+			if res.Incomplete != 0 {
+				t.Errorf("%s: %d runs hit the step cap (livelock?)", name, res.Incomplete)
+			}
+			t.Logf("%s: %d schedules explored, %d legal outcomes, all conform", name, res.Runs, len(legal))
+		})
 	}
-	if res.Incomplete != 0 {
-		t.Errorf("%s: %d runs hit the step cap (livelock?)", name, res.Incomplete)
-	}
-	t.Logf("%s: %d schedules explored, %d legal outcomes, all conform", name, res.Runs, len(legal))
 }
 
 func cas(a int, old, new uint64) memOp { return memOp{kind: 0, a0: a, old0: old, new0: new} }
@@ -253,6 +269,22 @@ func TestMCASModelCheckThreeWay(t *testing.T) {
 		{dcasOp(0, 1, 0, 0, 2, 2)},
 		{cas(0, 0, 3)},
 	}, 2, 60_000)
+}
+
+// heapStore is a plain store straight into the cell, past the engine: the
+// way mem.Free poisons a freed object's cells (kind 5).
+func heapStore(a int, v uint64) memOp { return memOp{kind: 5, a0: a, new0: v} }
+
+// TestMCASModelCheckFailedDCASKeepsHeapStore races a DCAS that fails on its
+// second cell against a heap store into its first cell, the shape of a Load
+// whose DCAS holds a count cell that the heap poisons. The failed DCAS must
+// leave the cell as it found it, the stored value included: a locking-engine
+// unlock that wrote the old value back with a plain store would lose it.
+func TestMCASModelCheckFailedDCASKeepsHeapStore(t *testing.T) {
+	checkMCASLinearizable(t, "failed DCAS vs heap store", 2, [][]memOp{
+		{dcasOp(0, 1, 0, 5, 1, 1)},
+		{heapStore(0, 9)},
+	}, 3, 50_000)
 }
 
 // ncas3 is a three-word NCAS op (kind 4).

@@ -9,11 +9,12 @@
 // pointer management. Sentinels use the original self-pointer convention —
 // cycles in garbage are harmless under tracing GC.
 //
-// DCAS is simulated the same way the LockingEngine simulates it for the
-// simulated heap: every pointer location carries a stripe id, and a DCAS
-// locks its two stripes in order. This keeps the baseline's DCAS cost
-// profile comparable to the LFRC deque's (experiment E5 measures the *rc
-// maintenance* overhead, not an artifact of two different DCAS simulations).
+// DCAS is simulated with striped locks: every pointer location carries a
+// stripe id, and a DCAS locks its two stripes in order. The LockingEngine
+// used to simulate DCAS the same way on the simulated heap; it now keeps a
+// lock bit in each heap cell instead, while this reference row keeps its
+// striped locks, so experiment E5's overhead figure now also carries the
+// difference between the two DCAS simulations.
 package gcdep
 
 import (

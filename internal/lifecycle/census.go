@@ -75,9 +75,11 @@ func ageBucket(d time.Duration) string {
 }
 
 // TakeCensus walks the heap and snapshots the ledger (led may be nil). The
-// walk reads live cells without stopping the world, so counts are a
-// consistent-enough snapshot for triage, not an exact quiescent census.
-func TakeCensus(h *mem.Heap, led *Ledger) Census {
+// walk reads live count cells with read without stopping the world, so
+// counts are a consistent-enough snapshot for triage, not an exact quiescent
+// census. read must see past engine state in a cell (a DCAS lock or an MCAS
+// descriptor); core.RC.SnapshotRead does.
+func TakeCensus(h *mem.Heap, read func(mem.Addr) uint64, led *Ledger) Census {
 	now := time.Now().UnixNano()
 	c := Census{
 		Epoch: h.Epoch(),
@@ -90,7 +92,7 @@ func TakeCensus(h *mem.Heap, led *Ledger) Census {
 			return true
 		}
 		c.LiveObjects++
-		c.ByRC[rcBucket(h.Load(h.RCAddr(r)))]++
+		c.ByRC[rcBucket(read(h.RCAddr(r)))]++
 		return true
 	})
 	if led == nil {

@@ -385,7 +385,7 @@ func TestTakeCensus(t *testing.T) {
 	l := New(WithSampleEvery(1))
 	l.OnEvent(ev(obs.KindAlloc, uint32(refs[1]), time.Now().UnixNano(), false))
 
-	c := TakeCensus(h, l)
+	c := TakeCensus(h, h.Load, l)
 	if c.LiveObjects != 4 || c.FreedSlots != 1 {
 		t.Fatalf("live=%d freed=%d, want 4/1", c.LiveObjects, c.FreedSlots)
 	}

@@ -312,7 +312,7 @@ func New(opts ...Option) (*System, error) {
 		if cfg.auditEvery > 0 {
 			audOpts = append(audOpts, lifecycle.WithInterval(cfg.auditEvery))
 		}
-		s.auditor = lifecycle.NewAuditor(led, heapProbe{h}, rec, audOpts...)
+		s.auditor = lifecycle.NewAuditor(led, heapProbe{h, s.rc.SnapshotRead}, rec, audOpts...)
 		if cfg.auditEvery > 0 {
 			s.auditor.Start()
 		}
@@ -329,15 +329,21 @@ func New(opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// heapProbe adapts the heap to the auditor's Probe interface.
-type heapProbe struct{ h *mem.Heap }
+// heapProbe adapts the heap to the auditor's Probe interface. It reads
+// count cells with read, the RC's side-effect-free snapshot read, because
+// the auditor runs beside mutators: a count cell an engine holds (locked or
+// carrying a descriptor) must not read as a freed slot.
+type heapProbe struct {
+	h    *mem.Heap
+	read func(mem.Addr) uint64
+}
 
 func (p heapProbe) RCOf(ref uint32) uint64 {
 	r := mem.Ref(ref)
 	if r == 0 || !p.h.InArena(r) {
 		return 0
 	}
-	rc := p.h.Load(p.h.RCAddr(r))
+	rc := p.read(p.h.RCAddr(r))
 	if rc >= mem.Poison {
 		// A poisoned rc cell means the slot is freed (or corrupted);
 		// either way it is not a live stuck count.
@@ -407,7 +413,9 @@ func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.le
 // walk is online (no stop-the-world): counts are a triage snapshot, not an
 // exact quiescent census. For the full object-graph census — reachability,
 // cycle leaks, retained sizes — see System.Census.
-func (s *System) Population() Population { return lifecycle.TakeCensus(s.heap, s.ledger) }
+func (s *System) Population() Population {
+	return lifecycle.TakeCensus(s.heap, s.rc.SnapshotRead, s.ledger)
+}
 
 // AuditPass runs one lifecycle audit pass immediately and returns the
 // violations newly flagged by it. It requires the lifecycle ledger (the
@@ -486,9 +494,9 @@ func (s *System) Stats() Stats {
 		RCStrategy: s.rc.StrategyName(),
 		Heap:       HeapStats(s.heap.Stats()),
 		RC:         RCStats(s.rc.Stats()),
-		Alloc:   a,
-		Reclaim: ReclaimStats(s.rc.Reclaimer().Stats()),
-		Zombies: s.rc.ZombieCount(),
+		Alloc:      a,
+		Reclaim:    ReclaimStats(s.rc.Reclaimer().Stats()),
+		Zombies:    s.rc.ZombieCount(),
 	}
 	if s.ledger != nil {
 		st.Lifecycle = LifecycleStats{
