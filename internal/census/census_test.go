@@ -88,6 +88,11 @@ func (f *fixture) take(opts ...func(*census.Config)) *census.Snapshot {
 	return census.Take(cfg)
 }
 
+// pairBytes is the census footprint of one pair: its slot, three header and
+// three payload words rounded up to one 64-byte cache line, not the 48 bytes
+// of the record itself.
+const pairBytes = 8 * mem.LineWords
+
 func TestTakeClassifiesEveryVerdict(t *testing.T) {
 	f := build(t)
 	s := f.take()
@@ -101,8 +106,8 @@ func TestTakeClassifiesEveryVerdict(t *testing.T) {
 	if s.LiveObjects != 8 || s.FreedSlots != 1 {
 		t.Errorf("live=%d freed=%d, want 8/1", s.LiveObjects, s.FreedSlots)
 	}
-	if s.LiveBytes != 8*48 {
-		t.Errorf("LiveBytes = %d, want %d", s.LiveBytes, 8*48)
+	if s.LiveBytes != 8*pairBytes {
+		t.Errorf("LiveBytes = %d, want %d", s.LiveBytes, 8*pairBytes)
 	}
 	// root→child, a→b, b→a, a→pinned, husk→kept; stray→freed dangles.
 	if s.Edges != 5 || s.DanglingEdges != 1 {
@@ -112,7 +117,7 @@ func TestTakeClassifiesEveryVerdict(t *testing.T) {
 		t.Errorf("reachable=%d limbo=%d unreachable=%d, want 2/2/4",
 			s.Reachable.Objects, s.Limbo.Objects, s.Unreachable.Objects)
 	}
-	if s.Reachable.Bytes != 2*48 || s.Limbo.Bytes != 2*48 || s.Unreachable.Bytes != 4*48 {
+	if s.Reachable.Bytes != 2*pairBytes || s.Limbo.Bytes != 2*pairBytes || s.Unreachable.Bytes != 4*pairBytes {
 		t.Errorf("bucket bytes wrong: %+v %+v %+v", s.Reachable, s.Limbo, s.Unreachable)
 	}
 	if got := s.Reachable.Objects + s.Limbo.Objects + s.Unreachable.Objects; got != s.LiveObjects {
@@ -128,11 +133,11 @@ func TestTakeClassifiesEveryVerdict(t *testing.T) {
 		t.Fatalf("cycles = %d (%d listed), want 1", s.CycleCount, len(s.Cycles))
 	}
 	cy := s.Cycles[0]
-	if cy.Size != 2 || cy.Bytes != 2*48 {
-		t.Errorf("cycle size=%d bytes=%d, want 2/96", cy.Size, cy.Bytes)
+	if cy.Size != 2 || cy.Bytes != 2*pairBytes {
+		t.Errorf("cycle size=%d bytes=%d, want 2/%d", cy.Size, cy.Bytes, 2*pairBytes)
 	}
-	if cy.RetainedObjects != 3 || cy.RetainedBytes != 3*48 {
-		t.Errorf("cycle retained=%d objs %d B, want 3/144", cy.RetainedObjects, cy.RetainedBytes)
+	if cy.RetainedObjects != 3 || cy.RetainedBytes != 3*pairBytes {
+		t.Errorf("cycle retained=%d objs %d B, want 3/%d", cy.RetainedObjects, cy.RetainedBytes, 3*pairBytes)
 	}
 	if cy.Key == "" || cy.Truncated {
 		t.Errorf("cycle key=%q truncated=%v", cy.Key, cy.Truncated)
@@ -147,8 +152,8 @@ func TestTakeClassifiesEveryVerdict(t *testing.T) {
 	if !members[uint32(f.a)] || !members[uint32(f.b)] {
 		t.Errorf("cycle members %v missing a=%d b=%d", cy.Objects, f.a, f.b)
 	}
-	if s.CycleObjects != 2 || s.CycleBytes != 2*48 {
-		t.Errorf("cycle aggregates objects=%d bytes=%d, want 2/96", s.CycleObjects, s.CycleBytes)
+	if s.CycleObjects != 2 || s.CycleBytes != 2*pairBytes {
+		t.Errorf("cycle aggregates objects=%d bytes=%d, want 2/%d", s.CycleObjects, s.CycleBytes, 2*pairBytes)
 	}
 
 	// Exactly one mismatch: stray stores 7 against zero in-edges.
@@ -165,7 +170,7 @@ func TestTakeClassifiesEveryVerdict(t *testing.T) {
 		t.Fatalf("types = %+v", s.Types)
 	}
 	ty := s.Types[0]
-	if ty.Name != "pair" || ty.Objects != 8 || ty.Bytes != 8*48 {
+	if ty.Name != "pair" || ty.Objects != 8 || ty.Bytes != 8*pairBytes {
 		t.Errorf("type stat = %+v", ty)
 	}
 	if ty.ReachableObjects != 2 || ty.UnreachableObjects != 4 || ty.LimboObjects != 2 {
@@ -246,8 +251,8 @@ func TestDiffSpotsNewCycles(t *testing.T) {
 	after := f.take()
 
 	delta := census.Diff(before, after)
-	if delta.NewCycles != 1 || delta.NewCycleBytes != 2*48 {
-		t.Errorf("new cycles = %d (%d B), want 1 (96 B)", delta.NewCycles, delta.NewCycleBytes)
+	if delta.NewCycles != 1 || delta.NewCycleBytes != 2*pairBytes {
+		t.Errorf("new cycles = %d (%d B), want 1 (%d B)", delta.NewCycles, delta.NewCycleBytes, 2*pairBytes)
 	}
 	if delta.LiveObjects != 2 || delta.UnreachableObjects != 2 {
 		t.Errorf("delta live=%+d unreachable=%+d, want +2/+2", delta.LiveObjects, delta.UnreachableObjects)

@@ -203,11 +203,13 @@ func TestCensusCountsByType(t *testing.T) {
 	if c := got["leaf"]; c.Live != 2 || c.Freed != 1 {
 		t.Errorf("leaf census = %+v, want live 2 freed 1", c)
 	}
-	// Sorted by live words descending: node objects are larger and more.
+	// Sorted by live words descending: node objects are more.
 	if len(census) > 0 && census[0].Name != "node" {
 		t.Errorf("census[0] = %+v, want node first", census[0])
 	}
-	if c := got["node"]; c.LiveWords != 4*(mem.HeaderWords+3) {
+	// LiveWords counts slot footprint: a node's three header and three
+	// payload words round up to one whole cache line.
+	if c := got["node"]; c.LiveWords != 4*mem.LineWords {
 		t.Errorf("node LiveWords = %d", c.LiveWords)
 	}
 }

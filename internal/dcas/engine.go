@@ -9,9 +9,11 @@
 //
 //   - LockingEngine simulates the hardware: a lock bit in every cell,
 //     taken in address order, stands in for the atomic execution the
-//     instruction would provide, and reads wait out a held lock. It is
-//     simple and fast, but its lock-freedom is a property of the modeled
-//     hardware, not of the simulation.
+//     instruction would provide, and reads wait out a held lock. A DCAS
+//     that writes one cell back unchanged, like the paper's LFRCLoad,
+//     locks only the cell it swaps and just loads the other, linearizing
+//     at that load. It is simple and fast, but its lock-freedom is a
+//     property of the modeled hardware, not of the simulation.
 //   - MCASEngine is a genuinely lock-free software DCAS built from
 //     single-word CAS using the RDCSS and MCAS constructions of Harris,
 //     Fraser & Pratt (DISC 2002). Each operation reuses its own padded

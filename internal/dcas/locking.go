@@ -23,6 +23,18 @@ const lockBit = descBit
 //     holds a different value fails the operation at once and releases the
 //     cells already locked; once every cell is locked the operation commits
 //     by storing the new values, which also unlocks them.
+//   - A DCAS that writes one of its cells back unchanged (old == new, the
+//     shape of the paper's LFRCLoad, which compares the pointer cell and
+//     swaps the count) is compare-only on that cell: it locks just the
+//     swapped cell, then loads the compared one. If the load finds the
+//     expected value the DCAS commits by storing the swapped cell, and the
+//     load is its linearization point: both cells held their expected
+//     values at that instant, the swapped one because it was locked. If the
+//     compared cell is itself locked, the DCAS unlocks, waits the lock out
+//     with Read and tries again, so it never waits while it holds a lock
+//     and cannot deadlock against an operation that locked the compared
+//     cell first. The compared cell is never written, so its line is not
+//     pulled away from the threads reading it.
 //   - Read and Write wait while a cell is locked, so no reader sees a DCAS
 //     half done. A waiter yields its processor between looks.
 //
@@ -113,6 +125,12 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 		}
 		return e.CAS(a0, old0, new0)
 	}
+	if old0 == new0 {
+		return e.compareSwap(a0, old0, a1, old1, new1)
+	}
+	if old1 == new1 {
+		return e.compareSwap(a1, old1, a0, old0, new0)
+	}
 	if a0 > a1 {
 		a0, a1, old0, old1, new0, new1 = a1, a0, old1, old0, new1, new0
 	}
@@ -126,6 +144,26 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 	e.h.Store(a0, new0)
 	e.h.Store(a1, new1)
 	return true
+}
+
+// compareSwap is the compare-only DCAS: it compares the cell at c with cOld
+// and, if the cell at s holds sOld, swaps s to sNew. It holds at most the
+// lock on s, and never while it waits.
+func (e *LockingEngine) compareSwap(c mem.Addr, cOld uint64, s mem.Addr, sOld, sNew uint64) bool {
+	for {
+		if !e.lock(s, sOld) {
+			return false
+		}
+		v := e.h.Load(c)
+		if v == cOld {
+			e.h.Store(s, sNew)
+			return true
+		}
+		e.unlock(s, sOld)
+		if v&lockBit == 0 || e.Read(c) != cOld {
+			return false
+		}
+	}
 }
 
 // NCAS atomically compares-and-swaps up to four distinct locations,

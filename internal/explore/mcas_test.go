@@ -306,3 +306,43 @@ func TestMCASModelCheckTwoThreeWordNCAS(t *testing.T) {
 		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{2, 2, 2})},
 	}, 2, 60_000)
 }
+
+// cmpSwap is a compare-only DCAS (kind 1 with old == new on cell c): it
+// compares cell c with cOld and swaps cell s from sOld to sNew, the shape of
+// the paper's LFRCLoad, which compares the pointer cell and bumps the count.
+func cmpSwap(c, s int, cOld, sOld, sNew uint64) memOp {
+	return dcasOp(c, s, cOld, sOld, cOld, sNew)
+}
+
+// TestMCASModelCheckCompareOnlyVsCAS races a compare-only DCAS against a CAS
+// that moves the compared cell and then reads the swapped one. A DCAS that
+// committed without reading the compared cell at a point where its swapped
+// cell was held would let the reader see the swap undone after the move.
+func TestMCASModelCheckCompareOnlyVsCAS(t *testing.T) {
+	checkMCASLinearizable(t, "compare-only DCAS vs CAS on compared cell", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1)},
+		{cas(0, 0, 9), read(1)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckCompareOnlyVsLockOrder races a compare-only DCAS that
+// compares cell 0 and swaps cell 1 against a two-cell DCAS, which locks
+// cell 0 first (address order) and then waits on cell 1. Every run must
+// finish within the step cap: a compare-only DCAS that waited on cell 0
+// while holding cell 1 would deadlock against it.
+func TestMCASModelCheckCompareOnlyVsLockOrder(t *testing.T) {
+	checkMCASLinearizable(t, "compare-only DCAS vs two-cell DCAS", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1)},
+		{dcasOp(0, 1, 0, 0, 2, 2)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckReaderDuringCompareOnly reads the swapped cell before
+// and after the compared one while a compare-only DCAS runs: no read may see
+// the swap in a state the DCAS's linearization point does not explain.
+func TestMCASModelCheckReaderDuringCompareOnly(t *testing.T) {
+	checkMCASLinearizable(t, "reader during compare-only DCAS", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 7)},
+		{read(1), read(0), read(1)},
+	}, 3, 50_000)
+}

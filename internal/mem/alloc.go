@@ -7,10 +7,11 @@ import (
 	"lfrc/internal/obs"
 )
 
-// Alloc carves or recycles a slot for an object of type t. The new object
-// has reference count 1 (the reference returned to the caller, mirroring the
-// paper's convention that a constructor counts the pointer returned by new),
-// null pointer fields, and zeroed scalar fields.
+// Alloc carves or recycles a slot for an object of type t: the type's header
+// and payload rounded up to whole cache lines, starting on a line. The new
+// object has reference count 1 (the reference returned to the caller,
+// mirroring the paper's convention that a constructor counts the pointer
+// returned by new), null pointer fields, and zeroed scalar fields.
 //
 // Alloc recycles before it carves: it tries the calling goroutine's shard
 // free list for the type's size class, then the global overflow list (refilling
@@ -25,6 +26,7 @@ func (h *Heap) Alloc(t TypeID) (Ref, error) {
 	}
 	d := h.typeOf(t)
 	size := d.size()
+	c := class(size)
 
 	t0 := h.obs.Sample()
 	idx := h.shardIndex()
@@ -41,14 +43,14 @@ func (h *Heap) Alloc(t TypeID) (Ref, error) {
 	var r Ref
 	recycled := false
 	if !h.fj.Inject(fault.MemAllocSlow) {
-		r, recycled = sh.popLocal(h, size)
+		r, recycled = sh.popLocal(h, c)
 	}
 	if !recycled {
-		r, recycled = h.popGlobal(sh, size)
+		r, recycled = h.popGlobal(sh, c)
 	}
 	stolen := false
 	if !recycled {
-		r, recycled = h.stealFree(idx, size)
+		r, recycled = h.stealFree(idx, c)
 		stolen = recycled
 	}
 	if !recycled {
@@ -153,7 +155,7 @@ func (h *Heap) Free(r Ref) error {
 	// list a sibling may recycle it and rewrite the header.
 	h.obs.RecordT(t0, obs.KindFree, uint32(r), 0, true, 0,
 		gen, uint32(h.epoch.Load()))
-	h.shards[idx].pushLocal(h, r, size)
+	h.shards[idx].pushLocal(h, r, class(size))
 	return nil
 }
 

@@ -16,8 +16,10 @@ func TestAllocInitialState(t *testing.T) {
 	if got := h.TypeOf(r); got != node {
 		t.Errorf("TypeOf = %d, want %d", got, node)
 	}
-	if got := h.SizeOf(r); got != HeaderWords+3 {
-		t.Errorf("SizeOf = %d, want %d", got, HeaderWords+3)
+	// SizeOf reports the slot, not the record: a node's three header and
+	// three payload words round up to one cache line.
+	if got := h.SizeOf(r); got != LineWords {
+		t.Errorf("SizeOf = %d, want %d", got, LineWords)
 	}
 	if got := h.Load(h.RCAddr(r)); got != 1 {
 		t.Errorf("fresh rc = %d, want 1", got)
@@ -205,7 +207,9 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Allocs != 10 || s.LiveObjects != 10 {
 		t.Errorf("after allocs: Allocs=%d LiveObjects=%d, want 10/10", s.Allocs, s.LiveObjects)
 	}
-	wantWords := int64(6*(HeaderWords+3) + 4*(HeaderWords+1))
+	// LiveWords counts slot footprint: node (6 words) and leaf (4 words)
+	// each occupy one whole cache line.
+	wantWords := int64(6*LineWords + 4*LineWords)
 	if s.LiveWords != wantWords {
 		t.Errorf("LiveWords = %d, want %d", s.LiveWords, wantWords)
 	}

@@ -18,8 +18,9 @@ const (
 	maxSegs  = 1024
 
 	// firstAddr is where bump allocation starts; low addresses are
-	// reserved so that 0 remains the null reference.
-	firstAddr = 8
+	// reserved so that 0 remains the null reference. It is one line, so
+	// the first slot starts on a line.
+	firstAddr = LineWords
 )
 
 type segment [segWords]uint64
@@ -36,9 +37,9 @@ type Heap struct {
 	shards []allocShard
 
 	// global holds the overflow free lists shards migrate to and refill
-	// from, one Treiber stack per object size; globalFree tracks their
-	// total occupancy.
-	global     [maxObjWords + 1]freeStack
+	// from, one Treiber stack per slot size (indexed by class); globalFree
+	// tracks their total occupancy.
+	global     [sizeClasses]freeStack
 	globalFree atomic.Int64
 
 	typeMu    sync.Mutex
@@ -163,7 +164,9 @@ func (h *Heap) AdvanceEpoch() uint64 { return h.epoch.Add(1) }
 // stat stripe). A locality hint only: any goroutine may touch any shard.
 func (h *Heap) shardIndex() int { return stripe.Hint(len(h.shards)) }
 
-// ensureSegment lazily installs the backing array for segment i.
+// ensureSegment lazily installs the backing array for segment i. A segment
+// is a large Go allocation, which the runtime places on a page boundary, so
+// a line-aligned word index is a line-aligned cell.
 func (h *Heap) ensureSegment(i uint32) *segment {
 	if s := h.segs[i].Load(); s != nil {
 		return s
@@ -254,7 +257,8 @@ func (h *Heap) typeOf(id TypeID) *TypeDesc { return &h.types[id] }
 
 // Header introspection -------------------------------------------------------
 
-// SizeOf returns the total size in words of the object at r.
+// SizeOf returns the slot size in words of the object at r: its header and
+// payload rounded up to whole cache lines.
 func (h *Heap) SizeOf(r Ref) int { return headerSize(h.Load(r)) }
 
 // TypeOf returns the TypeID of the object at r.
@@ -305,7 +309,7 @@ func (h *Heap) Walk(fn func(r Ref, freed bool) bool) {
 type Block struct {
 	Ref   Ref
 	Type  TypeID
-	Size  int // total words, header included
+	Size  int // slot words, header included (whole lines)
 	Freed bool
 	Gen   uint32
 }

@@ -12,17 +12,23 @@
 //   - Objects are typed, fixed-size records of cells: a three-word header
 //     (packed metadata, reference count, aux/free-link) followed by the
 //     payload fields declared by a TypeDesc.
-//   - Allocation is lock-free and sharded: each shard owns per-size free
-//     lists (Treiber stacks whose head words pack an index and a pop counter
-//     to defeat ABA) and a private bump chunk claimed from the arena one slab
-//     at a time, so the hot path never contends on a global head or cursor.
-//     Shards overflow surplus freed slots to a global list and refill from
-//     it, and a local miss still recycles — global list, then sibling
-//     shards — before carving new arena words.
-//   - Free poisons the reference-count cell and payload cells and sets a
-//     freed bit. Alloc verifies the poison is intact; a damaged poison word
-//     means some thread wrote to freed memory — precisely the corruption the
-//     paper's DCAS-based LFRCLoad prevents — and is counted in Stats.
+//   - Every slot is a whole number of 64-byte cache lines (LineWords words)
+//     and starts on a line, so no two objects share a line: a hot count or
+//     pointer cell never drags a neighbouring object's cells along with it.
+//     The header records the slot size, and that is the footprint SizeOf,
+//     the live-word statistics and the census report.
+//   - Allocation is lock-free and sharded: each shard owns one free list
+//     per slot size (Treiber stacks whose head words pack an index and a pop
+//     counter to defeat ABA) and a private bump chunk claimed from the arena
+//     one slab at a time, so the hot path never contends on a global head
+//     or cursor. Shards overflow surplus freed slots to a global list and
+//     refill from it, and a local miss still recycles — global list, then
+//     sibling shards — before carving new arena words.
+//   - Free poisons the reference-count cell and the rest of the slot and
+//     sets a freed bit. Alloc verifies the poison is intact; a damaged
+//     poison word means some thread wrote to freed memory — precisely the
+//     corruption the paper's DCAS-based LFRCLoad prevents — and is counted
+//     in Stats.
 //
 // All cell accesses are atomic. Every value stored in a cell that
 // participates in CAS/DCAS must keep the top two bits clear; they are
@@ -57,8 +63,15 @@ const (
 	// per-size free lists can live in a small fixed table.
 	MaxFields = 61
 
-	// maxObjWords is the largest total object size in words.
+	// LineWords is the number of words in a 64-byte cache line. Every
+	// slot is a whole number of lines and starts on a line.
+	LineWords = 8
+
+	// maxObjWords is the largest slot size in words.
 	maxObjWords = HeaderWords + MaxFields
+
+	// sizeClasses is the number of slot sizes, one per line count.
+	sizeClasses = maxObjWords / LineWords
 
 	// Poison is written into the rc cell and payload cells of freed
 	// objects. Its top two bits are clear so that a racing engine
@@ -72,7 +85,7 @@ const (
 
 // Header word layout (word 0 of every object):
 //
-//	bits  0..15  size of the object in words, including the header
+//	bits  0..15  size of the slot in words, including the header
 //	bits 16..29  TypeID (14 bits)
 //	bit  30      freed flag
 //	bits 31..61  allocation generation (31 bits, wraps)
@@ -178,5 +191,11 @@ func (d TypeDesc) validate() error {
 	return nil
 }
 
-// size returns the total object size in words, including the header.
-func (d TypeDesc) size() int { return HeaderWords + d.NumFields }
+// size returns the slot size in words: the header and payload rounded up to
+// whole cache lines.
+func (d TypeDesc) size() int {
+	return (HeaderWords + d.NumFields + LineWords - 1) &^ (LineWords - 1)
+}
+
+// class returns the free-list index of a slot size.
+func class(size int) int { return size/LineWords - 1 }

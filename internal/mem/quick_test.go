@@ -70,7 +70,9 @@ func TestQuickAllocFreeConservation(t *testing.T) {
 		if s.LiveObjects != int64(len(live)) {
 			return false
 		}
-		if s.LiveWords != int64(len(live)*(HeaderWords+4)) {
+		// LiveWords counts slot footprint: 3 header + 4 payload words
+		// occupy one whole cache line.
+		if s.LiveWords != int64(len(live)*LineWords) {
 			return false
 		}
 		if s.Corruptions != 0 || s.DoubleFrees != 0 {

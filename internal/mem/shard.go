@@ -8,11 +8,11 @@ import "sync/atomic"
 // allocation and reclamation scale with cores instead of serializing on one
 // Treiber head and one global cursor. Each shard owns:
 //
-//   - one free list per object size class, with an approximate occupancy
-//     count: when a shard accumulates 2×shardFillTarget freed slots of one
-//     size it migrates shardFillTarget of them to the heap's global overflow
-//     list, where other shards refill from (the per-thread
-//     freelist/overflow-target pattern of the classic LFRC implementations);
+//   - one free list per slot size, with an approximate occupancy count:
+//     when a shard accumulates 2×shardFillTarget freed slots of one size it
+//     migrates shardFillTarget of them to the heap's global overflow list,
+//     where other shards refill from (the per-thread freelist/overflow-target
+//     pattern of the classic LFRC implementations);
 //   - a bump chunk: a contiguous word range claimed from the global cursor
 //     in slabWords-sized slabs, so the hot carve path CASes a shard-private
 //     cache line and touches the shared cursor only once per slab.
@@ -37,7 +37,9 @@ const (
 	shardRefillBatch = 16
 
 	// slabWords is the bump-chunk claim size in words. Slabs never cross
-	// segment boundaries, so objects carved from them never do either.
+	// segment boundaries, so objects carved from them never do either. It
+	// is a whole number of lines, as firstAddr and the segment size are,
+	// so every slot carved from a slab starts on a line.
 	slabWords = 4096
 )
 
@@ -89,37 +91,37 @@ type allocShard struct {
 	spare atomic.Uint64
 
 	// lists and counts hold the shard's per-size free lists and their
-	// approximate occupancy.
-	lists  [maxObjWords + 1]freeStack
-	counts [maxObjWords + 1]atomic.Int32
+	// approximate occupancy, indexed by class.
+	lists  [sizeClasses]freeStack
+	counts [sizeClasses]atomic.Int32
 
 	_ [64]byte
 }
 
-// popLocal takes a slot of the given size class from this shard's list.
-func (sh *allocShard) popLocal(h *Heap, size int) (Ref, bool) {
-	r := sh.lists[size].pop(h)
+// popLocal takes a slot of size class c from this shard's list.
+func (sh *allocShard) popLocal(h *Heap, c int) (Ref, bool) {
+	r := sh.lists[c].pop(h)
 	if r == 0 {
 		return 0, false
 	}
-	sh.counts[size].Add(-1)
+	sh.counts[c].Add(-1)
 	return r, true
 }
 
 // pushLocal parks a freed slot on this shard's list, migrating a batch to
 // the heap's global overflow list when the shard holds too many.
-func (sh *allocShard) pushLocal(h *Heap, r Ref, size int) {
-	sh.lists[size].push(h, r)
-	if sh.counts[size].Add(1) < 2*shardFillTarget {
+func (sh *allocShard) pushLocal(h *Heap, r Ref, c int) {
+	sh.lists[c].push(h, r)
+	if sh.counts[c].Add(1) < 2*shardFillTarget {
 		return
 	}
 	for moved := 0; moved < shardFillTarget; moved++ {
-		m := sh.lists[size].pop(h)
+		m := sh.lists[c].pop(h)
 		if m == 0 {
 			break
 		}
-		sh.counts[size].Add(-1)
-		h.global[size].push(h, m)
+		sh.counts[c].Add(-1)
+		h.global[c].push(h, m)
 		h.globalFree.Add(1)
 	}
 }
@@ -127,20 +129,20 @@ func (sh *allocShard) pushLocal(h *Heap, r Ref, size int) {
 // popGlobal refills from the heap's global overflow list: one slot is
 // returned to the caller and up to shardRefillBatch-1 more are moved onto
 // the shard's local list.
-func (h *Heap) popGlobal(sh *allocShard, size int) (Ref, bool) {
-	r := h.global[size].pop(h)
+func (h *Heap) popGlobal(sh *allocShard, c int) (Ref, bool) {
+	r := h.global[c].pop(h)
 	if r == 0 {
 		return 0, false
 	}
 	h.globalFree.Add(-1)
 	for extra := 0; extra < shardRefillBatch-1; extra++ {
-		m := h.global[size].pop(h)
+		m := h.global[c].pop(h)
 		if m == 0 {
 			break
 		}
 		h.globalFree.Add(-1)
-		sh.lists[size].push(h, m)
-		sh.counts[size].Add(1)
+		sh.lists[c].push(h, m)
+		sh.counts[c].Add(1)
 	}
 	return r, true
 }
@@ -148,12 +150,12 @@ func (h *Heap) popGlobal(sh *allocShard, size int) (Ref, bool) {
 // stealFree scans sibling shards' free lists for a recyclable slot. It is
 // the cold path that keeps "recycle before carving" a heap-wide invariant
 // even when frees and allocs land on different shards.
-func (h *Heap) stealFree(self int, size int) (Ref, bool) {
+func (h *Heap) stealFree(self int, c int) (Ref, bool) {
 	for i := range h.shards {
 		if i == self {
 			continue
 		}
-		if r, ok := h.shards[i].popLocal(h, size); ok {
+		if r, ok := h.shards[i].popLocal(h, c); ok {
 			return r, true
 		}
 	}

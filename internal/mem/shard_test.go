@@ -67,13 +67,13 @@ func TestStealFree(t *testing.T) {
 	h := NewHeap(WithAllocShards(2))
 	tid := h.MustRegisterType(TypeDesc{Name: "node", NumFields: 2})
 	r := h.MustAlloc(tid)
-	size := h.SizeOf(r)
+	c := class(h.SizeOf(r))
 	if err := h.Free(r); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
 	holder := -1
 	for i := range h.shards {
-		if h.shards[i].counts[size].Load() > 0 {
+		if h.shards[i].counts[c].Load() > 0 {
 			holder = i
 			break
 		}
@@ -81,7 +81,7 @@ func TestStealFree(t *testing.T) {
 	if holder < 0 {
 		t.Fatal("freed slot not found on any shard's local list")
 	}
-	got, ok := h.stealFree(1-holder, size)
+	got, ok := h.stealFree(1-holder, c)
 	if !ok || got != r {
 		t.Fatalf("stealFree from sibling of shard %d = (%#x, %v), want (%#x, true)", holder, got, ok, r)
 	}

@@ -37,10 +37,12 @@ func TestWalkBlocksReportsTypedBlocks(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("visited %d blocks, want 3: %+v", len(got), got)
 	}
-	if b := got[s1]; b.Type != small || b.Size != HeaderWords+1 || b.Freed {
+	// Size is the slot footprint: both types (4 and 8 words of header and
+	// payload) fit one whole cache line.
+	if b := got[s1]; b.Type != small || b.Size != LineWords || b.Freed {
 		t.Errorf("small block = %+v", b)
 	}
-	if b := got[b1]; b.Type != big || b.Size != HeaderWords+5 || b.Freed {
+	if b := got[b1]; b.Type != big || b.Size != LineWords || b.Freed {
 		t.Errorf("big block = %+v", b)
 	}
 	if b := got[dead]; !b.Freed {
