@@ -159,9 +159,12 @@ experiments:
 stress:
 	$(GO) run ./cmd/snarkstress -dur 30s
 
-# Deep schedule-space hunt (historical Snark races, LFRC safety).
+# Deep schedule-space hunt (historical Snark races, LFRC safety): the Snark
+# exploration tests with -deep run the default cell at 4 preemptions and up
+# to 200k schedules per scenario, and every other {engine} x {strategy} x
+# {reclaimer} cell at the tier-1 budget.
 explore:
-	$(GO) run ./cmd/lfrcexplore -preemptions 4 -maxruns 200000
+	$(GO) test -count=1 -timeout 0 -v -run 'Test(SnarkMemorySafety|ClaimingDequeExact)UnderExploration' ./internal/explore -args -deep
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -118,13 +118,28 @@ func TestExplorerSchedulesAroundWaitingThread(t *testing.T) {
 // shared pointer while another swings it and frees the displaced object.
 // Under the safe DCAS protocol no schedule may corrupt freed memory; the
 // check also verifies the loaded reference is never a freed object.
+//
+// Runs share one heap and its types, as snarkScenario's do. The heap has one
+// allocation shard, so a run recycles the slot freed last, as it would on a
+// fresh heap. A run whose check passes then releases what it allocated; if
+// that leaves the heap anything but intact (NaiveLoad's retry drops a count
+// to zero without freeing the object), or the check failed, the next run
+// starts on a fresh heap.
 func lfrcLoadScenario(naive bool) Scenario {
+	var (
+		h          *mem.Heap
+		cell, node mem.TypeID
+		clean      bool
+	)
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
-		h := mem.NewHeap()
-		e := instrument(dcas.NewLocking(h))
-		rc := core.New(h, e)
-		cell := h.MustRegisterType(mem.TypeDesc{Name: "cell", NumFields: 1, PtrFields: []int{0}})
-		node := h.MustRegisterType(mem.TypeDesc{Name: "node", NumFields: 2, PtrFields: []int{0}})
+		if !clean {
+			h = mem.NewHeap(mem.WithAllocShards(1))
+			cell = h.MustRegisterType(mem.TypeDesc{Name: "cell", NumFields: 1, PtrFields: []int{0}})
+			node = h.MustRegisterType(mem.TypeDesc{Name: "node", NumFields: 2, PtrFields: []int{0}})
+		}
+		clean = false
+		before := h.Stats()
+		rc := core.New(h, instrument(dcas.NewLocking(h)))
 
 		holder := h.MustAlloc(cell)
 		a := h.FieldAddr(holder, 0)
@@ -164,9 +179,12 @@ func lfrcLoadScenario(naive bool) Scenario {
 			if p := rc.Stats().PoisonedRCUpdates; p != 0 {
 				return fmt.Errorf("%d poisoned rc updates", p)
 			}
-			if c := h.Stats().Corruptions; c != 0 {
+			if c := h.Stats().Corruptions - before.Corruptions; c != 0 {
 				return fmt.Errorf("%d heap corruptions", c)
 			}
+			rc.Store(a, 0)
+			rc.Destroy(holder)
+			clean = len(heapProblems(h, before)) == 0
 			return nil
 		}
 		return []func(){reader, swinger}, check

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -25,11 +24,24 @@ func (o setOp) String() string { return fmt.Sprintf("%c(%d)", o.act, o.key) }
 // per-thread results and the final contents to match some sequential
 // interleaving of the scripts, and the heap to be intact: no corruption, no
 // poisoned count update, and nothing live once the set is closed.
+//
+// Runs share one heap and its set types, as snarkScenario's do; a run that
+// failed or never reached its check hands the next run a fresh heap.
 func setScenario(strat core.StrategyKind, prefill []uint64, scripts [][]setOp) Scenario {
+	var (
+		h     *mem.Heap
+		types dlist.Types
+		clean bool
+	)
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
-		h := mem.NewHeap()
+		if !clean {
+			h = mem.NewHeap()
+			types = dlist.MustRegisterTypes(h)
+		}
+		clean = false
+		before := h.Stats()
 		rc := core.New(h, instrument(dcas.NewLocking(h)), core.WithStrategyKind(strat))
-		l, err := dlist.New(rc, dlist.MustRegisterTypes(h))
+		l, err := dlist.New(rc, types)
 		if err != nil {
 			panic(err)
 		}
@@ -66,16 +78,14 @@ func setScenario(strat core.StrategyKind, prefill []uint64, scripts [][]setOp) S
 					"results %v with final contents %v match no sequential order of %v", results, final, scripts))
 			}
 			l.Close()
-			if hs := h.Stats(); hs.Corruptions != 0 || hs.DoubleFrees != 0 || hs.LiveObjects != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"heap: corruptions=%d doubleFrees=%d live=%d", hs.Corruptions, hs.DoubleFrees, hs.LiveObjects))
-			}
+			problems = append(problems, heapProblems(h, before)...)
 			if p := rc.Stats().PoisonedRCUpdates; p != 0 {
 				problems = append(problems, fmt.Sprintf("poisoned rc updates=%d", p))
 			}
 			if len(problems) > 0 {
 				return fmt.Errorf("%v", problems)
 			}
+			clean = true
 			return nil
 		}
 		return threads, check
@@ -139,9 +149,6 @@ func sequentiallyExplained(prefill []uint64, scripts [][]setOp, results [][]bool
 // the nodes it stands on, over every schedule with at most two preemptions
 // (about 5k per strategy), under both rc strategies.
 func TestSetUnderExploration(t *testing.T) {
-	// Every schedule builds a fresh heap with a 512 KB first segment; at the
-	// default GC pace collecting those costs more than the exploration.
-	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	scripts := [][]setOp{
 		{{'c', 3}, {'d', 3}},
 		{{'d', 2}, {'i', 2}},

@@ -1,51 +1,178 @@
 package explore
 
 import (
+	"errors"
+	"flag"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
+	"lfrc/internal/check"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
+	"lfrc/internal/reclaim"
 	"lfrc/internal/snark"
 )
 
-// snarkScenario prefills a deque and runs the given operations on separate
-// threads under the controlled scheduler. The check drains the deque and
-// verifies value conservation (each value delivered exactly once across pops
-// and the final drain), plus heap integrity.
+// deep selects the schedule-space hunt `make explore` runs: the default cell
+// at 4 preemptions and up to 200k schedules per scenario, over the tier-1
+// and the deep scenarios, and every other cell at the tier-1 budget.
+var deep = flag.Bool("deep", false, "explore every Snark configuration cell, the default one at depth")
+
+// snarkCell is one {engine}×{strategy}×{reclaimer} configuration the Snark
+// scenarios run in.
+type snarkCell struct {
+	engine    string // a key of cellEngines
+	strategy  core.StrategyKind
+	reclaimer reclaim.Kind
+}
+
+// String names the cell as internal/linear's configMatrix does: the engine,
+// then each non-default dimension, e.g. "mcas-split-epoch".
+func (c snarkCell) String() string {
+	name := c.engine
+	if c.strategy == core.StrategySplit {
+		name += "-split"
+	}
+	if c.reclaimer == reclaim.KindEpoch {
+		name += "-epoch"
+	}
+	return name
+}
+
+// snarkCells lists every configuration cell, the default one first.
+func snarkCells() []snarkCell {
+	var cells []snarkCell
+	for _, e := range []string{"locking", "mcas"} {
+		for _, s := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
+			for _, r := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
+				cells = append(cells, snarkCell{e, s, r})
+			}
+		}
+	}
+	return cells
+}
+
+// dequeOp is one deque operation in a thread's script.
 type dequeOp struct {
 	push  bool
 	left  bool
 	value uint64
 }
 
-func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
+// popL/popR/pushL/pushR build scripts.
+func popL() dequeOp          { return dequeOp{left: true} }
+func popR() dequeOp          { return dequeOp{} }
+func pushR(v uint64) dequeOp { return dequeOp{push: true, value: v} }
+func pushL(v uint64) dequeOp { return dequeOp{push: true, left: true, value: v} }
+
+// dequeScenario prefills a deque and runs one script per thread.
+type dequeScenario struct {
+	name    string
+	prefill []uint64
+	threads [][]dequeOp
+}
+
+// snarkScenarios are small near-empty scenarios: the neighbourhood of the
+// Doherty et al. (SPAA 2004) races in the published algorithm.
+var snarkScenarios = []dequeScenario{
+	{"2elem popL+popR", []uint64{1, 2}, [][]dequeOp{{popL()}, {popR()}}},
+	{"1elem popL+popR", []uint64{1}, [][]dequeOp{{popL()}, {popR()}}},
+	{"1elem popL+popR+pushR", []uint64{1}, [][]dequeOp{{popL()}, {popR()}, {pushR(2)}}},
+	{"popL+pushLpopL", []uint64{1}, [][]dequeOp{{popL()}, {pushL(2), popL()}}},
+	{"2elem popLpopL+popR", []uint64{1, 2}, [][]dequeOp{{popL(), popL()}, {popR()}}},
+}
+
+// deepSnarkScenarios are the slightly larger shapes only the deep mode runs.
+var deepSnarkScenarios = []dequeScenario{
+	{"2elem popL+popR+pushL+pushR", []uint64{1, 2}, [][]dequeOp{{popL()}, {popR()}, {pushL(3)}, {pushR(4)}}},
+	{"3elem popLpopL+popRpopR", []uint64{1, 2, 3}, [][]dequeOp{{popL(), popL()}, {popR(), popR()}}},
+	{"empty pushLpopR+pushRpopL", nil, [][]dequeOp{{pushL(1), popR()}, {pushR(2), popL()}}},
+}
+
+// heapError is a check failure that breaks the paper's memory guarantees:
+// memory written after its free, a double free, or an object still live
+// once the deque is closed. Value anomalies are plain errors.
+type heapError struct{ problems []string }
+
+func (e *heapError) Error() string { return "heap: " + strings.Join(e.problems, ", ") }
+
+// heapProblems reports what a run did to a heap shared across runs, against
+// the stats taken before the run built anything: new corruptions and double
+// frees, objects left live, and freed slots whose poison was overwritten.
+// The poison scan blames a write to freed memory on the run that made it,
+// not on a later run that happens to recycle the slot.
+func heapProblems(h *mem.Heap, base mem.Stats) []string {
+	var problems []string
+	hs := h.Stats()
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{
+		{"corruptions", hs.Corruptions - base.Corruptions},
+		{"doubleFrees", hs.DoubleFrees - base.DoubleFrees},
+		{"live", hs.LiveObjects - base.LiveObjects},
+	} {
+		if c.n != 0 {
+			problems = append(problems, fmt.Sprintf("%s=%d", c.name, c.n))
+		}
+	}
+	if vs := check.ScanPoison(h); len(vs) != 0 {
+		problems = append(problems, fmt.Sprintf("poison: %v", vs))
+	}
+	return problems
+}
+
+// snarkScenario runs sc on a Snark deque in the given cell, with value
+// claiming or without. The check drains the deque and requires every value
+// to be delivered exactly once across pops and drain; then it closes the
+// deque, finishes any deferred reclamation and requires the heap intact.
+// A heap failure is reported as a heapError, with the run's value anomalies
+// appended; a run with an intact heap fails with its value anomalies alone.
+//
+// Runs are sequential, so they share the heap, its Snark types and the base
+// engine (building a heap costs more than a run); each run gets a fresh
+// core.RC and deque. A run whose check failed, or that never reached its
+// check, leaves the heap in an unknown state, so the next run starts on a
+// fresh one.
+func snarkScenario(cell snarkCell, sc dequeScenario, claiming bool) Scenario {
+	var (
+		h     *mem.Heap
+		types snark.Types
+		base  dcas.Engine
+		clean bool
+	)
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
-		h := mem.NewHeap()
-		e := instrument(dcas.NewLocking(h))
-		rc := core.New(h, e)
+		if !clean {
+			h = mem.NewHeap()
+			types = snark.MustRegisterTypes(h)
+			base = cellEngines[cell.engine](h)
+		}
+		clean = false
+		before := h.Stats()
+		rc := core.New(h, instrument(base),
+			core.WithStrategyKind(cell.strategy), core.WithReclaimerKind(cell.reclaimer))
 		var sopts []snark.Option
 		if claiming {
 			sopts = append(sopts, snark.WithValueClaiming())
 		}
-		d, err := snark.New(rc, snark.MustRegisterTypes(h), sopts...)
+		d, err := snark.New(rc, types, sopts...)
 		if err != nil {
 			panic(err)
 		}
 		expected := map[uint64]int{}
-		for _, v := range prefill {
+		for _, v := range sc.prefill {
 			if err := d.PushRight(v); err != nil {
 				panic(err)
 			}
 			expected[v]++
 		}
 
-		results := make([][]uint64, len(ops))
-		threads := make([]func(), len(ops))
-		for i, script := range ops {
-			i, script := i, script
+		results := make([][]uint64, len(sc.threads))
+		threads := make([]func(), len(sc.threads))
+		for i, script := range sc.threads {
 			for _, op := range script {
 				if op.push {
 					expected[op.value]++
@@ -78,138 +205,143 @@ func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
 					got[v]++
 				}
 			}
-			for {
-				v, ok := d.PopLeft()
-				if !ok {
-					break
-				}
+			for v, ok := d.PopLeft(); ok; v, ok = d.PopLeft() {
 				got[v]++
 			}
-			var problems []string
+			var values []string
 			for v, n := range got {
 				if n != expected[v] {
-					problems = append(problems, fmt.Sprintf("value %d delivered %d times (want %d)", v, n, expected[v]))
+					values = append(values, fmt.Sprintf("value %d delivered %d times (want %d)", v, n, expected[v]))
 				}
 			}
-			for v, n := range expected {
-				if got[v] != n {
-					if got[v] == 0 {
-						problems = append(problems, fmt.Sprintf("value %d lost", v))
-					}
+			for v := range expected {
+				if got[v] == 0 {
+					values = append(values, fmt.Sprintf("value %d lost", v))
 				}
 			}
+			slices.Sort(values)
 			d.Close()
-			if hs := h.Stats(); hs.Corruptions != 0 || hs.DoubleFrees != 0 || hs.LiveObjects != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"heap: corruptions=%d doubleFrees=%d live=%d", hs.Corruptions, hs.DoubleFrees, hs.LiveObjects))
+			rc.DrainZombies(0) // the epoch backend defers frees into limbo
+			if problems := heapProblems(h, before); len(problems) > 0 {
+				return &heapError{append(problems, values...)}
 			}
-			if len(problems) > 0 {
-				sort.Strings(problems)
-				return fmt.Errorf("%v", problems)
+			if len(values) > 0 {
+				return fmt.Errorf("%v", values)
 			}
+			clean = true
 			return nil
 		}
 		return threads, check
 	}
 }
 
-// popL/popR/pushL/pushR build scripts.
-func popL() dequeOp          { return dequeOp{left: true} }
-func popR() dequeOp          { return dequeOp{} }
-func pushR(v uint64) dequeOp { return dequeOp{push: true, value: v} }
-func pushL(v uint64) dequeOp { return dequeOp{push: true, left: true, value: v} }
-
-// snarkScenarios enumerates small near-empty scenarios — the neighbourhood
-// of the Doherty et al. (SPAA 2004) races in the published algorithm.
-func snarkScenarios(claiming bool) map[string]Scenario {
-	return map[string]Scenario{
-		"2elem popL+popR": snarkScenario(
-			[]uint64{1, 2},
-			[][]dequeOp{{popL()}, {popR()}},
-			claiming),
-		"1elem popL+popR": snarkScenario(
-			[]uint64{1},
-			[][]dequeOp{{popL()}, {popR()}},
-			claiming),
-		"1elem popL+popR+pushR": snarkScenario(
-			[]uint64{1},
-			[][]dequeOp{{popL()}, {popR()}, {pushR(2)}},
-			claiming),
-		"popL+pushLpopL": snarkScenario(
-			[]uint64{1},
-			[][]dequeOp{{popL()}, {pushL(2), popL()}},
-			claiming),
-		"2elem popLpopL+popR": snarkScenario(
-			[]uint64{1, 2},
-			[][]dequeOp{{popL(), popL()}, {popR()}},
-			claiming),
-	}
+// heapTally counts the schedules whose check failed with a heapError. The
+// explorer keeps only the first failure, so without it a value anomaly on
+// an early schedule would hide a heap failure on a later one.
+type heapTally struct {
+	SUT
+	failures int
+	first    error
 }
 
-// TestSnarkMemorySafetyUnderExploration verifies the LFRC guarantees — no
-// corruption, no double free, no leak — over every explored schedule of
-// every scenario, for both deque variants. Memory safety is the paper's
-// contribution and must hold regardless of the algorithm's value-level
-// races.
-func TestSnarkMemorySafetyUnderExploration(t *testing.T) {
-	for _, claiming := range []bool{false, true} {
-		for name, s := range snarkScenarios(claiming) {
-			res := RunDFS(s, 2, 4_000, 100_000)
-			// Value anomalies are assessed in the test below; here only
-			// heap-integrity problems fail.
-			if res.FirstError != nil {
-				msg := res.FirstError.Error()
-				if containsHeapProblem(msg) {
-					t.Errorf("claiming=%v %q: heap violation: %v (trace %v)",
-						claiming, name, res.FirstError, res.FirstViolation)
-				}
+func (t *heapTally) build(yield func(wait bool)) ([]func(), func() error) {
+	threads, check := t.SUT.build(yield)
+	return threads, func() error {
+		err := check()
+		var he *heapError
+		if errors.As(err, &he) {
+			t.failures++
+			if t.first == nil {
+				t.first = err
 			}
-			t.Logf("claiming=%v %q: %d schedules explored, %d value anomalies",
-				claiming, name, res.Runs, res.Violations)
 		}
+		return err
 	}
 }
 
-func containsHeapProblem(msg string) bool {
-	for _, bad := range []string{"corruptions=", "doubleFrees=", "live="} {
-		idx := 0
-		for idx < len(msg) {
-			j := idx + len(bad)
-			if j <= len(msg) && msg[idx:j] == bad {
-				// "corruptions=0" is fine; any nonzero digit right after is not.
-				if j < len(msg) && msg[j] != '0' {
-					return true
+// TestSnarkMemorySafetyUnderExploration explores every scenario on the
+// published deque over every schedule with at most two preemptions (up to
+// 4,000 per scenario). On every schedule the paper's memory guarantees must
+// hold: no corruption, no double free, nothing live once the deque is
+// closed. The published algorithm's value anomalies, the historical races,
+// are logged.
+//
+// With -deep this test and TestClaimingDequeExactUnderExploration run what
+// `make explore` runs: the default cell at 4 preemptions and up to 200,000
+// schedules, over the deep scenarios too, and every other cell at the
+// budget above.
+func TestSnarkMemorySafetyUnderExploration(t *testing.T) { exploreSnark(t, false) }
+
+// TestClaimingDequeExactUnderExploration explores the same scenarios on the
+// value-claiming deque: the memory guarantees must hold on every schedule,
+// and every value must be delivered exactly once.
+func TestClaimingDequeExactUnderExploration(t *testing.T) { exploreSnark(t, true) }
+
+// exploreSnark runs one DFS per cell and scenario on one deque variant.
+func exploreSnark(t *testing.T, claiming bool) {
+	for i, cell := range snarkCells() {
+		preemptions, maxRuns, scenarios := 2, 4_000, snarkScenarios
+		switch {
+		case *deep && i == 0:
+			preemptions, maxRuns = 4, 200_000
+			scenarios = slices.Concat(snarkScenarios, deepSnarkScenarios)
+		case !*deep && i > 0:
+			continue
+		}
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("%v/%s", cell, sc.name), func(t *testing.T) {
+				s := &heapTally{SUT: snarkScenario(cell, sc, claiming)}
+				res := RunDFS(s, preemptions, maxRuns, 100_000)
+				anomalies := res.Violations - s.failures
+				t.Logf("%d schedules (<=%d preemptions), %d value anomalies, %d heap failures, %d incomplete",
+					res.Runs, preemptions, anomalies, s.failures, res.Incomplete)
+				if s.failures != 0 {
+					t.Errorf("heap violated on %d schedules; first: %v", s.failures, s.first)
 				}
-			}
-			idx++
+				if claiming && anomalies != 0 {
+					t.Errorf("claiming deque: %d value anomalies; first failure: %v (trace %v)",
+						anomalies, res.FirstError, res.FirstViolation)
+				}
+				if !claiming && anomalies != 0 {
+					t.Logf("published Snark: first failure: %v (trace %v)", res.FirstError, res.FirstViolation)
+				}
+			})
 		}
 	}
-	return false
 }
 
-// TestClaimingDequeExactUnderExploration asserts that with value claiming
-// no explored schedule can double-deliver a value, and logs whether the
-// published (non-claiming) algorithm exhibits its historical races at this
-// preemption bound.
-func TestClaimingDequeExactUnderExploration(t *testing.T) {
-	for name, s := range snarkScenarios(true) {
-		res := RunDFS(s, 2, 4_000, 100_000)
-		if res.Violations != 0 {
-			t.Errorf("claiming deque %q: %d anomalies, first: %v (trace %v)",
-				name, res.Violations, res.FirstError, res.FirstViolation)
-		}
-	}
+// scriptedSUT is two threads of two steps each whose check returns the
+// error scripted for the run's index, if any.
+type scriptedSUT struct {
+	run  int
+	errs map[int]error
+}
 
-	totalRuns, totalViolations := 0, 0
-	for name, s := range snarkScenarios(false) {
-		res := RunDFS(s, 2, 4_000, 100_000)
-		totalRuns += res.Runs
-		totalViolations += res.Violations
-		if res.Violations > 0 {
-			t.Logf("published Snark %q: %d/%d schedules anomalous; first: %v",
-				name, res.Violations, res.Runs, res.FirstError)
-		}
+func (s *scriptedSUT) build(yield func(wait bool)) ([]func(), func() error) {
+	run := s.run
+	s.run++
+	step := func() {
+		yield(false)
+		yield(false)
 	}
-	t.Logf("published Snark total: %d anomalies across %d explored schedules (<=2 preemptions)",
-		totalViolations, totalRuns)
+	return []func(){step, step}, func() error { return s.errs[run] }
+}
+
+// TestHeapFailuresCountedPastFirstAnomaly scripts a value anomaly on one
+// schedule and a heap failure on a later one: the heap failure must be
+// counted even though the explorer reports the anomaly as its first error.
+func TestHeapFailuresCountedPastFirstAnomaly(t *testing.T) {
+	anomaly := errors.New("value 1 delivered 2 times (want 1)")
+	leak := &heapError{[]string{"live=1"}}
+	s := &heapTally{SUT: &scriptedSUT{errs: map[int]error{1: anomaly, 3: leak}}}
+	res := RunDFS(s, 2, 100, 1_000)
+	if res.Runs < 4 {
+		t.Fatalf("only %d schedules explored; the script needs 4", res.Runs)
+	}
+	if res.Violations != 2 || !errors.Is(res.FirstError, anomaly) {
+		t.Fatalf("violations %d, first %v; want 2, first the anomaly", res.Violations, res.FirstError)
+	}
+	if s.failures != 1 || !errors.Is(s.first, leak) {
+		t.Fatalf("heap failures %d, first %v; want 1, the leak", s.failures, s.first)
+	}
 }

@@ -46,9 +46,6 @@ func (d *Duration) Quantile(q float64) time.Duration {
 // Summary returns the p50/p99/max digest in nanoseconds.
 func (d *Duration) Summary() Summary { return d.h.Summary() }
 
-// Hist returns the underlying value histogram (for exporters).
-func (d *Duration) Hist() *Histogram { return &d.h }
-
 // String summarizes the distribution.
 func (d *Duration) String() string {
 	return fmt.Sprintf("n=%d p50=%v p99=%v p999=%v max=%v",

@@ -74,13 +74,16 @@ type Probe interface {
 	AdvanceEpoch() uint64
 }
 
+// maxViolations bounds the violations an Auditor retains; the newest are
+// kept.
+const maxViolations = 256
+
 // AuditOption configures an Auditor.
 type AuditOption func(*auditConfig)
 
 type auditConfig struct {
-	interval      time.Duration
-	leakEpochs    int
-	maxViolations int
+	interval   time.Duration
+	leakEpochs int
 }
 
 // WithInterval sets the background pass interval (default 100ms).
@@ -103,15 +106,6 @@ func WithLeakEpochs(n int) AuditOption {
 	}
 }
 
-// WithMaxViolations bounds retained violations (default 256; newest kept).
-func WithMaxViolations(n int) AuditOption {
-	return func(c *auditConfig) {
-		if n > 0 {
-			c.maxViolations = n
-		}
-	}
-}
-
 // Auditor is the online invariant auditor: it periodically sweeps the
 // ledger's tracked objects, cross-checks them against the heap via the
 // Probe, and flags violations of the paper's guarantees. Each new violation
@@ -123,7 +117,6 @@ type Auditor struct {
 	rec        *obs.Recorder
 	interval   time.Duration
 	leakEpochs int
-	maxViol    int
 
 	mu        sync.Mutex
 	seen      map[uint32]*auditSeen
@@ -158,9 +151,8 @@ type flagKey struct {
 // RunPass for explicit single passes (tests, CLI).
 func NewAuditor(led *Ledger, probe Probe, rec *obs.Recorder, opts ...AuditOption) *Auditor {
 	cfg := auditConfig{
-		interval:      100 * time.Millisecond,
-		leakEpochs:    3,
-		maxViolations: 256,
+		interval:   100 * time.Millisecond,
+		leakEpochs: 3,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -171,7 +163,6 @@ func NewAuditor(led *Ledger, probe Probe, rec *obs.Recorder, opts ...AuditOption
 		rec:        rec,
 		interval:   cfg.interval,
 		leakEpochs: cfg.leakEpochs,
-		maxViol:    cfg.maxViolations,
 		seen:       make(map[uint32]*auditSeen),
 		flagged:    make(map[flagKey]bool),
 		stop:       make(chan struct{}),
@@ -303,11 +294,11 @@ func (a *Auditor) flagLocked(tl Timeline, epoch uint64, kind, detail string, out
 	a.flagged[k] = true
 	a.violTotal++
 	v := Violation{Kind: kind, Ref: tl.Ref, Epoch: epoch, Detail: detail, Timeline: tl}
-	if len(a.viols) < a.maxViol {
+	if len(a.viols) < maxViolations {
 		a.viols = append(a.viols, v)
 	} else {
 		a.viols[a.violN] = v
-		a.violN = (a.violN + 1) % a.maxViol
+		a.violN = (a.violN + 1) % maxViolations
 	}
 	return append(out, v)
 }

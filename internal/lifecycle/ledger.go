@@ -54,7 +54,10 @@ const DefaultSampleEvery = 1024
 const (
 	defaultMaxTracked = 4096
 	defaultMaxEvents  = 512
-	defaultMaxDone    = 256
+
+	// maxDone bounds retained completed timelines (objects whose slot was
+	// reused, or tracks retired by the auditor); the newest are kept.
+	maxDone = 256
 )
 
 // Option configures a Ledger.
@@ -64,7 +67,6 @@ type config struct {
 	every      uint64
 	maxTracked int
 	maxEvents  int
-	maxDone    int
 }
 
 // WithSampleEvery ledgers every nth allocation: 1 tracks every object, 0
@@ -97,16 +99,6 @@ func WithMaxEvents(n int) Option {
 	return func(c *config) {
 		if n >= 8 {
 			c.maxEvents = n
-		}
-	}
-}
-
-// WithMaxDone bounds retained completed timelines (objects whose slot was
-// reused, or tracks retired by the auditor).
-func WithMaxDone(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.maxDone = n
 		}
 	}
 }
@@ -254,7 +246,6 @@ type Ledger struct {
 	every      uint64
 	maxTracked int
 	maxEvents  int
-	maxDone    int
 
 	allocN      []allocStripe // striped allocation counters for 1-in-N selection
 	tracked     atomic.Int64  // currently tracked objects
@@ -275,7 +266,6 @@ func New(opts ...Option) *Ledger {
 		every:      DefaultSampleEvery,
 		maxTracked: defaultMaxTracked,
 		maxEvents:  defaultMaxEvents,
-		maxDone:    defaultMaxDone,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -284,7 +274,6 @@ func New(opts ...Option) *Ledger {
 		every:      cfg.every,
 		maxTracked: cfg.maxTracked,
 		maxEvents:  cfg.maxEvents,
-		maxDone:    cfg.maxDone,
 		refs:       obs.NewRefSet(cfg.maxTracked),
 		allocN:     make([]allocStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0))),
 	}
@@ -463,11 +452,11 @@ func (l *Ledger) retire(ref uint32, t *track) {
 	tl := t.snapshotLocked()
 	t.mu.Unlock()
 	l.doneMu.Lock()
-	if len(l.done) < l.maxDone {
+	if len(l.done) < maxDone {
 		l.done = append(l.done, tl)
 	} else {
 		l.done[l.doneHead] = tl
-		l.doneHead = (l.doneHead + 1) % l.maxDone
+		l.doneHead = (l.doneHead + 1) % maxDone
 	}
 	l.doneMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package linear
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -207,5 +208,24 @@ func TestRecorderLimitsConcurrency(t *testing.T) {
 	}
 	if got := r.History().Len(); got != 4 {
 		t.Errorf("recorded %d events, want 4", got)
+	}
+}
+
+func TestStateBudgetReportsUndecided(t *testing.T) {
+	// Six overlapping pushes, then a pop of a value nobody pushed: only an
+	// exhaustive search over the pushes' orders rules the history out.
+	var events []Event
+	for v := uint64(1); v <= 6; v++ {
+		events = append(events, overlapping(0, 100, push(ActPushRight, v)))
+	}
+	events = append(events, Event{Op: popOK(ActPopLeft, 7), Invoke: 200, Return: 210})
+
+	res, err := checkEvents(DequeSpec{}, events, 100)
+	if !errors.Is(err, ErrUndecided) || res.Linearizable {
+		t.Fatalf("budget 100: %+v, %v; want ErrUndecided", res, err)
+	}
+	res, err = CheckEvents(DequeSpec{}, events)
+	if err == nil || errors.Is(err, ErrUndecided) {
+		t.Fatalf("full budget: %v after %d states; want a decided rejection", err, res.StatesExplored)
 	}
 }

@@ -233,8 +233,10 @@ func (h *Heap) claimChunk(min int) (start, end uint32, err error) {
 		if s >= h.limit || e < s+uint64(min) {
 			return 0, 0, ErrOutOfMemory
 		}
+		// Map the segment before the cursor publishes it: walkers read
+		// every word below the cursor while carves run.
+		h.ensureSegment(uint32(s >> segBits))
 		if h.next.CompareAndSwap(n, e) {
-			h.ensureSegment(uint32(s >> segBits))
 			for {
 				hw := h.highWater.Load()
 				if int64(e) <= hw || h.highWater.CompareAndSwap(hw, int64(e)) {

@@ -116,3 +116,37 @@ func TestWalkBlocksAgreesWithWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestCarvedWordsAreMappedWhenPublished: a walker that reads the cursor and
+// then a word below it must find that word's segment mapped, even while a
+// carve is crossing into a new segment. The census walks the heap this way
+// while mutators run.
+func TestCarvedWordsAreMappedWhenPublished(t *testing.T) {
+	h := NewHeap(WithMaxWords(32 * segWords))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, _, err := h.claimChunk(LineWords); err != nil {
+				return
+			}
+		}
+	}()
+	read := func(a Addr) (err any) {
+		defer func() { err = recover() }()
+		h.Load(a)
+		return nil
+	}
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		end := h.next.Load()
+		if err := read(Addr(end - 1)); err != nil {
+			<-done
+			t.Fatalf("word %#x below the cursor %#x: %v", end-1, end, err)
+		}
+	}
+}
