@@ -36,9 +36,11 @@ all: check
 # root `go test ./...` never reaches.
 check: build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
 
-# Focused race gate over the concurrency-critical packages.
+# Focused race gate over the concurrency-critical packages, three runs each:
+# the race detector's scheduling makes goroutines migrate between Ps often,
+# which is what exposes a test that assumes one goroutine keeps one stripe.
 check-race:
-	$(GO) test -race ./internal/obs ./internal/lifecycle ./internal/core ./internal/contend ./internal/dcas
+	$(GO) test -race -count=3 ./internal/obs ./internal/lifecycle ./internal/core ./internal/contend ./internal/dcas ./internal/mem ./internal/stripe
 
 # Fault-injection gate: the multi-seed chaos sweep and the degraded-mode /
 # typed-error tests, under the race detector.

@@ -176,7 +176,7 @@ func New(h *mem.Heap, e dcas.Engine, opts ...Option) *RC {
 	return c
 }
 
-// st routes the calling goroutine to a counter stripe.
+// st routes the calling goroutine to the counter stripe of the P it runs on.
 func (c *RC) st() *opStripe { return &c.stats[stripe.Hint(len(c.stats))] }
 
 // Observer returns the attached flight recorder, which is nil (a valid,
@@ -240,9 +240,10 @@ func (c *RC) Load(a mem.Addr, dest *mem.Ref) {
 	olddest := *dest
 	v, old, delta, retries := c.strat.Load(c, a)
 	*dest = v
-	c.st().loads.Add(1)
+	st := c.st()
+	st.loads.Add(1)
 	c.recordT(t0, obs.KindLoad, v, a, true, retries, old, delta)
-	c.Destroy(olddest)
+	c.destroy(st, olddest)
 }
 
 // NaiveLoad is the CAS-only load the paper argues against in §5 (the
@@ -253,6 +254,7 @@ func (c *RC) Load(a mem.Addr, dest *mem.Ref) {
 // never use it in real code.
 func (c *RC) NaiveLoad(a mem.Addr, dest *mem.Ref) {
 	t0 := c.obs.Sample()
+	st := c.st()
 	var retries uint32
 	var oldrc uint64
 	olddest := *dest
@@ -272,15 +274,15 @@ func (c *RC) NaiveLoad(a mem.Addr, dest *mem.Ref) {
 		}
 		c.addToRC(obs.KindNaiveLoad, v, -1)
 		retries++
-		c.st().loadRetries.Add(1)
+		st.loadRetries.Add(1)
 		c.ct.Attempt(obs.KindNaiveLoad, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, true, false)
 	}
-	c.st().loads.Add(1)
+	st.loads.Add(1)
 	if retries > 0 {
 		c.ct.OpDone(obs.KindNaiveLoad, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 	}
 	c.recordT(t0, obs.KindNaiveLoad, *dest, a, true, retries, oldrc, 1)
-	c.Destroy(olddest)
+	c.destroy(st, olddest)
 }
 
 // Store implements LFRCStore (Figure 2, lines 21–28): it stores pointer
@@ -302,12 +304,13 @@ func (c *RC) Store(a mem.Addr, v mem.Ref) {
 			continue
 		}
 		if c.e.CAS(a, u, nw) {
-			c.st().stores.Add(1)
+			st := c.st()
+			st.stores.Add(1)
 			if retries > 0 {
 				c.ct.OpDone(obs.KindStore, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 			}
 			c.recordT(t0, obs.KindStore, v, a, true, retries, oldrc, lc)
-			c.releaseWord(u)
+			c.releaseWord(st, u)
 			return
 		}
 		retries++
@@ -337,12 +340,13 @@ func (c *RC) StoreAlloc(a mem.Addr, v mem.Ref) {
 			continue
 		}
 		if c.e.CAS(a, u, nw) {
-			c.st().stores.Add(1)
+			st := c.st()
+			st.stores.Add(1)
 			if retries > 0 {
 				c.ct.OpDone(obs.KindStore, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 			}
 			c.obs.Record(t0, obs.KindStore, uint32(v), uint32(a), true, retries)
-			c.releaseWord(u)
+			c.releaseWord(st, u)
 			return
 		}
 		retries++
@@ -362,9 +366,10 @@ func (c *RC) Copy(v *mem.Ref, w mem.Ref) {
 	}
 	old := *v
 	*v = w
-	c.st().copies.Add(1)
+	st := c.st()
+	st.copies.Add(1)
 	c.recordT(t0, obs.KindCopy, w, 0, true, 0, oldrc, 1)
-	c.Destroy(old)
+	c.destroy(st, old)
 }
 
 // CAS implements LFRCCAS: the single-location simplification of DCAS (paper
@@ -377,19 +382,20 @@ func (c *RC) CAS(a mem.Addr, old, new mem.Ref) bool {
 	if new != 0 {
 		oldrc = c.addToRC(obs.KindCAS, new, lc)
 	}
-	c.st().casOps.Add(1)
+	st := c.st()
+	st.casOps.Add(1)
 	// An injected firing fails the whole operation: the caller observes a
 	// lost CAS and the provisional credit on new is compensated below — the
 	// exact path a genuine failure takes.
 	if !c.fj.Inject(fault.CoreCAS) {
 		if d, ok := c.strat.Swing(c, a, old, new); ok {
 			c.recordT(t0, obs.KindCAS, new, a, true, 0, oldrc, lc)
-			c.releaseWord(d)
+			c.releaseWord(st, d)
 			return true
 		}
 	}
 	c.recordT(t0, obs.KindCAS, new, a, false, 0, oldrc, lc)
-	c.releaseWeight(new, lc)
+	c.releaseWeight(st, new, lc)
 	return false
 }
 
@@ -407,59 +413,62 @@ func (c *RC) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 mem.Ref) bool {
 	if new1 != 0 {
 		c.addToRC(obs.KindDCAS, new1, lc)
 	}
-	c.st().dcasOps.Add(1)
+	st := c.st()
+	st.dcasOps.Add(1)
 	if !c.fj.Inject(fault.CoreDCAS) {
 		if d0, d1, ok := c.strat.SwingPair(c, a0, a1, old0, old1, new0, new1); ok {
 			c.recordT(t0, obs.KindDCAS, new0, a0, true, 0, oldrc0, lc)
-			c.releasePair(d0, d1)
+			c.releasePair(st, d0, d1)
 			return true
 		}
 	}
 	c.recordT(t0, obs.KindDCAS, new0, a0, false, 0, oldrc0, lc)
 	if lc == 1 {
-		c.Destroy(new0, new1)
+		c.destroy(st, new0, new1)
 	} else {
-		c.releaseWeight(new0, lc)
-		c.releaseWeight(new1, lc)
+		c.releaseWeight(st, new0, lc)
+		c.releaseWeight(st, new1, lc)
 	}
 	return false
 }
 
-// releaseWord releases the link credit carried by a displaced pointer word.
-func (c *RC) releaseWord(u uint64) {
+// releaseWord releases the link credit carried by a displaced pointer word,
+// counting on the caller's stripe st (as do releasePair, releaseWeight and
+// destroy, so one LFRC operation looks its stripe up once).
+func (c *RC) releaseWord(st *opStripe, u uint64) {
 	v := c.strat.Ref(u)
 	if v == 0 {
 		return
 	}
-	c.releaseWeight(v, c.strat.Weight(u))
+	c.releaseWeight(st, v, c.strat.Weight(u))
 }
 
 // releasePair releases two displaced pointer words from one DCAS, keeping
 // the figure2 path on the exact batched-Destroy shape it always had.
-func (c *RC) releasePair(d0, d1 uint64) {
+func (c *RC) releasePair(st *opStripe, d0, d1 uint64) {
 	w0, w1 := c.strat.Weight(d0), c.strat.Weight(d1)
 	if w0 <= 1 && w1 <= 1 {
-		c.Destroy(c.strat.Ref(d0), c.strat.Ref(d1))
+		c.destroy(st, c.strat.Ref(d0), c.strat.Ref(d1))
 		return
 	}
-	c.releaseWord(d0)
-	c.releaseWord(d1)
+	c.releaseWord(st, d0)
+	c.releaseWord(st, d1)
 }
 
 // releaseWeight drops w units of v's reference count, retiring v when the
 // count hits zero. Weight 1 is exactly Destroy of one local reference; a
 // larger weight is a split-strategy external merge — a destroyed link's
 // remaining stash folded back into the count in one update.
-func (c *RC) releaseWeight(v mem.Ref, w int64) {
+func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
 	if v == 0 || w <= 0 {
 		return
 	}
 	if w == 1 {
-		c.Destroy(v)
+		c.destroy(st, v)
 		return
 	}
-	c.st().destroys.Add(1)
-	c.st().extMerges.Add(1)
+	st.destroys.Add(1)
+	st.extMerges.Add(1)
 	old := c.addToRC(obs.KindDestroy, v, -w)
 	hitZero := old == uint64(w)
 	c.recordT(0, obs.KindDestroy, v, 0, hitZero, 0, old, -w)
@@ -473,14 +482,17 @@ func (c *RC) releaseWeight(v mem.Ref, w int64) {
 // objects whose count reaches zero are retired to the reclamation backend —
 // which releases every pointer they contain when it frees them, either
 // eagerly or deferred, per its policy.
-func (c *RC) Destroy(vs ...mem.Ref) {
+func (c *RC) Destroy(vs ...mem.Ref) { c.destroy(c.st(), vs...) }
+
+// destroy is Destroy counting on stripe st.
+func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 	t0 := c.obs.Sample()
 	var dead []mem.Ref
 	for _, v := range vs {
 		if v == 0 {
 			continue
 		}
-		c.st().destroys.Add(1)
+		st.destroys.Add(1)
 		old := c.addToRC(obs.KindDestroy, v, -1)
 		hitZero := old == 1
 		// The first released ref carries the sampled latency token; the
@@ -512,6 +524,7 @@ func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
 	if err != nil {
 		return dst
 	}
+	st := c.st()
 	for _, f := range d.PtrFields {
 		u := c.e.Read(c.h.FieldAddr(p, f))
 		child := c.strat.Ref(u)
@@ -522,9 +535,9 @@ func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
 		// The dying link's whole remaining weight merges back in one update
 		// (weight is always 1 under figure2).
 		w := c.strat.Weight(u)
-		c.st().destroys.Add(1)
+		st.destroys.Add(1)
 		if w > 1 {
-			c.st().extMerges.Add(1)
+			st.extMerges.Add(1)
 		}
 		old := c.addToRC(obs.KindDestroy, child, -w)
 		c.recordT(0, obs.KindDestroy, child, 0, old == uint64(w), 0, old, -w)

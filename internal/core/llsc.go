@@ -79,13 +79,14 @@ func (rc *RC) DCASMixed(a0 mem.Addr, old0, new0 mem.Ref, a1 mem.Addr, old1, new1
 	if new0 != 0 {
 		rc.addToRC(obs.KindDCAS, new0, lc)
 	}
-	rc.st().dcasOps.Add(1)
+	st := rc.st()
+	st.dcasOps.Add(1)
 	if !rc.fj.Inject(fault.CoreDCAS) {
 		if d0, ok := rc.strat.SwingMixed(rc, a0, old0, new0, a1, old1, new1); ok {
-			rc.releaseWord(d0)
+			rc.releaseWord(st, d0)
 			return true
 		}
 	}
-	rc.releaseWeight(new0, lc)
+	rc.releaseWeight(st, new0, lc)
 	return false
 }

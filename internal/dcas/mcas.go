@@ -257,7 +257,8 @@ func (e *MCASEngine) yield() {
 func (e *MCASEngine) ld(p *atomic.Uint64) uint64    { e.yield(); return p.Load() }
 func (e *MCASEngine) st(p *atomic.Uint64, v uint64) { e.yield(); p.Store(v) }
 
-// claim takes a free slot, probing linearly from the caller's stripe hint.
+// claim takes a free slot, probing linearly from the caller's P id, so
+// goroutines running at once start on different slots.
 func (e *MCASEngine) claim() uint32 {
 	n := len(e.slots)
 	i := stripe.Hint(n)

@@ -254,6 +254,9 @@ func TestMCASSlotReuseInPlace(t *testing.T) {
 	if s := unsafe.Sizeof(descSlot{}); s%64 != 0 {
 		t.Errorf("descSlot is %d bytes, not a whole number of cache lines", s)
 	}
+	// Slots are probed from the running P's id, so reuse in place is a
+	// per-P property: on one P the goroutine cannot migrate.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	h := mem.NewHeap()
 	e := NewMCAS(h, WithPoolSize(8))
 	c := newCells(t, h, 2)

@@ -146,12 +146,12 @@ func (l *List) search(k Key) (pred, curr mem.Ref) {
 				return pred, curr
 			}
 			// Hand-off (see the package doc): pred inherits curr's count
-			// instead of taking a fresh one (Copy) that the Load below
-			// would then drop; the successor is read through pred, whose
-			// count the traversal still holds.
-			l.rc.Destroy(pred)
-			pred, curr = curr, 0
-			l.rc.Load(l.nextA(pred), &curr)
+			// instead of taking a fresh one (Copy). The successor is read
+			// through curr, whose count the traversal holds, into pred's
+			// variable, and that Load drops pred's old count, so a hop is
+			// one LFRC call; the swap then hands curr's count to pred.
+			l.rc.Load(l.nextA(curr), &pred)
+			pred, curr = curr, pred
 		}
 		if !helping {
 			return pred, curr // curr == 0: ran off the end

@@ -230,7 +230,9 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestBumpSkipsSegmentBoundary(t *testing.T) {
-	h := NewHeap(WithMaxWords(4 * segWords))
+	// One shard: with more, a P migration moves the goroutine to another
+	// shard's bump chunk, which may lie below the last one's.
+	h := NewHeap(WithMaxWords(4*segWords), WithAllocShards(1))
 	big := h.MustRegisterType(TypeDesc{Name: "big", NumFields: MaxFields})
 
 	var prevEnd uint64

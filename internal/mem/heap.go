@@ -33,7 +33,7 @@ type Heap struct {
 	limit uint64        // arena size in words
 
 	// shards stripe the allocator: per-shard free lists and bump chunks.
-	// Goroutines are routed by stripe.Hint; see shard.go.
+	// A goroutine uses the shard of the P it runs on; see shard.go.
 	shards []allocShard
 
 	// global holds the overflow free lists shards migrate to and refill
@@ -160,8 +160,9 @@ func (h *Heap) Epoch() uint64 { return h.epoch.Load() }
 // stamped with the epoch they happened in.
 func (h *Heap) AdvanceEpoch() uint64 { return h.epoch.Add(1) }
 
-// shardIndex routes the calling goroutine to an allocation shard (and its
-// stat stripe). A locality hint only: any goroutine may touch any shard.
+// shardIndex routes the calling goroutine to the allocation shard (and stat
+// stripe) of the P it runs on. A locality hint only: the goroutine may
+// migrate, and any goroutine may touch any shard.
 func (h *Heap) shardIndex() int { return stripe.Hint(len(h.shards)) }
 
 // ensureSegment lazily installs the backing array for segment i. A segment

@@ -130,8 +130,8 @@ func TestSlotsOwnTheirLines(t *testing.T) {
 
 	// Sibling steal: park a freed slot on the shard the last Alloc did not
 	// use, so the next Alloc misses locally and globally and steals it.
-	// Goroutines reach shards by a stack-address hint, so retry if Alloc
-	// moved to the shard holding the slot.
+	// Goroutines reach the shard of the P they run on and may migrate
+	// between Ps, so retry if Alloc moved to the shard holding the slot.
 	stole := false
 	for try := 0; try < 4 && !stole; try++ {
 		victim := batch[0]

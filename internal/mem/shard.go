@@ -17,13 +17,15 @@ import "sync/atomic"
 //     in slabWords-sized slabs, so the hot carve path CASes a shard-private
 //     cache line and touches the shared cursor only once per slab.
 //
-// Goroutines are routed to shards by stripe.Hint — a locality hint, not an
-// identity — so every structure here must stay safe for concurrent use by
-// any number of goroutines. Allocation still prefers recycling anywhere over
-// carving new arena words: a local miss falls back to the global overflow
-// list, then to stealing from sibling shards, and only then to the bump
-// chunk. That preserves the seed allocator's invariant that freed slots are
-// reused before the footprint grows.
+// A goroutine uses the shard of the P (logical processor) it runs on, as
+// stripe.Hint returns it. The shard count defaults to GOMAXPROCS, so two
+// goroutines running at once use different shards. A goroutine may migrate
+// between Ps mid-operation, so every structure here must stay safe for
+// concurrent use by any number of goroutines. Allocation still prefers
+// recycling anywhere over carving new arena words: a local miss falls back
+// to the global overflow list, then to stealing from sibling shards, and
+// only then to the bump chunk. That preserves the seed allocator's
+// invariant that freed slots are reused before the footprint grows.
 
 const (
 	// shardFillTarget is the per-shard, per-size free-list fill target.

@@ -1,18 +1,20 @@
 // Package stripe provides the striping hint shared by the heap's sharded
-// allocator and the striped statistic counters.
+// allocator, the striped statistic counters and the MCAS descriptor pool.
 //
-// Go exposes no goroutine or processor identity, so perfectly pinning a
-// goroutine to a stripe is impossible without runtime hacks. Hint instead
-// hashes the address of a stack variable: goroutines run on distinct stacks,
-// so concurrent callers spread across stripes without touching any shared
-// state — the whole point of striping is to avoid a shared cache line, and a
-// shared round-robin cursor would reintroduce one.
+// Go gives a goroutine no identity, but every running goroutine holds a P
+// (one of GOMAXPROCS logical processors), and no two goroutines hold the same
+// P at the same instant. Hint returns the id of the caller's P, read the way
+// sync.Pool finds its per-P slot: runtime.procPin, which go1.24's runtime
+// keeps linkable on purpose (go.dev/issue/67401). Stripe counts default to
+// GOMAXPROCS, so clients running at once on different processors use
+// different stripes and never share a cache line through them. A goroutine
+// may migrate between Ps at any point, so the hint is a locality hint, never
+// an ownership claim: any stripe may be touched by any goroutine.
 package stripe
 
-import "unsafe"
+import _ "unsafe" // for go:linkname
 
-// MaxStripes bounds stripe counts so hint distribution stays meaningful and
-// padded counter arrays stay small.
+// MaxStripes bounds stripe counts so padded counter arrays stay small.
 const MaxStripes = 64
 
 // Clamp normalizes a requested stripe count to [1, MaxStripes], mapping
@@ -30,19 +32,24 @@ func Clamp(n, fallback int) int {
 	return n
 }
 
-// Hint returns a cheap quasi-per-goroutine index in [0, n). The value is
-// stable while a goroutine's stack stays put and its call depth is fixed; it
-// may change across stack growth or different call paths. Callers must treat
-// it as a locality hint only, never as an identity: any stripe may be
-// touched by any goroutine.
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
+
+// Hint returns the stripe in [0, n) of the P the caller runs on. The P id
+// is returned as is when it is below n (stripe counts default to GOMAXPROCS,
+// so the hot path has no division) and reduced modulo n when GOMAXPROCS has
+// grown past n.
 func Hint(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	var b byte
-	p := uint64(uintptr(unsafe.Pointer(&b)))
-	// Fibonacci hashing; the low bits are frame alignment, so mix from the
-	// middle of the word.
-	h := (p >> 4) * 0x9E3779B97F4A7C15
-	return int((h >> 33) % uint64(n))
+	p := procPin()
+	procUnpin()
+	if p < n {
+		return p
+	}
+	return p % n
 }

@@ -1,8 +1,11 @@
 package stripe
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestClamp(t *testing.T) {
@@ -25,46 +28,102 @@ func TestClamp(t *testing.T) {
 }
 
 func TestHintInRange(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 64} {
-		for i := 0; i < 100; i++ {
-			if h := Hint(n); h < 0 || h >= n {
-				t.Fatalf("Hint(%d) = %d out of range", n, h)
+	// GOMAXPROCS grown past the stripe count: every P id, up to 7, must fold
+	// into [0, n), to the same stripe as its id modulo n. The goroutines run
+	// until one of them has run on a P whose id is at least 2.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var sawHigh, stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				for _, n := range []int{1, 2, 3, 7, 64} {
+					if h := Hint(n); h < 0 || h >= n {
+						t.Errorf("Hint(%d) = %d out of range", n, h)
+						stop.Store(true)
+						return
+					}
+					p := procPin()
+					h := Hint(n)
+					procUnpin()
+					if h != p%n {
+						t.Errorf("on P %d: Hint(%d) = %d, want %d", p, n, h, p%n)
+						stop.Store(true)
+						return
+					}
+					if p >= 2 {
+						sawHigh.Store(true)
+					}
+				}
 			}
-		}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !sawHigh.Load() && !stop.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if !sawHigh.Load() {
+		t.Error("no goroutine ran on a P with id >= 2 within 10s")
 	}
 }
 
 func TestHintStableWithinCall(t *testing.T) {
-	// Same goroutine, same call site: the hint must not flap between
-	// consecutive calls (stack in place, depth fixed).
-	first := Hint(64)
-	for i := 0; i < 1000; i++ {
-		if got := Hint(64); got != first {
-			t.Fatalf("Hint flapped from %d to %d at iteration %d", first, got, i)
-		}
+	// While the goroutine cannot migrate, the hint is its P id and does not
+	// flap between consecutive calls.
+	p := procPin()
+	got := p
+	for i := 0; i < 1000 && got == p; i++ {
+		got = Hint(MaxStripes)
+	}
+	procUnpin()
+	if got != p {
+		t.Fatalf("Hint flapped to %d on P %d", got, p)
 	}
 }
 
-func TestHintSpreadsAcrossGoroutines(t *testing.T) {
-	// Distinct goroutines run on distinct stacks; with many goroutines the
-	// hints must not all collapse onto a single stripe.
-	const n = 64
-	const goroutines = 64
-	hints := make([]int, goroutines)
+func TestHintSeparatesRunningGoroutines(t *testing.T) {
+	// Two goroutines pinned at the same instant hold different Ps, so with
+	// n >= GOMAXPROCS they must get different hints. Each publishes its hint
+	// (plus one) only while pinned, and checks the other's on every round.
+	const n = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	var cur [2]atomic.Int64
+	var overlapped, stop atomic.Bool
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := range 2 {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			hints[g] = Hint(n)
-		}(g)
+			mine, theirs := &cur[g], &cur[1-g]
+			for !stop.Load() {
+				procPin()
+				h := int64(Hint(n)) + 1
+				mine.Store(h)
+				other := theirs.Load()
+				mine.Store(0)
+				procUnpin()
+				if other == 0 {
+					continue
+				}
+				if other == h {
+					t.Errorf("two running goroutines share stripe %d", h-1)
+					stop.Store(true)
+				}
+				overlapped.Store(true)
+			}
+		}()
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !overlapped.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
 	wg.Wait()
-	seen := map[int]bool{}
-	for _, h := range hints {
-		seen[h] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 goroutines all hashed to stripe set %v; hint does not spread", seen)
+	if !overlapped.Load() {
+		t.Error("the two goroutines never ran at the same instant within 10s")
 	}
 }
