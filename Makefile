@@ -13,7 +13,7 @@ BENCHTIME ?=
 # the same matrix. check-rc and check-reclaim both run them under -race.
 SET_MATRIX = -race -count=1 -run 'TestSearchHandsCountsAlong|TestConcurrent(Disjoint|Contended)Keys|TestSortedSetLinearizable' ./internal/dlist ./internal/linear
 
-.PHONY: all check build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
+.PHONY: all check build vet test check-inline check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
 
 all: check
 
@@ -33,8 +33,9 @@ all: check
 # check-doctor covers the health watchdog's rule engine, bundle capture, and
 # the chaos -> bundle -> lfrcdoctor offline-diagnosis loop on both backends.
 # check-bench builds and tests the benchmark under bench/, its own module that
-# root `go test ./...` never reaches.
-check: build vet test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
+# root `go test ./...` never reaches. check-inline keeps the hot path's
+# accessors inlinable.
+check: build vet check-inline test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
 
 # Focused race gate over the concurrency-critical packages, three runs each:
 # the race detector's scheduling makes goroutines migrate between Ps often,
@@ -83,6 +84,33 @@ check-census:
 
 build:
 	$(GO) build ./...
+
+# The functions every LFRC operation calls on its hot path, as "package
+# function" pairs. Each must stay inlinable: the heap accessors and the
+# engines' step-hook checks so the engines pay no call per cell access, the
+# recorder's and the RC's taps so an operation without a recorder pays one
+# inlined nil check. A change
+# that pushes one past the inliner's budget fails here rather than
+# silently costing every operation a call.
+INLINE_REQUIRED = \
+	'internal/mem (*Heap).cell' \
+	'internal/mem (*Heap).Load' \
+	'internal/mem (*Heap).Store' \
+	'internal/mem (*Heap).CAS' \
+	'internal/dcas (*LockingEngine).yield' \
+	'internal/dcas (*MCASEngine).yield' \
+	'internal/obs (*Recorder).Sample' \
+	'internal/obs (*Recorder).RecordT' \
+	'internal/core (*RC).recordT'
+
+check-inline:
+	@inl=$$($(GO) build -gcflags=-m ./internal/mem ./internal/dcas ./internal/obs ./internal/core 2>&1 | \
+		sed -n 's/^\(.*\)\/[^/]*\.go:[0-9]*:[0-9]*: can inline \(.*\)$$/\1 \2/p'); \
+	fail=0; \
+	for f in $(INLINE_REQUIRED); do \
+		printf '%s\n' "$$inl" | grep -qxF "$$f" || { echo "check-inline: $$f is not inlinable"; fail=1; }; \
+	done; \
+	[ $$fail = 0 ] && echo "check-inline: PASS"; exit $$fail
 
 vet:
 	$(GO) vet ./...

@@ -221,11 +221,12 @@ func (c *RC) DecodeLink(u uint64) (mem.Ref, int64) {
 // reference returned to the caller, which the caller must eventually either
 // store somewhere with StoreAlloc or release with Destroy.
 func (c *RC) NewObject(t mem.TypeID) (mem.Ref, error) {
-	r, err := c.h.Alloc(t)
+	p := stripe.ID()
+	r, err := c.h.AllocOn(t, p)
 	if err != nil {
 		return 0, err
 	}
-	c.st().allocs.Add(1)
+	c.stats[stripe.Of(p, len(c.stats))].allocs.Add(1)
 	return r, nil
 }
 
@@ -552,10 +553,12 @@ func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
 // counting frees and heap-rejected reclamations (double frees caused by
 // corrupted counts).
 func (c *RC) FreeObject(p mem.Ref) {
-	if err := c.h.Free(p); err != nil {
-		c.st().freeErrors.Add(1)
+	proc := stripe.ID()
+	st := &c.stats[stripe.Of(proc, len(c.stats))]
+	if err := c.h.FreeOn(p, proc); err != nil {
+		st.freeErrors.Add(1)
 	} else {
-		c.st().frees.Add(1)
+		st.frees.Add(1)
 	}
 }
 
@@ -610,8 +613,16 @@ func (c *RC) addToRC(kind obs.Kind, p mem.Ref, v int64) uint64 {
 // recordT records one operation's flight event carrying its rc transition:
 // the count before the update and the count after applying delta. A null ref
 // carries no transition; counts are truncated to 32 bits (a poisoned count
-// truncates to a distinctive 0xEF5C0DED).
+// truncates to a distinctive 0xEF5C0DED). Without a recorder it costs one
+// check that inlines into the operation.
 func (c *RC) recordT(t0 int64, kind obs.Kind, ref mem.Ref, addr mem.Addr, ok bool, retries uint32, old uint64, delta int64) {
+	if c.obs != nil {
+		c.recordTransition(t0, kind, ref, addr, ok, retries, old, delta)
+	}
+}
+
+// recordTransition is recordT's body once a recorder is attached.
+func (c *RC) recordTransition(t0 int64, kind obs.Kind, ref mem.Ref, addr mem.Addr, ok bool, retries uint32, old uint64, delta int64) {
 	var o, n uint32
 	if ref != 0 {
 		o, n = uint32(old), uint32(uint64(int64(old)+delta))

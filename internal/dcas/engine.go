@@ -23,34 +23,17 @@
 // All pointer and reference-count cells of LFRC-managed objects are accessed
 // exclusively through an Engine, which is what lets the two implementations
 // swap freely (ablation A1 in EXPERIMENTS.md).
+//
+// Both engines work on the concrete *mem.Heap, whose cell accessors inline
+// into them, so an engine operation pays for its own protocol and nothing
+// else. The schedule explorer (internal/explore) still needs a scheduling
+// point at each of an engine's internal steps; it gets them from the
+// WithStep construction hook, which each engine tests at every heap access,
+// wait and descriptor step, in a branch that inlines into the site.
+// Production engines leave the hook nil.
 package dcas
 
 import "lfrc/internal/mem"
-
-// CellStore is the word-granular memory the engines build on. *mem.Heap
-// implements it; test harnesses substitute instrumented stores to interleave
-// engine-internal steps (see internal/explore).
-type CellStore interface {
-	// Load atomically reads the cell at a.
-	Load(a mem.Addr) uint64
-
-	// Store atomically writes v into the cell at a.
-	Store(a mem.Addr, v uint64)
-
-	// CAS atomically compares-and-swaps the cell at a.
-	CAS(a mem.Addr, old, new uint64) bool
-}
-
-var _ CellStore = (*mem.Heap)(nil)
-
-// Stepper is implemented by a CellStore that also wants control at an
-// engine's internal steps: the MCASEngine's descriptor-field accesses and
-// slot claims and releases, with wait set when every slot was busy, and the
-// LockingEngine's waits on a locked cell, with wait set. Only test harnesses
-// implement it (see internal/explore).
-type Stepper interface {
-	Step(wait bool)
-}
 
 // Engine provides atomic access to heap cells, including the two-word DCAS
 // the LFRC algorithms are built on.

@@ -46,24 +46,30 @@ const lockBit = descBit
 // Waiting on a lock makes the engine blocking: its lock-freedom is a
 // property of the modeled hardware, not of the simulation.
 type LockingEngine struct {
-	h    CellStore
-	step func(wait bool) // the CellStore's Stepper, if it has one
+	h    *mem.Heap
+	step func(wait bool) // the WithStep hook; nil outside the explorer
 }
 
 var _ Engine = (*LockingEngine)(nil)
 
-// NewLocking returns a LockingEngine over h. If h implements Stepper, the
-// engine calls it with wait set each time it finds a cell locked.
-func NewLocking(h CellStore) *LockingEngine {
-	e := &LockingEngine{h: h}
-	if s, ok := h.(Stepper); ok {
-		e.step = s.Step
-	}
-	return e
+// NewLocking returns a LockingEngine over h. With WithStep, the engine calls
+// the hook before each heap access and, with wait set, each time it finds a
+// cell locked; it ignores WithPoolSize.
+func NewLocking(h *mem.Heap, opts ...Option) *LockingEngine {
+	cfg := newConfig(opts)
+	return &LockingEngine{h: h, step: cfg.step}
 }
 
 // Name implements Engine.
 func (e *LockingEngine) Name() string { return "locking" }
+
+// yield hands control to the WithStep hook, if any, before a heap access.
+// It inlines, so without a hook it costs one branch and no call.
+func (e *LockingEngine) yield() {
+	if e.step != nil {
+		e.step(false)
+	}
+}
 
 // backoff waits for another operation to release a locked cell. It yields
 // the processor at once rather than spinning: with every thread on two
@@ -80,9 +86,11 @@ func (e *LockingEngine) backoff() {
 
 // Read implements Engine.
 func (e *LockingEngine) Read(a mem.Addr) uint64 {
+	e.yield()
 	v := e.h.Load(a)
 	for v&lockBit != 0 {
 		e.backoff()
+		e.yield()
 		v = e.h.Load(a)
 	}
 	return v
@@ -97,12 +105,15 @@ func (e *LockingEngine) Write(a mem.Addr, v uint64) {
 // CAS implements Engine. A failed hardware CAS re-reads the cell, waiting
 // out a lock, and tries again if the cell still holds old.
 func (e *LockingEngine) CAS(a mem.Addr, old, new uint64) bool {
-	for !e.h.CAS(a, old, new) {
+	for {
+		e.yield()
+		if e.h.CAS(a, old, new) {
+			return true
+		}
 		if e.Read(a) != old {
 			return false
 		}
 	}
-	return true
 }
 
 // lock locks the cell at a if it holds old, waiting out another operation's
@@ -114,6 +125,7 @@ func (e *LockingEngine) lock(a mem.Addr, old uint64) bool {
 // unlock releases a lock taken on a cell that held old, leaving the cell as
 // it was. If the heap poisoned the cell meanwhile, the poison stays.
 func (e *LockingEngine) unlock(a mem.Addr, old uint64) {
+	e.yield()
 	e.h.CAS(a, old|lockBit, old)
 }
 
@@ -141,7 +153,9 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 		e.unlock(a0, old0)
 		return false
 	}
+	e.yield()
 	e.h.Store(a0, new0)
+	e.yield()
 	e.h.Store(a1, new1)
 	return true
 }
@@ -154,8 +168,10 @@ func (e *LockingEngine) compareSwap(c mem.Addr, cOld uint64, s mem.Addr, sOld, s
 		if !e.lock(s, sOld) {
 			return false
 		}
+		e.yield()
 		v := e.h.Load(c)
 		if v == cOld {
+			e.yield()
 			e.h.Store(s, sNew)
 			return true
 		}
@@ -189,6 +205,7 @@ func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 		}
 	}
 	for i := range op.n {
+		e.yield()
 		e.h.Store(op.addrs[i], op.news[i])
 	}
 	return true

@@ -33,8 +33,8 @@ import (
 // descriptor keeps its version in its status word (version<<2 | state), so
 // a stale helper cannot decide a reused descriptor's status either.
 type MCASEngine struct {
-	h     CellStore
-	step  func(wait bool) // the CellStore's Stepper, if it has one
+	h     *mem.Heap
+	step  func(wait bool) // the WithStep hook; nil outside the explorer
 	slots []descSlot
 }
 
@@ -147,11 +147,20 @@ type descSlot struct {
 	_     [40]byte
 }
 
-// Option configures an MCASEngine.
+// Option configures an engine.
 type Option func(*config)
 
 type config struct {
 	poolSize int
+	step     func(wait bool)
+}
+
+func newConfig(opts []Option) config {
+	cfg := config{poolSize: 4096}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // WithPoolSize sets the number of descriptor slots. A goroutine holds a slot
@@ -166,18 +175,23 @@ func WithPoolSize(n int) Option {
 	return func(c *config) { c.poolSize = n }
 }
 
-// NewMCAS returns a lock-free MCAS engine over h. If h implements Stepper,
-// the engine calls it at each of its internal steps.
-func NewMCAS(h CellStore, opts ...Option) *MCASEngine {
-	cfg := config{poolSize: 4096}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	e := &MCASEngine{h: h, slots: make([]descSlot, min(max(cfg.poolSize, 2), slotMask))}
-	if s, ok := h.(Stepper); ok {
-		e.step = s.Step
-	}
-	return e
+// WithStep installs a scheduling hook for the schedule explorer (see
+// internal/explore): the engine calls step(false) before each of its heap
+// accesses and internal steps, and step(true) where it waits for another
+// goroutine — on a locked cell in the LockingEngine, for a free descriptor
+// slot in the MCASEngine. Each site tests the hook through a method that
+// inlines, so the nil hook of production engines costs one predictable
+// branch and no call.
+func WithStep(step func(wait bool)) Option {
+	return func(c *config) { c.step = step }
+}
+
+// NewMCAS returns a lock-free MCAS engine over h. With WithStep, the engine
+// calls the hook before each heap access, descriptor-field access and slot
+// claim or release.
+func NewMCAS(h *mem.Heap, opts ...Option) *MCASEngine {
+	cfg := newConfig(opts)
+	return &MCASEngine{h: h, step: cfg.step, slots: make([]descSlot, min(max(cfg.poolSize, 2), slotMask))}
 }
 
 // Name implements Engine.
@@ -186,6 +200,7 @@ func (e *MCASEngine) Name() string { return "mcas" }
 // Read implements Engine.
 func (e *MCASEngine) Read(a mem.Addr) uint64 {
 	for {
+		e.yield()
 		v := e.h.Load(a)
 		if !isDescriptor(v) {
 			return v
@@ -203,9 +218,11 @@ func (e *MCASEngine) Write(a mem.Addr, v uint64) {
 // CAS implements Engine.
 func (e *MCASEngine) CAS(a mem.Addr, old, new uint64) bool {
 	for {
+		e.yield()
 		if e.h.CAS(a, old, new) {
 			return true
 		}
+		e.yield()
 		cur := e.h.Load(a)
 		if isDescriptor(cur) {
 			e.help(cur, noSlot)
@@ -246,7 +263,9 @@ func (e *MCASEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 	return e.runMCAS(&op)
 }
 
-// yield hands control to the Stepper, if any, before an internal step.
+// yield hands control to the WithStep hook, if any, before a heap access or
+// an internal step. It inlines, so without a hook it costs one branch and no
+// call.
 func (e *MCASEngine) yield() {
 	if e.step != nil {
 		e.step(false)
@@ -258,10 +277,16 @@ func (e *MCASEngine) ld(p *atomic.Uint64) uint64    { e.yield(); return p.Load()
 func (e *MCASEngine) st(p *atomic.Uint64, v uint64) { e.yield(); p.Store(v) }
 
 // claim takes a free slot, probing linearly from the caller's P id, so
-// goroutines running at once start on different slots.
+// goroutines running at once start on different slots. Under a WithStep
+// hook the probe starts at slot 0 instead: the explorer's goroutines run on
+// whatever P the Go scheduler gives them, and a start that followed it would
+// make the explored schedules differ from one run to the next.
 func (e *MCASEngine) claim() uint32 {
 	n := len(e.slots)
-	i := stripe.Hint(n)
+	i := 0
+	if e.step == nil {
+		i = stripe.Hint(n)
+	}
 	for {
 		for range n {
 			e.yield()
@@ -320,7 +345,12 @@ func (e *MCASEngine) runMCAS(op *mcasOp) bool {
 // anyone having seen it.
 func (e *MCASEngine) installFirst(ref uint64, op *mcasOp, own uint32) bool {
 	a, old := op.addrs[0], op.olds[0]
-	for !e.h.CAS(a, old, ref) {
+	for {
+		e.yield()
+		if e.h.CAS(a, old, ref) {
+			return true
+		}
+		e.yield()
 		v := e.h.Load(a)
 		if isDescriptor(v) {
 			e.help(v, own)
@@ -328,7 +358,6 @@ func (e *MCASEngine) installFirst(ref uint64, op *mcasOp, own uint32) bool {
 			return false
 		}
 	}
-	return true
 }
 
 // statusOf reads the packed status of the MCAS op named by mref. ok is
@@ -416,6 +445,7 @@ phase1:
 		if st == stSucceeded {
 			v = op.news[i]
 		}
+		e.yield()
 		e.h.CAS(op.addrs[i], ref, v)
 	}
 	return st == stSucceeded
@@ -446,9 +476,11 @@ func (e *MCASEngine) rdcssInstall(mref uint64, a2 mem.Addr, o2 uint64, own uint3
 
 	ref := packRef(true, slot, ver)
 	for {
+		e.yield()
 		if e.h.CAS(a2, o2, ref) {
 			return e.resolveRDCSS(ref, mref, a2, o2)
 		}
+		e.yield()
 		v := e.h.Load(a2)
 		if isDescriptor(v) && isRDCSSRef(v) {
 			e.completeRDCSS(v)
@@ -476,7 +508,9 @@ func (e *MCASEngine) completeRDCSS(ref uint64) {
 // MCAS op mref names is still undecided, and restores o2 otherwise. It
 // returns the value it chose; another resolver may have written it first.
 func (e *MCASEngine) resolveRDCSS(ref, mref uint64, a2 mem.Addr, o2 uint64) uint64 {
-	if st, ok := e.statusOf(mref); ok && st == stUndecided {
+	st, ok := e.statusOf(mref)
+	e.yield()
+	if ok && st == stUndecided {
 		e.h.CAS(a2, ref, mref)
 		return mref
 	}

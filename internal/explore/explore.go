@@ -5,12 +5,13 @@
 //
 // The preemption points are exactly the shared-memory operations: the
 // harness wraps the DCAS engine so that every Read/Write/CAS/DCAS yields to
-// the scheduler first (for a CellScenario, every cell operation, every
-// internal step of the software MCAS engine and every wait of the locking
-// engine on a locked cell). Since all shared state in this
-// repository is accessed through an engine, engine-operation granularity
-// captures every observable interleaving of the algorithms — the same
-// granularity a model checker of the paper's pseudocode would use.
+// the scheduler first. A CellScenario goes finer: its engines are built
+// with the explorer's dcas.WithStep hook, which yields at every heap access
+// inside the engine, every internal step of the software MCAS engine and
+// every wait of the locking engine on a locked cell. Since all shared state
+// in this repository is accessed through an engine, engine-operation
+// granularity captures every observable interleaving of the algorithms —
+// the same granularity a model checker of the paper's pseudocode would use.
 //
 // Two search modes are provided:
 //
@@ -53,52 +54,27 @@ func (s Scenario) build(yield func(wait bool)) ([]func(), func() error) {
 	})
 }
 
-// CellScenario builds a system whose *memory cells* are instrumented, so
-// every single Load/Store/CAS — including those inside an engine's helping
-// or locking protocol — is a scheduling point. The instrumented store is
-// also a dcas.Stepper, so an MCAS engine built over it adds its
+// CellScenario builds a system whose engines are built with the supplied
+// step function as their dcas.WithStep hook, so every single heap
+// Load/Store/CAS inside an engine — including those of its helping or
+// locking protocol — is a scheduling point. An MCAS engine adds its
 // descriptor-field accesses and slot claims and releases as scheduling
-// points too, and a locking engine marks its waits on a locked cell.
-type CellScenario func(instrument func(dcas.CellStore) dcas.CellStore) (threads []func(), check func() error)
+// points too, and a locking engine marks its waits on a locked cell. A
+// thread that waits — for a descriptor slot or for a locked cell — is not
+// scheduled again until another thread has made progress: taken a step that
+// is neither a wait nor the first step after one. A scenario that wants a
+// heap access outside any engine to be a scheduling point calls step(false)
+// before it.
+//
+// Build the heap with mem.WithAllocShards(1): the explorer's goroutines run
+// on whatever P the Go scheduler gives them, and a shard that followed the
+// P would hand out different addresses, and so explore different
+// schedules, from one run to the next.
+type CellScenario func(step func(wait bool)) (threads []func(), check func() error)
 
 func (s CellScenario) build(yield func(wait bool)) ([]func(), func() error) {
-	return s(func(cs dcas.CellStore) dcas.CellStore {
-		return &instrumentedCells{inner: cs, yield: yield}
-	})
+	return s(yield)
 }
-
-// instrumentedCells yields to the scheduler before every cell operation and
-// every engine step.
-type instrumentedCells struct {
-	inner dcas.CellStore
-	yield func(wait bool)
-}
-
-var (
-	_ dcas.CellStore = (*instrumentedCells)(nil)
-	_ dcas.Stepper   = (*instrumentedCells)(nil)
-)
-
-func (c *instrumentedCells) Load(a mem.Addr) uint64 {
-	c.yield(false)
-	return c.inner.Load(a)
-}
-
-func (c *instrumentedCells) Store(a mem.Addr, v uint64) {
-	c.yield(false)
-	c.inner.Store(a, v)
-}
-
-func (c *instrumentedCells) CAS(a mem.Addr, old, new uint64) bool {
-	c.yield(false)
-	return c.inner.CAS(a, old, new)
-}
-
-// Step implements dcas.Stepper. A thread that waits — for a descriptor slot
-// or for a locked cell — is not scheduled again until another thread has
-// made progress: taken a step that is neither a wait nor the first step
-// after one.
-func (c *instrumentedCells) Step(wait bool) { c.yield(wait) }
 
 // Result summarizes one exploration.
 type Result struct {

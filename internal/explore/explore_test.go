@@ -16,7 +16,7 @@ import (
 // it.
 func racyCounterScenario(useCAS bool) Scenario {
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
-		h := mem.NewHeap()
+		h := mem.NewHeap(mem.WithAllocShards(1))
 		e := instrument(dcas.NewLocking(h))
 		id := h.MustRegisterType(mem.TypeDesc{Name: "ctr", NumFields: 1})
 		r := h.MustAlloc(id)

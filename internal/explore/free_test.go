@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"lfrc/internal/check"
@@ -24,7 +26,7 @@ import (
 //
 // Runs are sequential, so they share one heap (building a heap costs more
 // than a run); each run first releases what the last one left.
-func loadVsFreeScenario(mk func(dcas.CellStore) dcas.MultiEngine, relink bool) CellScenario {
+func loadVsFreeScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, relink bool) CellScenario {
 	h := mem.NewHeap(mem.WithAllocShards(1))
 	// A pointer field gives the freer an engine step between the count
 	// reaching zero and the slot being poisoned.
@@ -36,8 +38,8 @@ func loadVsFreeScenario(mk func(dcas.CellStore) dcas.MultiEngine, relink bool) C
 		panic(err)
 	}
 	var dst mem.Ref
-	return func(instrument func(dcas.CellStore) dcas.CellStore) ([]func(), func() error) {
-		rc := core.New(h, mk(instrument(h)))
+	return func(step func(bool)) ([]func(), func() error) {
+		rc := core.New(h, mk(h, step))
 		rc.Destroy(dst)
 		dst = 0
 		rc.Store(a, 0)
@@ -101,7 +103,8 @@ func loadVsFreeScenario(mk func(dcas.CellStore) dcas.MultiEngine, relink bool) C
 // slot is recycled), and a DCAS that commits on a count cell the heap has
 // since poisoned and reinitialised (caught by the audit).
 func TestLoadRacesFreeAtCellGranularity(t *testing.T) {
-	for engine, mk := range cellEngines {
+	for _, engine := range slices.Sorted(maps.Keys(cellEngines)) {
+		mk := cellEngines[engine]
 		for _, relink := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/relink=%v", engine, relink), func(t *testing.T) {
 				res := RunDFS(loadVsFreeScenario(mk, relink), 3, 20_000, 100_000)

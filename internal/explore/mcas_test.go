@@ -2,14 +2,16 @@ package explore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
 )
 
-// This file model-checks the DCAS engines themselves: the CellScenario
-// instrumentation interleaves every *internal* Load/Store/CAS of an engine.
+// This file model-checks the DCAS engines themselves: a CellScenario's step
+// hook interleaves every *internal* Load/Store/CAS of an engine.
 // For the software MCAS engine it also interleaves every descriptor-field
 // access and slot claim or release, so the preemption-bounded DFS exercises
 // descriptor publication, installation, helping, removal and in-place reuse
@@ -21,10 +23,15 @@ import (
 // (or two sequential) operations, the observed (results, final cells) must
 // equal the outcome of SOME sequential order of the operations.
 
-// cellEngines builds each engine under test over an instrumented cell store.
-var cellEngines = map[string]func(dcas.CellStore) dcas.MultiEngine{
-	"locking": func(cs dcas.CellStore) dcas.MultiEngine { return dcas.NewLocking(cs) },
-	"mcas":    func(cs dcas.CellStore) dcas.MultiEngine { return dcas.NewMCAS(cs, dcas.WithPoolSize(2)) },
+// cellEngines builds each engine under test over h with the explorer's step
+// hook.
+var cellEngines = map[string]func(h *mem.Heap, step func(bool)) dcas.MultiEngine{
+	"locking": func(h *mem.Heap, step func(bool)) dcas.MultiEngine {
+		return dcas.NewLocking(h, dcas.WithStep(step))
+	},
+	"mcas": func(h *mem.Heap, step func(bool)) dcas.MultiEngine {
+		return dcas.NewMCAS(h, dcas.WithPoolSize(2), dcas.WithStep(step))
+	},
 }
 
 // memOp is one engine operation a thread performs.
@@ -110,24 +117,23 @@ func legalOutcomes(nCells int, threads [][]memOp) map[outcome]bool {
 	return legal
 }
 
-// engineCellScenario builds an engine over instrumented cells and runs the
+// engineCellScenario builds an engine with the step hook and runs the
 // threads' op streams, checking the observed outcome against the oracle.
-func engineCellScenario(mk func(dcas.CellStore) dcas.MultiEngine, nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
+func engineCellScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
 	// Runs are sequential, so they share one heap (building a heap costs
 	// more than a run) and each starts from zeroed cells.
-	h := mem.NewHeap()
+	h := mem.NewHeap(mem.WithAllocShards(1))
 	id := h.MustRegisterType(mem.TypeDesc{Name: "cells", NumFields: nCells})
 	r := h.MustAlloc(id)
 	addr := make([]mem.Addr, nCells)
 	for i := range addr {
 		addr[i] = h.FieldAddr(r, i)
 	}
-	return func(instrument func(dcas.CellStore) dcas.CellStore) ([]func(), func() error) {
+	return func(step func(bool)) ([]func(), func() error) {
 		for _, a := range addr {
 			h.Store(a, 0)
 		}
-		cs := instrument(h)
-		e := mk(cs)
+		e := mk(h, step)
 
 		results := make([][]string, len(threads))
 		for i := range results {
@@ -154,7 +160,8 @@ func engineCellScenario(mk func(dcas.CellStore) dcas.MultiEngine, nCells int, th
 							[]uint64{op.new0, op.new1, op.new2})
 					case 5:
 						ok = true
-						cs.Store(addr[op.a0], op.new0)
+						step(false)
+						h.Store(addr[op.a0], op.new0)
 					default:
 						ok = true
 						e.Write(addr[op.a0], op.new0)
@@ -183,7 +190,8 @@ func engineCellScenario(mk func(dcas.CellStore) dcas.MultiEngine, nCells int, th
 func checkMCASLinearizable(t *testing.T, name string, nCells int, threads [][]memOp, preemptions, maxRuns int) {
 	t.Helper()
 	legal := legalOutcomes(nCells, threads)
-	for engine, mk := range cellEngines {
+	for _, engine := range slices.Sorted(maps.Keys(cellEngines)) {
+		mk := cellEngines[engine]
 		t.Run(engine, func(t *testing.T) {
 			s := engineCellScenario(mk, nCells, threads, legal)
 			res := RunDFS(s, preemptions, maxRuns, 100_000)

@@ -35,7 +35,7 @@ func setScenario(strat core.StrategyKind, prefill []uint64, scripts [][]setOp) S
 	)
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
 		if !clean {
-			h = mem.NewHeap()
+			h = mem.NewHeap(mem.WithAllocShards(1))
 			types = dlist.MustRegisterTypes(h)
 		}
 		clean = false
@@ -153,8 +153,12 @@ func TestSetUnderExploration(t *testing.T) {
 		{{'c', 3}, {'d', 3}},
 		{{'d', 2}, {'i', 2}},
 	}
-	for name, strat := range map[string]core.StrategyKind{"figure2": core.StrategyFigure2, "split": core.StrategySplit} {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		strat core.StrategyKind
+	}{{"figure2", core.StrategyFigure2}, {"split", core.StrategySplit}} {
+		strat := c.strat
+		t.Run(c.name, func(t *testing.T) {
 			res := RunDFS(setScenario(strat, []uint64{1, 2, 3}, scripts), 2, 100_000, 100_000)
 			if res.Violations != 0 || res.Incomplete != 0 {
 				t.Errorf("%d violations, %d incomplete in %d runs; first: %v (trace %v)",

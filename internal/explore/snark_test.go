@@ -146,9 +146,9 @@ func snarkScenario(cell snarkCell, sc dequeScenario, claiming bool) Scenario {
 	)
 	return func(instrument func(dcas.Engine) dcas.Engine) ([]func(), func() error) {
 		if !clean {
-			h = mem.NewHeap()
+			h = mem.NewHeap(mem.WithAllocShards(1))
 			types = snark.MustRegisterTypes(h)
-			base = cellEngines[cell.engine](h)
+			base = cellEngines[cell.engine](h, nil)
 		}
 		clean = false
 		before := h.Stats()

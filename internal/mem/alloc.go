@@ -5,6 +5,7 @@ import (
 
 	"lfrc/internal/fault"
 	"lfrc/internal/obs"
+	"lfrc/internal/stripe"
 )
 
 // Alloc carves or recycles a slot for an object of type t: the type's header
@@ -20,7 +21,16 @@ import (
 // spent. When recycling, it verifies that the slot's poison pattern is
 // intact; a damaged pattern means some thread wrote to freed memory, and is
 // recorded in Stats().Corruptions.
-func (h *Heap) Alloc(t TypeID) (Ref, error) {
+func (h *Heap) Alloc(t TypeID) (Ref, error) { return h.alloc(t, h.shardIndex()) }
+
+// AllocOn is Alloc for a caller that has already read its P id p with
+// stripe.ID, to route its own striped counters too.
+func (h *Heap) AllocOn(t TypeID, p int) (Ref, error) {
+	return h.alloc(t, stripe.Of(p, len(h.shards)))
+}
+
+// alloc is Alloc on shard idx.
+func (h *Heap) alloc(t TypeID, idx int) (Ref, error) {
 	if uint32(t) >= h.typeCount.Load() {
 		return 0, fmt.Errorf("%w: unknown type id %d", ErrBadType, t)
 	}
@@ -29,7 +39,6 @@ func (h *Heap) Alloc(t TypeID) (Ref, error) {
 	c := class(size)
 
 	t0 := h.obs.Sample()
-	idx := h.shardIndex()
 	sh := &h.shards[idx]
 	st := &h.stats[idx]
 
@@ -113,9 +122,17 @@ func (h *Heap) MustAlloc(t TypeID) Ref {
 // belongs to package core (LFRCDestroy). Freeing an object that other
 // threads still reference will surface as poison corruption — which is the
 // behaviour the paper's methodology exists to prevent.
-func (h *Heap) Free(r Ref) error {
+func (h *Heap) Free(r Ref) error { return h.free(r, h.shardIndex()) }
+
+// FreeOn is Free for a caller that has already read its P id p with
+// stripe.ID, to route its own striped counters too.
+func (h *Heap) FreeOn(r Ref, p int) error {
+	return h.free(r, stripe.Of(p, len(h.shards)))
+}
+
+// free is Free to shard idx.
+func (h *Heap) free(r Ref, idx int) error {
 	t0 := h.obs.Sample()
-	idx := h.shardIndex()
 	st := &h.stats[idx]
 
 	if r == 0 || !h.InArena(r) {

@@ -180,13 +180,12 @@ func (h *Heap) ensureSegment(i uint32) *segment {
 }
 
 // cell returns the storage cell for address a. The address must lie within
-// the allocated arena.
+// the allocated arena. It is small enough to inline, and with it Load,
+// Store and CAS, into the engines' hot paths, so it carries no check of its
+// own: an address in a segment never mapped panics as a nil dereference,
+// and one past the last segment as an index out of range.
 func (h *Heap) cell(a Addr) *uint64 {
-	seg := h.segs[uint32(a)>>segBits].Load()
-	if seg == nil {
-		panic(fmt.Sprintf("mem: access to unmapped address %#x", a))
-	}
-	return &seg[uint32(a)&segMask]
+	return &h.segs[a>>segBits].Load()[a&segMask]
 }
 
 // Load atomically reads the cell at a.

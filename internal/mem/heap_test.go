@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -225,5 +226,35 @@ func TestInArena(t *testing.T) {
 	}
 	if h.InArena(Addr(h.next.Load() + 100)) {
 		t.Error("uncarved address reported in arena")
+	}
+}
+
+// TestAccessOutsideMappedSegmentsPanics pins what cell keeps without a check
+// of its own: an address in a segment never mapped panics (a nil
+// dereference), and so does one past the last segment (an index out of
+// range), for every accessor.
+func TestAccessOutsideMappedSegmentsPanics(t *testing.T) {
+	h := testHeap(t)
+	for _, tc := range []struct {
+		name string
+		a    Addr
+	}{
+		{"unmapped segment", Addr(segWords + 5)},
+		{"past maxSegs", Addr(maxSegs << segBits)},
+	} {
+		for op, f := range map[string]func(){
+			"Load":  func() { h.Load(tc.a) },
+			"Store": func() { h.Store(tc.a, 1) },
+			"CAS":   func() { h.CAS(tc.a, 0, 1) },
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("%s at %s (%#x): want a runtime panic", op, tc.name, tc.a)
+					}
+				}()
+				f()
+			}()
+		}
 	}
 }

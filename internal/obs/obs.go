@@ -395,11 +395,17 @@ func (r *Recorder) Recorded() uint64 {
 // start timestamp when this operation was selected for recording and 0
 // otherwise (including on a nil or disabled recorder). Callers thread the
 // token through to Record, which is a no-op for 0, so an unsampled operation
-// pays exactly this one check.
+// pays exactly this one check. The check inlines into the caller; only a
+// recorder that samples calls the outlined body.
 func (r *Recorder) Sample() int64 {
 	if r == nil || r.every == 0 {
 		return 0
 	}
+	return r.sample()
+}
+
+// sample is Sample's body on a recorder that samples.
+func (r *Recorder) sample() int64 {
 	if r.every > 1 {
 		st := &r.stripes[stripe.Hint(len(r.stripes))]
 		if st.sampleN.Add(1)%r.every != 0 {
@@ -413,17 +419,27 @@ func (r *Recorder) Sample() int64 {
 // to the calling stripe's ring and feeds the operation's latency and retry
 // count to the histograms. t0 of 0 (unsampled) makes it a no-op for the ring
 // and histograms; an installed sink still receives events for refs it claims.
+// It repeats RecordT's check rather than calling RecordT, which would push
+// it past the inliner's budget.
 func (r *Recorder) Record(t0 int64, kind Kind, ref, addr uint32, ok bool, retries uint32) {
-	r.RecordT(t0, kind, ref, addr, ok, retries, 0, 0)
+	if r != nil && (t0 != 0 || r.sink != nil) {
+		r.recordT(t0, kind, ref, addr, ok, retries, 0, 0)
+	}
 }
 
 // RecordT is Record carrying a transition (old/new reference count, or
 // generation/epoch stamps for allocator events) in the event's Old/New
-// fields.
+// fields. On a nil recorder, or for an unsampled operation (t0 of 0) with no
+// sink installed, it costs one check that inlines into the caller.
 func (r *Recorder) RecordT(t0 int64, kind Kind, ref, addr uint32, ok bool, retries, oldv, newv uint32) {
-	if r == nil {
-		return
+	if r != nil && (t0 != 0 || r.sink != nil) {
+		r.recordT(t0, kind, ref, addr, ok, retries, oldv, newv)
 	}
+}
+
+// recordT is RecordT's body once a sampled operation or a sink may want
+// the event.
+func (r *Recorder) recordT(t0 int64, kind Kind, ref, addr uint32, ok bool, retries, oldv, newv uint32) {
 	wanted := r.sink != nil && ref != 0 && (kind == KindAlloc || r.sinkRefs.Has(ref))
 	if t0 == 0 && !wanted {
 		return
@@ -456,14 +472,22 @@ func (r *Recorder) RecordT(t0 int64, kind Kind, ref, addr uint32, ok bool, retri
 // installed sink receives the event for refs it claims regardless of
 // sampling.
 func (r *Recorder) Note(kind Kind, ref, addr uint32) {
-	r.NoteT(kind, ref, addr, 0, 0)
+	if r != nil && (r.every != 0 || r.sink != nil) {
+		r.noteT(kind, ref, addr, 0, 0)
+	}
 }
 
-// NoteT is Note carrying a transition in the event's Old/New fields.
+// NoteT is Note carrying a transition in the event's Old/New fields. On a
+// nil recorder, or one that neither samples nor has a sink, it costs one
+// check that inlines into the caller.
 func (r *Recorder) NoteT(kind Kind, ref, addr, oldv, newv uint32) {
-	if r == nil {
-		return
+	if r != nil && (r.every != 0 || r.sink != nil) {
+		r.noteT(kind, ref, addr, oldv, newv)
 	}
+}
+
+// noteT is NoteT's body on a recorder that samples or has a sink.
+func (r *Recorder) noteT(kind Kind, ref, addr, oldv, newv uint32) {
 	wanted := r.sink != nil && ref != 0 && (kind == KindAlloc || r.sinkRefs.Has(ref))
 	sampled := r.every != 0
 	if sampled && r.every > 1 {

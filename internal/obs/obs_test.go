@@ -366,3 +366,49 @@ func TestRecordCarriesTransitionValues(t *testing.T) {
 		t.Errorf("String() omits the transition: %s", evs[0])
 	}
 }
+
+// TestTapChecksKeepSemantics pins what the inlined "nil or off" checks of
+// Sample, RecordT and NoteT may skip: only work no ring and no sink wants.
+func TestTapChecksKeepSemantics(t *testing.T) {
+	var nilRec *Recorder
+	off := New(WithSampleEvery(0), WithStripes(1))
+	for name, r := range map[string]*Recorder{"nil": nilRec, "disabled": off} {
+		if tok := r.Sample(); tok != 0 {
+			t.Errorf("%s Sample() = %d, want 0", name, tok)
+		}
+		r.RecordT(0, KindLoad, 0x10, 0, true, 0, 1, 2)
+		r.NoteT(KindZombiePush, 0x10, 0, 1, 0)
+		if got := r.Recorded(); got != 0 {
+			t.Errorf("%s recorder recorded %d events", name, got)
+		}
+	}
+
+	// Sampling on, no sink: an unsampled operation (t0 = 0) records nothing.
+	on := New(WithSampleEvery(1), WithStripes(1))
+	on.RecordT(0, KindLoad, 0x10, 0, true, 0, 1, 2)
+	if got := on.Recorded(); got != 0 {
+		t.Errorf("unsampled RecordT recorded %d events, want 0", got)
+	}
+
+	// Sampling off, sink installed: a claimed ref's event still reaches
+	// the sink, with TS 0 and its transition, and never the ring.
+	sink := &recordingSink{wanted: NewRefSet(16)}
+	off.SetSink(sink)
+	off.RecordT(0, KindAlloc, 0x10, 0, true, 0, 1, 7)
+	off.RecordT(0, KindDestroy, 0x10, 0, true, 0, 2, 1)
+	off.RecordT(0, KindDestroy, 0x20, 0, true, 0, 2, 1) // unclaimed ref
+	off.NoteT(KindZombiePush, 0x10, 0, 1, 0)
+	if got := off.Recorded(); got != 0 {
+		t.Errorf("ring recorded %d events with sampling off", got)
+	}
+	evs := sink.events()
+	if len(evs) != 3 {
+		t.Fatalf("sink got %d events, want 3 (alloc, destroy, zombie_push): %+v", len(evs), evs)
+	}
+	if e := evs[1]; e.Kind != KindDestroy || e.TS != 0 || e.Old != 2 || e.New != 1 {
+		t.Errorf("sink-only destroy = %+v, want TS 0 and transition 2->1", e)
+	}
+	if e := evs[2]; e.Kind != KindZombiePush || e.Old != 1 {
+		t.Errorf("sink-only note = %+v, want zombie_push carrying 1->0", e)
+	}
+}

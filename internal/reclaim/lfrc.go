@@ -1,11 +1,13 @@
 package reclaim
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"lfrc/internal/fault"
 	"lfrc/internal/mem"
 	"lfrc/internal/obs"
+	"lfrc/internal/stripe"
 )
 
 // lfrcReclaimer is the paper-faithful backend: count-zero objects are
@@ -25,16 +27,30 @@ type lfrcReclaimer struct {
 
 	head    atomic.Uint64
 	pending atomic.Int64
-
-	retired atomic.Int64
-	freed   atomic.Int64
 	parked  atomic.Int64
 	drains  atomic.Int64
+
+	// counts holds the retired and freed tallies every Retire adds to,
+	// striped by P so clients freeing at once never share a line through
+	// them; Stats sums the stripes.
+	counts []retireStripe
+}
+
+// retireStripe is one stripe of the lfrc backend's per-free accounting,
+// padded to a cache line.
+type retireStripe struct {
+	retired atomic.Int64
+	freed   atomic.Int64
+	_       [48]byte
 }
 
 func newLFRC(env Env, cfg config) *lfrcReclaimer {
-	return &lfrcReclaimer{env: env, budget: cfg.budget, obs: cfg.obs, fj: cfg.fj}
+	return &lfrcReclaimer{env: env, budget: cfg.budget, obs: cfg.obs, fj: cfg.fj,
+		counts: make([]retireStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0)))}
 }
+
+// st routes the calling goroutine to the counter stripe of the P it runs on.
+func (z *lfrcReclaimer) st() *retireStripe { return &z.counts[stripe.Hint(len(z.counts))] }
 
 // Name implements Reclaimer.
 func (z *lfrcReclaimer) Name() string { return KindLFRC.String() }
@@ -43,9 +59,10 @@ func (z *lfrcReclaimer) Name() string { return KindLFRC.String() }
 // hit zero) immediately, up to the incremental-destroy budget; excess
 // objects park on the zombie stack for a later Drain.
 func (z *lfrcReclaimer) Retire(roots []mem.Ref) {
-	z.retired.Add(int64(len(roots)))
+	st := z.st()
+	st.retired.Add(int64(len(roots)))
 	n := freeDFS(z.env, roots, z.budget, z.push)
-	z.freed.Add(int64(n))
+	st.freed.Add(int64(n))
 }
 
 // Drain implements Reclaimer: it reclaims up to max parked objects (and
@@ -65,7 +82,7 @@ func (z *lfrcReclaimer) Drain(max int) int {
 		}
 		processed += freeDFS(z.env, []mem.Ref{p}, budget, z.push)
 	}
-	z.freed.Add(int64(processed))
+	z.st().freed.Add(int64(processed))
 	return processed
 }
 
@@ -74,14 +91,17 @@ func (z *lfrcReclaimer) Pending() int64 { return z.pending.Load() }
 
 // Stats implements Reclaimer.
 func (z *lfrcReclaimer) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Backend: z.Name(),
-		Retired: z.retired.Load(),
-		Freed:   z.freed.Load(),
 		Parked:  z.parked.Load(),
 		Pending: z.pending.Load(),
 		Drains:  z.drains.Load(),
 	}
+	for i := range z.counts {
+		s.Retired += z.counts[i].retired.Load()
+		s.Freed += z.counts[i].freed.Load()
+	}
+	return s
 }
 
 // push parks a dead object (count already zero) on the zombie stack,

@@ -127,3 +127,22 @@ func TestHintSeparatesRunningGoroutines(t *testing.T) {
 		t.Error("the two goroutines never ran at the same instant within 10s")
 	}
 }
+
+// TestOfMatchesHint: routing one ID through Of lands on the stripe Hint
+// picks, for every stripe count, so callers that read the P id once and
+// reduce it into several arrays route exactly as separate Hint calls would.
+func TestOfMatchesHint(t *testing.T) {
+	for _, tc := range []struct{ p, n, want int }{
+		{0, 1, 0}, {3, 1, 0}, {1, 4, 1}, {5, 4, 1}, {7, 7, 0}, {63, 64, 63},
+	} {
+		if got := Of(tc.p, tc.n); got != tc.want {
+			t.Errorf("Of(%d, %d) = %d, want %d", tc.p, tc.n, got, tc.want)
+		}
+	}
+	p := procPin()
+	id, h := ID(), Hint(3)
+	procUnpin()
+	if id != p || h != Of(p, 3) {
+		t.Errorf("on P %d: ID() = %d, Hint(3) = %d, want %d and %d", p, id, h, p, Of(p, 3))
+	}
+}
