@@ -13,7 +13,7 @@ BENCHTIME ?=
 # the same matrix. check-rc and check-reclaim both run them under -race.
 SET_MATRIX = -race -count=1 -run 'TestSearchHandsCountsAlong|TestConcurrent(Disjoint|Contended)Keys|TestSortedSetLinearizable' ./internal/dlist ./internal/linear
 
-.PHONY: all check build vet test check-inline check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
+.PHONY: all check build vet check-fmt test check-inline check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
 
 all: check
 
@@ -34,8 +34,8 @@ all: check
 # the chaos -> bundle -> lfrcdoctor offline-diagnosis loop on both backends.
 # check-bench builds and tests the benchmark under bench/, its own module that
 # root `go test ./...` never reaches. check-inline keeps the hot path's
-# accessors inlinable.
-check: build vet check-inline test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
+# accessors inlinable. check-fmt fails on any file gofmt would change.
+check: build vet check-fmt check-inline test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
 
 # Focused race gate over the concurrency-critical packages, three runs each:
 # the race detector's scheduling makes goroutines migrate between Ps often,
@@ -114,6 +114,11 @@ check-inline:
 
 vet:
 	$(GO) vet ./...
+
+check-fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "check-fmt: not gofmt-clean:"; echo "$$out"; exit 1; fi; \
+	echo "check-fmt: PASS"
 
 test:
 	$(GO) test ./...

@@ -38,10 +38,10 @@ import (
 // analysis degrades gracefully (a bundle without a timeline still gets its
 // census cross-checked).
 type bundle struct {
-	Manifest  lfrc.BundleManifest
-	Timeline  timeline.Doc
-	Incidents watchdog.Doc
-	Census    census.Snapshot
+	Manifest   lfrc.BundleManifest
+	Timeline   timeline.Doc
+	Incidents  watchdog.Doc
+	Census     census.Snapshot
 	HaveCensus bool
 
 	PostmortemCount int
@@ -127,11 +127,11 @@ type finding struct {
 
 // report is the full verdict.
 type report struct {
-	Bundle   string             `json:"bundle"`
+	Bundle   string              `json:"bundle"`
 	Manifest lfrc.BundleManifest `json:"manifest"`
-	Healthy  bool               `json:"healthy"`
-	Findings []finding          `json:"findings"`
-	Context  []string           `json:"context"`
+	Healthy  bool                `json:"healthy"`
+	Findings []finding           `json:"findings"`
+	Context  []string            `json:"context"`
 }
 
 // replay runs the watchdog's default rules over the bundle's samples plus one

@@ -18,7 +18,13 @@
 //     single-word CAS using the RDCSS and MCAS constructions of Harris,
 //     Fraser & Pratt (DISC 2002). Each operation reuses its own padded
 //     descriptor slot in place under a bumped version, which helpers
-//     validate, so they can never be confused by that reuse.
+//     validate, so they can never be confused by that reuse. A full DCAS
+//     puts its descriptor in both cells. A compare-only DCAS puts it only
+//     in the cell it swaps, and is decided from one load of the compared
+//     cell, its linearization point; finding a descriptor there decides a
+//     retry instead, so deciding never helps another op. Slot order keeps
+//     compare-only ops whose cells cross from retrying each other forever,
+//     and the engine stays lock-free.
 //
 // All pointer and reference-count cells of LFRC-managed objects are accessed
 // exclusively through an Engine, which is what lets the two implementations

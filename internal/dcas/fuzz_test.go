@@ -15,6 +15,7 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 3, 2, 0, 1, 3})
 	f.Add([]byte{3, 3, 3, 3})
 	f.Add([]byte{1, 0, 2, 2, 1, 0})
+	f.Add([]byte{3, 0, 1, 0, 0, 4, 1, 0, 0, 1, 3, 2, 3, 0, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 600 {
@@ -34,7 +35,7 @@ func FuzzEnginesAgree(f *testing.F) {
 
 			var outcomes []bool
 			for i := 0; i+4 < len(script); i += 5 {
-				op := script[i] % 3
+				op := script[i] % 5
 				a0 := cells[script[i+1]%nCells]
 				a1 := cells[script[i+2]%nCells]
 				v0 := uint64(script[i+3] % 4)
@@ -46,6 +47,10 @@ func FuzzEnginesAgree(f *testing.F) {
 					outcomes = append(outcomes, e.CAS(a0, v0, v1))
 				case 2:
 					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, v1, v0))
+				case 3: // compare-only on a0
+					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, v0, (v1+1)%4))
+				case 4: // compare-only on a1
+					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, (v0+1)%4, v1))
 				}
 			}
 			var final [nCells]uint64

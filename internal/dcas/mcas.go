@@ -32,6 +32,30 @@ import (
 // and reuse can never corrupt anything: its CASes simply fail. An MCAS
 // descriptor keeps its version in its status word (version<<2 | state), so
 // a stale helper cannot decide a reused descriptor's status either.
+//
+// A DCAS that writes exactly one of its cells back unchanged (old == new,
+// the shape of the paper's LFRCLoad, which compares the pointer cell and
+// bumps the count) is compare-only on that cell. Its descriptor goes into
+// the swapped cell alone, with one plain CAS and no RDCSS, and the op is
+// decided from a single load of the compared cell: its expected value
+// succeeds the op, any other value fails it, and a descriptor decides a
+// fourth state, retry, after which the owner starts over. That deciding
+// load is the linearization point: from the install to the decision the
+// swapped cell holds the undecided descriptor, and every engine access to
+// it settles the op first, so the cell logically held its old value then.
+// Owner and helpers decide the same way, and a helper settles the op
+// without a slot and without helping anything from inside it, so a full
+// DCAS that holds the compared cell and waits on the swapped one cannot
+// cycle with it.
+//
+// Every retry is paid for by another op's progress: the owner's next Read
+// of the compared cell helps whatever op it found there. The exception is
+// compare-only ops whose cells cross (one compares X and swaps Y, another
+// compares Y and swaps X, or a longer cycle), which could make each other
+// retry forever. Slot order breaks such cycles: a decider that finds a
+// compare-only descriptor from a higher slot in its compared cell forces
+// that op to retry, unless someone decided it already, and decides on the
+// value the cell logically held once it was decided.
 type MCASEngine struct {
 	h     *mem.Heap
 	step  func(wait bool) // the WithStep hook; nil outside the explorer
@@ -52,10 +76,15 @@ const (
 	// noSlot is the own-slot argument of a helper that holds no slot.
 	noSlot = ^uint32(0)
 
-	// MCAS status states (low two bits of the packed status word).
+	// MCAS status states (low two bits of the packed status word). Only a
+	// compare-only op is ever decided stRetry.
 	stUndecided = 0
 	stSucceeded = 1
 	stFailed    = 2
+	stRetry     = 3
+
+	// cmpOnly is the n of a compare-only op's descriptor.
+	cmpOnly = maxNCAS + 1
 )
 
 // isDescriptor reports whether a cell value is a descriptor reference.
@@ -120,7 +149,16 @@ func (op *mcasOp) sort() bool {
 	return true
 }
 
-// mcasDesc publishes an mcasOp plus a version-packed status word.
+// cmpOp is a compare-only DCAS: it swaps cell s from sOld to sNew if cell c
+// holds cOld.
+type cmpOp struct {
+	s, c             mem.Addr
+	sOld, sNew, cOld uint64
+}
+
+// mcasDesc publishes an mcasOp plus a version-packed status word. A
+// compare-only op is published with n = cmpOnly, its swapped cell as
+// location 0 and its compared cell as location 1.
 type mcasDesc struct {
 	status atomic.Uint64 // ver<<2 | state; ver is odd while active
 	n      atomic.Uint64
@@ -243,6 +281,12 @@ func (e *MCASEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
 		}
 		return e.CAS(a0, old0, new0)
 	}
+	if old0 == new0 && old1 != new1 {
+		return e.compareSwap(&cmpOp{c: a0, cOld: old0, s: a1, sOld: old1, sNew: new1})
+	}
+	if old1 == new1 && old0 != new0 {
+		return e.compareSwap(&cmpOp{c: a1, cOld: old1, s: a0, sOld: old0, sNew: new0})
+	}
 	return e.runMCAS(&mcasOp{n: 2, addrs: [maxNCAS]mem.Addr{a0, a1},
 		olds: [maxNCAS]uint64{old0, old1}, news: [maxNCAS]uint64{new0, new1}})
 }
@@ -331,20 +375,144 @@ func (e *MCASEngine) runMCAS(op *mcasOp) bool {
 	e.st(&d.status, ver<<2|stUndecided) // publish
 
 	ref := packRef(false, own, ver)
-	ok := e.installFirst(ref, op, own) && e.helpMCAS(ref, op, 1, own)
+	ok := e.installFirst(ref, op.addrs[0], op.olds[0], own) && e.helpMCAS(ref, op, 1, own)
 
 	e.st(&d.status, (ver+1)<<2) // retire (even)
 	e.release(own)
 	return ok
 }
 
-// installFirst places ref into the op's lowest location with a plain CAS.
-// The RDCSS guard is unnecessary there: until ref is in a cell no other
-// goroutine can name it, so the op cannot have been decided. It returns
-// false if the location holds some other value; the op then fails without
-// anyone having seen it.
-func (e *MCASEngine) installFirst(ref uint64, op *mcasOp, own uint32) bool {
-	a, old := op.addrs[0], op.olds[0]
+// compareSwap runs a compare-only DCAS. Each attempt reads the compared
+// cell holding no slot, helping any op it finds there, then publishes op in
+// a claimed slot, installs the descriptor into the swapped cell and settles
+// the op. An attempt decided stRetry releases its slot and starts over.
+func (e *MCASEngine) compareSwap(op *cmpOp) bool {
+	for {
+		if e.Read(op.c) != op.cOld {
+			return false
+		}
+		own := e.claim()
+		ref := e.publishCmp(own, op)
+		st := uint64(stFailed)
+		if e.installFirst(ref, op.s, op.sOld, own) {
+			st = e.settleCmp(ref, op)
+		}
+
+		_, ver := unpackRef(ref)
+		e.st(&e.slots[own].mcas.status, (ver+1)<<2) // retire (even)
+		e.release(own)
+		if st != stRetry {
+			return st == stSucceeded
+		}
+	}
+}
+
+// publishCmp publishes the compare-only op in slot own's MCAS descriptor
+// and returns the descriptor reference.
+func (e *MCASEngine) publishCmp(own uint32, op *cmpOp) uint64 {
+	d := &e.slots[own].mcas
+	ver := d.status.Load()>>2 + 1 // becomes odd
+	e.st(&d.n, cmpOnly)
+	e.st(&d.addrs[0], uint64(op.s))
+	e.st(&d.olds[0], op.sOld)
+	e.st(&d.news[0], op.sNew)
+	e.st(&d.addrs[1], uint64(op.c))
+	e.st(&d.olds[1], op.cOld)
+	e.st(&d.status, ver<<2|stUndecided) // publish
+	return packRef(false, own, ver)
+}
+
+// settleCmp decides the compare-only op named by ref, whose descriptor ref
+// is in its swapped cell, from one load of its compared cell, and releases
+// the swapped cell. It returns the decided state, or stUndecided if the
+// descriptor has been reused, so the op is long over.
+func (e *MCASEngine) settleCmp(ref uint64, op *cmpOp) uint64 {
+	e.yield()
+	v := e.h.Load(op.c)
+	if isDescriptor(v) {
+		v = e.preempt(v, ref)
+	}
+	state := uint64(stRetry)
+	if v == op.cOld {
+		state = stSucceeded
+	} else if !isDescriptor(v) {
+		state = stFailed
+	}
+	st, _ := e.decideCmp(ref, op, state)
+	return st
+}
+
+// decideCmp decides the compare-only op named by ref as state, unless it is
+// decided already, and releases its swapped cell: to sNew if the op
+// succeeded, back to sOld otherwise. It returns the op's decided state; ok
+// is false if the descriptor has been reused.
+func (e *MCASEngine) decideCmp(ref uint64, op *cmpOp, state uint64) (uint64, bool) {
+	slot, ver := unpackRef(ref)
+	e.yield()
+	st := state
+	if !e.slots[slot].mcas.status.CompareAndSwap(ver<<2|stUndecided, ver<<2|state) {
+		var ok bool
+		if st, ok = e.statusOf(ref); !ok {
+			return 0, false
+		}
+	}
+	v := op.sOld
+	if st == stSucceeded {
+		v = op.sNew
+	}
+	e.yield()
+	e.h.CAS(op.s, ref, v)
+	return st, true
+}
+
+// preempt handles the descriptor reference v found in the compared cell of
+// the compare-only op named by ref. If v names a compare-only op from a
+// higher slot, preempt decides that op stRetry unless it is decided
+// already, releases the cell, and returns the value the cell held once the
+// op was decided; the caller decides its own op on that value, which
+// breaks cycles of compare-only ops that cross. Otherwise, or if v's
+// descriptor has been reused meanwhile, it returns v.
+func (e *MCASEngine) preempt(v, ref uint64) uint64 {
+	if isRDCSSRef(v) || v&slotMask <= ref&slotMask {
+		return v
+	}
+	d := &e.slots[v&slotMask].mcas
+	if e.ld(&d.n) != cmpOnly {
+		return v
+	}
+	op := e.snapshotCmp(d)
+	if _, ok := e.statusOf(v); !ok {
+		return v
+	}
+	st, ok := e.decideCmp(v, &op, stRetry)
+	if !ok {
+		return v
+	}
+	if st == stSucceeded {
+		return op.sNew
+	}
+	return op.sOld
+}
+
+// snapshotCmp reads a compare-only op's fields from its descriptor. The
+// caller validates the version afterwards.
+func (e *MCASEngine) snapshotCmp(d *mcasDesc) cmpOp {
+	return cmpOp{
+		s:    mem.Addr(e.ld(&d.addrs[0])),
+		sOld: e.ld(&d.olds[0]),
+		sNew: e.ld(&d.news[0]),
+		c:    mem.Addr(e.ld(&d.addrs[1])),
+		cOld: e.ld(&d.olds[1]),
+	}
+}
+
+// installFirst places ref into location a, which holds old, with a plain
+// CAS: the lowest location of a full op, or the swapped cell of a
+// compare-only one. The RDCSS guard is unnecessary there: until ref is in a
+// cell no other goroutine can name it, so the op cannot have been decided.
+// It returns false if the location holds some other value; the op then
+// fails without anyone having seen it.
+func (e *MCASEngine) installFirst(ref uint64, a mem.Addr, old uint64, own uint32) bool {
 	for {
 		e.yield()
 		if e.h.CAS(a, old, ref) {
@@ -382,7 +550,15 @@ func (e *MCASEngine) help(v uint64, own uint32) {
 	// Snapshot the op, then validate the version: a retired op's snapshot
 	// is garbage, but then the caller's cell no longer holds v either.
 	d := &e.slots[v&slotMask].mcas
-	op := mcasOp{n: min(int(e.ld(&d.n)), maxNCAS)}
+	n := e.ld(&d.n)
+	if n == cmpOnly {
+		op := e.snapshotCmp(d)
+		if _, ok := e.statusOf(v); ok {
+			e.settleCmp(v, &op)
+		}
+		return
+	}
+	op := mcasOp{n: min(int(n), maxNCAS)}
 	for i := range op.n {
 		op.addrs[i] = mem.Addr(e.ld(&d.addrs[i]))
 		op.olds[i] = e.ld(&d.olds[i])

@@ -1,6 +1,7 @@
 package dcas
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"lfrc/internal/mem"
@@ -183,6 +185,53 @@ func TestConcurrentRandomPairsDCAS(t *testing.T) {
 }
 
 func isValue(v uint64) bool { return !isDescriptor(v) }
+
+// TestConcurrentCompareOnlyCounts has workers bump one of two cells with a
+// compare-only DCAS that compares the other, in both directions, so the
+// ops' cells cross, while other workers bump both with a full DCAS. Every
+// success adds exactly 1 to each cell it swaps, so each final cell must
+// equal the successes that swapped it.
+func TestConcurrentCompareOnlyCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for name, mk := range engineFactories() {
+		t.Run(name, func(t *testing.T) {
+			h := mem.NewHeap()
+			e := mk(h)
+			c := newCells(t, h, 2)
+
+			const workers, perW = 6, 2000
+			var bumped [3]atomic.Int64 // cell 0 only, cell 1 only, both
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func(kind int) {
+					defer wg.Done()
+					for range perW {
+						x, y := e.Read(c[0]), e.Read(c[1])
+						nx, ny := x+1, y+1
+						switch kind {
+						case 0:
+							ny = y // compare cell 1
+						case 1:
+							nx = x // compare cell 0
+						}
+						if e.DCAS(c[0], c[1], x, y, nx, ny) {
+							bumped[kind].Add(1)
+						}
+					}
+				}(w % 3)
+			}
+			wg.Wait()
+
+			want0 := uint64(bumped[0].Load() + bumped[2].Load())
+			want1 := uint64(bumped[1].Load() + bumped[2].Load())
+			if x, y := e.Read(c[0]), e.Read(c[1]); x != want0 || y != want1 {
+				t.Errorf("cells = %d, %d; want %d, %d (successes %d, %d, %d)",
+					x, y, want0, want1, bumped[0].Load(), bumped[1].Load(), bumped[2].Load())
+			}
+		})
+	}
+}
 
 // TestMCASSmallPool forces heavy descriptor-slot contention: with a pool of
 // just two slots and eight workers, operations must still complete and stay
@@ -387,7 +436,7 @@ func TestEnginesAgreeSequentially(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			var outcomes []bool
 			for i := 0; i < 200; i++ {
-				op := rng.Intn(3)
+				op := rng.Intn(5)
 				a0 := cells[rng.Intn(nCells)]
 				a1 := cells[rng.Intn(nCells)]
 				v0 := uint64(rng.Intn(4))
@@ -401,6 +450,10 @@ func TestEnginesAgreeSequentially(t *testing.T) {
 					outcomes = append(outcomes, e.CAS(a0, v0, n0))
 				case 2:
 					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, n0, n1))
+				case 3: // compare-only on a0
+					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, v0, (v1+1)%4))
+				case 4: // compare-only on a1
+					outcomes = append(outcomes, e.DCAS(a0, a1, v0, v1, (v0+1)%4, v1))
 				}
 			}
 			final := make([]uint64, nCells)
@@ -445,4 +498,144 @@ func TestEnginesAgreeSequentially(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMCASCompareOnlySlotOrder sets up two compare-only ops whose cells
+// cross, each descriptor installed in the cell the other compares, and
+// settles each in turn. The op from the higher slot finds the other's
+// descriptor and retries, leaving it alone; the op from the lower slot
+// forces the other to retry and decides on the value that leaves in its
+// compared cell, so the pair cannot keep each other retrying.
+func TestMCASCompareOnlySlotOrder(t *testing.T) {
+	h := mem.NewHeap()
+	e := NewMCAS(h, WithPoolSize(2))
+	c := newCells(t, h, 2)
+	lo := cmpOp{c: c[0], cOld: 0, s: c[1], sOld: 0, sNew: 1}
+	hi := cmpOp{c: c[1], cOld: 0, s: c[0], sOld: 0, sNew: 2}
+	loRef, hiRef := e.publishCmp(0, &lo), e.publishCmp(1, &hi)
+	h.Store(lo.s, loRef)
+	h.Store(hi.s, hiRef)
+
+	if st := e.settleCmp(hiRef, &hi); st != stRetry {
+		t.Fatalf("higher slot settled to state %d, want retry", st)
+	}
+	if st, _ := e.statusOf(loRef); st != stUndecided || h.Load(lo.s) != loRef {
+		t.Fatalf("lower slot's op: state %d, swapped cell %#x; want it undecided and in place", st, h.Load(lo.s))
+	}
+
+	// The higher slot's owner starts over: retire, publish, install.
+	_, ver := unpackRef(hiRef)
+	e.slots[1].mcas.status.Store((ver + 1) << 2)
+	hiRef = e.publishCmp(1, &hi)
+	h.Store(hi.s, hiRef)
+
+	if st := e.settleCmp(loRef, &lo); st != stSucceeded {
+		t.Fatalf("lower slot settled to state %d, want succeeded", st)
+	}
+	if st, _ := e.statusOf(hiRef); st != stRetry {
+		t.Errorf("higher slot's op left in state %d, want forced to retry", st)
+	}
+	if v0, v1 := h.Load(c[0]), h.Load(c[1]); v0 != 0 || v1 != 1 {
+		t.Errorf("cells = %#x, %#x; want 0, 1", v0, v1)
+	}
+}
+
+// TestMCASStalledCompareOnlyOwnerBlocksNoOne parks a compare-only DCAS's
+// owner right after its descriptor lands in the swapped cell. While it stays
+// parked, another goroutine's CAS on the swapped cell, Reads of both cells
+// and a two-cell DCAS over the compared cell must all complete. Once
+// released, the owner's result and the final cells must be those of some
+// sequential order of the two goroutines' operations.
+func TestMCASStalledCompareOnlyOwnerBlocksNoOne(t *testing.T) {
+	h := mem.NewHeap()
+	cells := newCells(t, h, 2)
+	c, s := cells[0], cells[1]
+	var armed atomic.Bool
+	parked, resume := make(chan struct{}), make(chan struct{})
+	e := NewMCAS(h, WithStep(func(bool) {
+		if armed.Load() && isDescriptor(h.Load(s)) {
+			armed.Store(false)
+			close(parked)
+			<-resume
+		}
+	}))
+	e.Write(c, 10)
+	e.Write(s, 20)
+
+	// The model runs the owner's op (compare c with 10, swap s 20 -> 21)
+	// and the other goroutine's ops in a sequential order; owner says after
+	// how many of the other's ops the owner's runs.
+	type result struct {
+		owner bool
+		other string
+		final [2]uint64
+	}
+	model := func(owner int) result {
+		m := [2]uint64{10, 20}
+		var r result
+		var other []any
+		for i := 0; i <= 4; i++ {
+			if i == owner {
+				if r.owner = m[0] == 10 && m[1] == 20; r.owner {
+					m[1] = 21
+				}
+			}
+			switch i {
+			case 0:
+				ok := m[1] == 21
+				if ok {
+					m[1] = 22
+				}
+				other = append(other, ok)
+			case 1, 2:
+				other = append(other, m[i-1])
+			case 3:
+				ok := m[0] == 10 && m[1] == 22
+				if ok {
+					m[0], m[1] = 11, 23
+				}
+				other = append(other, ok)
+			}
+		}
+		r.other, r.final = fmt.Sprint(other...), m
+		return r
+	}
+
+	armed.Store(true)
+	ownerDone := make(chan bool, 1)
+	go func() { ownerDone <- e.DCAS(c, s, 10, 20, 10, 21) }()
+	released := false
+	defer func() {
+		if !released {
+			close(resume)
+		}
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the owner never installed its descriptor")
+	}
+
+	otherDone := make(chan []any, 1)
+	go func() {
+		ok := e.CAS(s, 21, 22)
+		v0, v1 := e.Read(c), e.Read(s)
+		otherDone <- []any{ok, v0, v1, e.DCAS(c, s, 10, 22, 11, 23)}
+	}()
+	var other []any
+	select {
+	case other = <-otherDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("operations on the stalled owner's cells did not complete")
+	}
+	close(resume)
+	released = true
+	got := result{owner: <-ownerDone, other: fmt.Sprint(other...), final: [2]uint64{e.Read(c), e.Read(s)}}
+
+	for owner := 0; owner <= 4; owner++ {
+		if model(owner) == got {
+			return
+		}
+	}
+	t.Errorf("outcome %+v is explained by no sequential order", got)
 }

@@ -189,8 +189,14 @@ func engineCellScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, nCells 
 // any outcome outside the sequential-oracle set.
 func checkMCASLinearizable(t *testing.T, name string, nCells int, threads [][]memOp, preemptions, maxRuns int) {
 	t.Helper()
+	checkLinearizableOn(t, slices.Sorted(maps.Keys(cellEngines)), name, nCells, threads, preemptions, maxRuns)
+}
+
+// checkLinearizableOn is checkMCASLinearizable on the named engines only.
+func checkLinearizableOn(t *testing.T, engines []string, name string, nCells int, threads [][]memOp, preemptions, maxRuns int) {
+	t.Helper()
 	legal := legalOutcomes(nCells, threads)
-	for _, engine := range slices.Sorted(maps.Keys(cellEngines)) {
+	for _, engine := range engines {
 		mk := cellEngines[engine]
 		t.Run(engine, func(t *testing.T) {
 			s := engineCellScenario(mk, nCells, threads, legal)
@@ -352,5 +358,64 @@ func TestMCASModelCheckReaderDuringCompareOnly(t *testing.T) {
 	checkMCASLinearizable(t, "reader during compare-only DCAS", 2, [][]memOp{
 		{cmpSwap(0, 1, 0, 0, 7)},
 		{read(1), read(0), read(1)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckCrossedCompareOnly races two compare-only DCASes whose
+// cells cross: each compares the cell the other swaps. On the MCAS engine
+// each op's decider can find the other's descriptor in its compared cell,
+// where it either retries or, from the lower slot, forces the other op to
+// retry. A bounded search cannot show a livelock the slot order prevents;
+// internal/dcas TestMCASCompareOnlySlotOrder checks that rule directly.
+func TestMCASModelCheckCrossedCompareOnly(t *testing.T) {
+	checkMCASLinearizable(t, "crossed compare-only DCASes", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1)},
+		{cmpSwap(1, 0, 0, 0, 2)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckCompareOnlyAboveVsDCAS is CompareOnlyVsLockOrder with
+// the compare-only DCAS's cells the other way round: it compares the higher
+// cell, so the two-cell DCAS installs first on the cell the compare-only op
+// swaps.
+func TestMCASModelCheckCompareOnlyAboveVsDCAS(t *testing.T) {
+	checkMCASLinearizable(t, "compare-only DCAS on the higher cell vs two-cell DCAS", 2, [][]memOp{
+		{cmpSwap(1, 0, 0, 0, 1)},
+		{dcasOp(0, 1, 0, 0, 2, 2)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckCompareOnlyVsNCAS races a compare-only DCAS against a
+// three-word NCAS that covers both of its cells.
+func TestMCASModelCheckCompareOnlyVsNCAS(t *testing.T) {
+	checkMCASLinearizable(t, "compare-only DCAS vs 3-word NCAS", 3, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1)},
+		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{2, 2, 2})},
+	}, 2, 60_000)
+}
+
+// TestMCASModelCheckCompareOnlySlotReuse is SlotReuse for compare-only
+// DCASes: the second op reuses the first's slot in place while a reader
+// finds and settles the first, so a stale settle must leave the second op
+// alone.
+func TestMCASModelCheckCompareOnlySlotReuse(t *testing.T) {
+	checkMCASLinearizable(t, "compare-only slot reuse vs helping reader", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1), cmpSwap(0, 1, 0, 1, 2)},
+		{read(1), read(0)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckCompareOnlyKeepsHeapStore races a compare-only DCAS
+// against a heap store into its swapped cell, the shape of a Load whose
+// DCAS holds a count cell that the heap poisons: releasing the swapped
+// cell must not overwrite the stored value. It runs on the MCAS engine
+// only. A locking-engine DCAS that succeeds commits with a plain store,
+// which overwrites a heap store that landed in the locked cell; the LFRC
+// Loads never DCAS a count the heap can store into (see DESIGN.md, "No
+// DCAS on a dying count").
+func TestMCASModelCheckCompareOnlyKeepsHeapStore(t *testing.T) {
+	checkLinearizableOn(t, []string{"mcas"}, "compare-only DCAS vs heap store", 2, [][]memOp{
+		{cmpSwap(0, 1, 0, 0, 1)},
+		{heapStore(1, 9)},
 	}, 3, 50_000)
 }
