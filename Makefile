@@ -19,7 +19,8 @@ all: check
 
 # The default gate: compile, vet, tests, and the race detector in one target.
 # check-race runs first: it covers the packages with the trickiest
-# concurrency (seqlock rings, the lifecycle ledger/auditor, the LFRC core,
+# concurrency (seqlock rings, the lifecycle ledger/auditor, the LFRC core
+# and the dead-object chains it hands the reclaim backends,
 # the MCAS engine's descriptors reused in place under a version) and fails
 # fast before the full -race sweep. check-fault stresses every
 # structure under deterministic fault injection with the lifecycle auditor
@@ -41,7 +42,7 @@ check: build vet check-fmt check-inline test check-race check-fault check-reclai
 # the race detector's scheduling makes goroutines migrate between Ps often,
 # which is what exposes a test that assumes one goroutine keeps one stripe.
 check-race:
-	$(GO) test -race -count=3 ./internal/obs ./internal/lifecycle ./internal/core ./internal/contend ./internal/dcas ./internal/mem ./internal/stripe
+	$(GO) test -race -count=3 ./internal/obs ./internal/lifecycle ./internal/core ./internal/reclaim ./internal/contend ./internal/dcas ./internal/mem ./internal/stripe
 
 # Fault-injection gate: the multi-seed chaos sweep and the degraded-mode /
 # typed-error tests, under the race detector.

@@ -474,7 +474,7 @@ func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
 	hitZero := old == uint64(w)
 	c.recordT(0, obs.KindDestroy, v, 0, hitZero, 0, old, -w)
 	if hitZero {
-		c.rec.Retire([]mem.Ref{v})
+		c.rec.Retire(v, 0)
 	}
 }
 
@@ -485,15 +485,19 @@ func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
 // eagerly or deferred, per its policy.
 func (c *RC) Destroy(vs ...mem.Ref) { c.destroy(c.st(), vs...) }
 
-// destroy is Destroy counting on stripe st.
+// destroy is Destroy counting on stripe st. The first ref that dies is the
+// Retire root; any further ones are threaded through their link words onto
+// the chain handed along with it, so a single death writes no link word and
+// no death allocates.
 func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 	t0 := c.obs.Sample()
-	var dead []mem.Ref
+	var root, more mem.Ref
+	n := int64(0)
 	for _, v := range vs {
 		if v == 0 {
 			continue
 		}
-		st.destroys.Add(1)
+		n++
 		old := c.addToRC(obs.KindDestroy, v, -1)
 		hitZero := old == 1
 		// The first released ref carries the sampled latency token; the
@@ -502,30 +506,38 @@ func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 		c.recordT(t0, obs.KindDestroy, v, 0, hitZero, 0, old, -1)
 		t0 = 0
 		if hitZero {
-			dead = append(dead, v)
+			if root == 0 {
+				root = v
+			} else {
+				more = reclaim.Push(c, more, v)
+			}
 		}
 	}
-	if len(dead) == 0 {
+	if n == 0 {
 		return
 	}
-	c.rec.Retire(dead)
+	st.destroys.Add(n)
+	if root != 0 {
+		c.rec.Retire(root, more)
+	}
 }
 
 // ReleaseChildren implements reclaim.Env: it decrements the reference count
-// of every pointer field of p, nulls the field, and appends children whose
-// count reached zero to dst. The backend chooses when to call it — the lfrc
-// backend at free time (a budget-parked zombie keeps its fields until its
-// destruction resumes, §7), the epoch backend at retire time (so a parked
-// husk holds no edges and cannot transitively pin its subgraph in limbo).
-// Nulling is safe either way: p is count-zero and unreachable, and it keeps
-// a mid-drain Audit consistent — a cleared field contributes no expected
-// count, matching the already-decremented child.
-func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
+// of every pointer field of p, nulls the field, and pushes children whose
+// count reached zero onto chain, returning the new head. The backend
+// chooses when to call it — the lfrc backend at free time (a budget-parked
+// zombie keeps its fields until its destruction resumes, §7), the epoch
+// backend at retire time (so a parked husk holds no edges and cannot
+// transitively pin its subgraph in limbo). Nulling is safe either way: p is
+// count-zero and unreachable, and it keeps a mid-drain Audit consistent — a
+// cleared field contributes no expected count, matching the
+// already-decremented child.
+func (c *RC) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 	d, err := c.h.Type(c.h.TypeOf(p))
 	if err != nil {
-		return dst
+		return chain
 	}
-	st := c.st()
+	var n, merges int64
 	for _, f := range d.PtrFields {
 		u := c.e.Read(c.h.FieldAddr(p, f))
 		child := c.strat.Ref(u)
@@ -536,17 +548,24 @@ func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
 		// The dying link's whole remaining weight merges back in one update
 		// (weight is always 1 under figure2).
 		w := c.strat.Weight(u)
-		st.destroys.Add(1)
+		n++
 		if w > 1 {
-			st.extMerges.Add(1)
+			merges++
 		}
 		old := c.addToRC(obs.KindDestroy, child, -w)
 		c.recordT(0, obs.KindDestroy, child, 0, old == uint64(w), 0, old, -w)
 		if old == uint64(w) {
-			dst = append(dst, child)
+			chain = reclaim.Push(c, chain, child)
 		}
 	}
-	return dst
+	if n > 0 {
+		st := c.st()
+		st.destroys.Add(n)
+		if merges > 0 {
+			st.extMerges.Add(merges)
+		}
+	}
+	return chain
 }
 
 // FreeObject implements reclaim.Env: it returns p's slot to the heap,

@@ -22,7 +22,8 @@ const lockBit = descBit
 //     the expected value to the same value with lockBit set. A cell that
 //     holds a different value fails the operation at once and releases the
 //     cells already locked; once every cell is locked the operation commits
-//     by storing the new values, which also unlocks them.
+//     by swapping each locked word for its new value, which also unlocks
+//     it.
 //   - A DCAS that writes one of its cells back unchanged (old == new, the
 //     shape of the paper's LFRCLoad, which compares the pointer cell and
 //     swaps the count) is compare-only on that cell: it locks just the
@@ -35,13 +36,20 @@ const lockBit = descBit
 //     and cannot deadlock against an operation that locked the compared
 //     cell first. The compared cell is never written, so its line is not
 //     pulled away from the threads reading it.
+//   - The compare-only path can livelock, though. Two compare-only DCASes
+//     whose cells cross (each compares the cell the other swaps) can each
+//     lock, find the other's lock, unlock and retry in lockstep: under a
+//     round-robin schedule such a pair did not finish in 100000 steps,
+//     where the MCAS engine's pair finishes. The hardware DCAS this engine
+//     models is one atomic instruction, so the caveat belongs to the
+//     simulation's locks, like the blocking below, not to the algorithm.
 //   - Read and Write wait while a cell is locked, so no reader sees a DCAS
 //     half done. A waiter yields its processor between looks.
 //
-// A failed operation unlocks with a CAS back to the expected value, never a
-// plain store: the engine is atomic only against its own operations, and a
-// value the heap stores straight into a held cell (the poison mem.Free
-// writes) must survive the unlock.
+// Every release of a lock, a commit or a failed operation's unlock, is a CAS
+// from the locked word, never a plain store: the engine is atomic only
+// against its own operations, and a value the heap stores straight into a
+// held cell (the poison mem.Free writes) must survive the release.
 //
 // Waiting on a lock makes the engine blocking: its lock-freedom is a
 // property of the modeled hardware, not of the simulation.
@@ -153,10 +161,14 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 		e.unlock(a0, old0)
 		return false
 	}
+	// Each commit is one CAS from the locked word, which unlocks the cell
+	// and leaves in place a value the heap stored into it meanwhile. The
+	// commits here and in compareSwap and NCAS are written out because a
+	// helper for them would not inline.
 	e.yield()
-	e.h.Store(a0, new0)
+	e.h.CAS(a0, old0|lockBit, new0)
 	e.yield()
-	e.h.Store(a1, new1)
+	e.h.CAS(a1, old1|lockBit, new1)
 	return true
 }
 
@@ -172,7 +184,7 @@ func (e *LockingEngine) compareSwap(c mem.Addr, cOld uint64, s mem.Addr, sOld, s
 		v := e.h.Load(c)
 		if v == cOld {
 			e.yield()
-			e.h.Store(s, sNew)
+			e.h.CAS(s, sOld|lockBit, sNew)
 			return true
 		}
 		e.unlock(s, sOld)
@@ -206,7 +218,7 @@ func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
 	}
 	for i := range op.n {
 		e.yield()
-		e.h.Store(op.addrs[i], op.news[i])
+		e.h.CAS(op.addrs[i], op.olds[i]|lockBit, op.news[i])
 	}
 	return true
 }

@@ -408,14 +408,21 @@ func TestMCASModelCheckCompareOnlySlotReuse(t *testing.T) {
 // TestMCASModelCheckCompareOnlyKeepsHeapStore races a compare-only DCAS
 // against a heap store into its swapped cell, the shape of a Load whose
 // DCAS holds a count cell that the heap poisons: releasing the swapped
-// cell must not overwrite the stored value. It runs on the MCAS engine
-// only. A locking-engine DCAS that succeeds commits with a plain store,
-// which overwrites a heap store that landed in the locked cell; the LFRC
-// Loads never DCAS a count the heap can store into (see DESIGN.md, "No
-// DCAS on a dying count").
+// cell, by commit or unlock, must not overwrite the stored value.
 func TestMCASModelCheckCompareOnlyKeepsHeapStore(t *testing.T) {
-	checkLinearizableOn(t, []string{"mcas"}, "compare-only DCAS vs heap store", 2, [][]memOp{
+	checkMCASLinearizable(t, "compare-only DCAS vs heap store", 2, [][]memOp{
 		{cmpSwap(0, 1, 0, 0, 1)},
+		{heapStore(1, 9)},
+	}, 3, 50_000)
+}
+
+// TestMCASModelCheckDCASKeepsHeapStore races a two-cell DCAS that succeeds
+// against a heap store into one of its cells: the commit of a held cell must
+// leave a value the heap stored into it meanwhile, as if the store came
+// just after the DCAS.
+func TestMCASModelCheckDCASKeepsHeapStore(t *testing.T) {
+	checkMCASLinearizable(t, "two-cell DCAS vs heap store", 2, [][]memOp{
+		{dcasOp(0, 1, 0, 0, 1, 1)},
 		{heapStore(1, 9)},
 	}, 3, 50_000)
 }

@@ -73,7 +73,6 @@ func (h *Heap) alloc(t TypeID, idx int) (Ref, error) {
 
 	gen := uint32(1)
 	if recycled {
-		st.recycles.Add(1)
 		old := h.Load(r)
 		gen = headerGen(old) + 1
 		if h.poisonCheck {
@@ -90,9 +89,12 @@ func (h *Heap) alloc(t TypeID, idx int) (Ref, error) {
 	h.Store(h.RCAddr(r), 1)
 	h.Store(r, packHeader(size, t, false, gen))
 
-	st.allocs.Add(1)
-	st.liveObjects.Add(1)
-	st.liveWords.Add(int64(size))
+	// Count the alloc before the carve, so a snapshot that reads carves
+	// first never finds more carves than allocs.
+	st.allocs[c].Add(1)
+	if !recycled {
+		st.carves.Add(1)
+	}
 	if stolen {
 		h.obs.Note(obs.KindSteal, uint32(r), 0)
 	}
@@ -165,14 +167,13 @@ func (h *Heap) free(r Ref, idx int) error {
 		h.Store(a, Poison)
 	}
 
-	st.frees.Add(1)
-	st.liveObjects.Add(-1)
-	st.liveWords.Add(-int64(size))
+	c := class(size)
+	st.frees[c].Add(1)
 	// Record before pushLocal publishes the slot: once it is on a free
 	// list a sibling may recycle it and rewrite the header.
 	h.obs.RecordT(t0, obs.KindFree, uint32(r), 0, true, 0,
 		gen, uint32(h.epoch.Load()))
-	h.shards[idx].pushLocal(h, r, class(size))
+	h.shards[idx].pushLocal(h, r, c)
 	return nil
 }
 

@@ -159,3 +159,76 @@ func TestConcurrentCellCAS(t *testing.T) {
 		t.Errorf("counter = %d, want %d", got, workers*perW)
 	}
 }
+
+// TestStatsNeverNegativeWhileBusy takes snapshots while one goroutine
+// allocates and another frees what it allocated, so allocs and frees of one
+// object land on different shards' stripes. Stats derives the live figures
+// from per-class alloc and free counts, reading the frees first, so no
+// snapshot may show fewer live objects, live words or recycles than zero.
+func TestStatsNeverNegativeWhileBusy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	h := NewHeap(WithMaxWords(8 * segWords))
+	small := h.MustRegisterType(TypeDesc{Name: "small", NumFields: 4})
+	big := h.MustRegisterType(TypeDesc{Name: "big", NumFields: 20})
+
+	const n = 20000
+	// The buffer lets a few dozen objects stay live between the two
+	// goroutines; errs has room for one error from each.
+	refs := make(chan Ref, 64)
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(refs)
+		for i := 0; i < n; i++ {
+			typ := small
+			if i%3 == 0 {
+				typ = big
+			}
+			r, err := h.Alloc(typ)
+			if err != nil {
+				errs <- err
+				return
+			}
+			refs <- r
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for r := range refs {
+			if err := h.Free(r); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for busy := true; busy; {
+		select {
+		case <-done:
+			busy = false
+		default:
+		}
+		s := h.Stats()
+		if s.LiveObjects < 0 || s.LiveWords < 0 || s.Recycles < 0 || s.Recycles > s.Allocs {
+			t.Fatalf("snapshot while busy: %+v", s)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s := h.Stats()
+	if s.Allocs != n || s.Frees != n || s.LiveObjects != 0 || s.LiveWords != 0 {
+		t.Fatalf("at quiescence: %+v, want %d allocs and frees, nothing live", s, n)
+	}
+	if carved := s.Allocs - s.Recycles; carved <= 0 || carved > n/2 {
+		t.Fatalf("carves = %d, want most allocs recycled", carved)
+	}
+}

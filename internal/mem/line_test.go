@@ -22,15 +22,15 @@ func newLineTracker(t *testing.T, h *Heap) *lineTracker {
 func (lt *lineTracker) alloc(typ TypeID, path string) Ref {
 	lt.t.Helper()
 	before := make([]int64, len(lt.h.stats))
-	for i := range lt.h.stats {
-		before[i] = lt.h.stats[i].allocs.Load()
-	}
+	after := make([]int64, len(lt.h.stats))
+	lt.h.ShardAllocsInto(before)
 	r, err := lt.h.Alloc(typ)
 	if err != nil {
 		lt.t.Fatalf("%s: Alloc: %v", path, err)
 	}
-	for i := range lt.h.stats {
-		if lt.h.stats[i].allocs.Load() != before[i] {
+	lt.h.ShardAllocsInto(after)
+	for i := range after {
+		if after[i] != before[i] {
 			lt.shard = i
 		}
 	}

@@ -2,19 +2,31 @@ package mem
 
 import "sync/atomic"
 
-// statStripe is one stripe of heap accounting, padded to a cache line so
-// stripes on different shards never false-share. Heap.stats holds one stripe
-// per allocation shard; snapshots sum across stripes.
+// statStripe is one stripe of heap accounting, padded so stripes on
+// different shards never false-share. Heap.stats holds one stripe per
+// allocation shard; snapshots sum across stripes.
+//
+// An alloc or a free counts itself once, in its size class; a carve also
+// counts itself in carves. Stats derives the rest: live objects are allocs
+// minus frees, live words weigh each class's live objects by its slot size,
+// and recycles are allocs minus carves.
 type statStripe struct {
-	allocs        atomic.Int64
-	frees         atomic.Int64
-	recycles      atomic.Int64
-	liveObjects   atomic.Int64
-	liveWords     atomic.Int64
+	allocs        [sizeClasses]atomic.Int64
+	frees         [sizeClasses]atomic.Int64
+	carves        atomic.Int64
 	doubleFrees   atomic.Int64
 	corruptions   atomic.Int64
 	allocFailures atomic.Int64
 	_             [64]byte
+}
+
+// sum adds up one stripe's per-class counts.
+func sum(cs *[sizeClasses]atomic.Int64) int64 {
+	var n int64
+	for c := range cs {
+		n += cs[c].Load()
+	}
+	return n
 }
 
 // Stats is a point-in-time snapshot of heap accounting. Individual counters
@@ -51,18 +63,35 @@ type Stats struct {
 
 // Stats returns a snapshot of the heap's counters, summed across stripes.
 func (h *Heap) Stats() Stats {
+	// Every stripe's frees and carves are read before any stripe's allocs:
+	// an object is counted allocated before it is freed or found carved,
+	// perhaps on another stripe, so a snapshot of a busy heap never shows
+	// negative live objects, live words or recycles.
 	var s Stats
+	var allocs, frees [sizeClasses]int64
+	var carves int64
 	for i := range h.stats {
 		st := &h.stats[i]
-		s.Allocs += st.allocs.Load()
-		s.Frees += st.frees.Load()
-		s.Recycles += st.recycles.Load()
-		s.LiveObjects += st.liveObjects.Load()
-		s.LiveWords += st.liveWords.Load()
+		for c := range st.frees {
+			frees[c] += st.frees[c].Load()
+		}
+		carves += st.carves.Load()
 		s.DoubleFrees += st.doubleFrees.Load()
 		s.Corruptions += st.corruptions.Load()
 		s.AllocFailures += st.allocFailures.Load()
 	}
+	for i := range h.stats {
+		for c := range h.stats[i].allocs {
+			allocs[c] += h.stats[i].allocs[c].Load()
+		}
+	}
+	for c := range allocs {
+		s.Allocs += allocs[c]
+		s.Frees += frees[c]
+		s.LiveWords += (allocs[c] - frees[c]) * int64((c+1)*LineWords)
+	}
+	s.LiveObjects = s.Allocs - s.Frees
+	s.Recycles = s.Allocs - carves
 	s.HighWater = h.highWater.Load()
 	return s
 }
@@ -113,7 +142,7 @@ func (h *Heap) GlobalFreeListed() int64 {
 func (h *Heap) ShardAllocsInto(dst []int64) int {
 	n := len(h.shards)
 	for i := 0; i < n && i < len(dst); i++ {
-		dst[i] = h.stats[i].allocs.Load()
+		dst[i] = sum(&h.stats[i].allocs)
 	}
 	return n
 }
@@ -136,10 +165,12 @@ func (h *Heap) AllocStats() AllocStats {
 			}
 		}
 		ce := sh.chunk.Load()
+		carves := st.carves.Load()
+		allocs := sum(&st.allocs)
 		a.PerShard[i] = ShardStats{
-			Allocs:     st.allocs.Load(),
-			Frees:      st.frees.Load(),
-			Recycles:   st.recycles.Load(),
+			Allocs:     allocs,
+			Frees:      sum(&st.frees),
+			Recycles:   allocs - carves,
 			FreeListed: listed,
 			ChunkFree:  int64(ce>>32) - int64(ce&0xFFFF_FFFF),
 		}

@@ -86,26 +86,31 @@ func newEpoch(env Env, cfg config) *epochReclaimer {
 // Name implements Reclaimer.
 func (z *epochReclaimer) Name() string { return KindEpoch.String() }
 
-// Retire implements Reclaimer: each root's subgraph is released depth-first
-// — every object visited drops its child edges and parks as a husk in the
+// Retire implements Reclaimer: root and each object on more are released
+// depth-first — every object visited drops its child edges (pushing the
+// children that die onto the walk's chain) and parks as a husk in the
 // current epoch's limbo bin — and every epochEvery parks the epoch advances
 // and the expired bin is flushed (bounded by the incremental-destroy budget
 // when one is set).
-func (z *epochReclaimer) Retire(roots []mem.Ref) {
-	z.retired.Add(int64(len(roots)))
-	parked := 0
-	var stack []mem.Ref
-	for _, p := range roots {
-		stack = append(stack[:0], p)
-		for len(stack) > 0 {
-			q := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			stack = z.env.ReleaseChildren(q, stack)
-			z.park(q)
-			parked++
-		}
+func (z *epochReclaimer) Retire(root, more mem.Ref) {
+	n := int64(1)
+	if more != 0 {
+		n = roots(z.env, more)
 	}
-	if z.sinceAdvance.Add(int64(parked)) >= int64(z.epochEvery) {
+	z.retired.Add(n)
+	parked := int64(0)
+	for p, chain := root, more; p != 0; parked++ {
+		chain = z.env.ReleaseChildren(p, chain)
+		q := p
+		if p, chain = pop(z.env, chain); p == q {
+			// Only a self-edge under corrupted counts pushes an object
+			// onto its own walk; parking it twice would link its bin
+			// through it twice, and the flush would free it twice.
+			p, chain = pop(z.env, chain)
+		}
+		z.park(q)
+	}
+	if z.sinceAdvance.Add(parked) >= int64(z.epochEvery) {
 		z.sinceAdvance.Store(0)
 		z.freed.Add(int64(z.advance(z.budget)))
 	}
@@ -201,7 +206,7 @@ func (z *epochReclaimer) park(p mem.Ref) {
 	bin := &z.bins[z.epoch.Load()%3]
 	for {
 		old := bin.head.Load()
-		z.env.LinkStore(p, old&0xFFFF_FFFF)
+		z.env.LinkStore(p, link(mem.Ref(old&0xFFFF_FFFF)))
 		if z.fj.Inject(fault.ReclaimPush) {
 			continue
 		}

@@ -56,13 +56,16 @@ func (z *lfrcReclaimer) st() *retireStripe { return &z.counts[stripe.Hint(len(z.
 func (z *lfrcReclaimer) Name() string { return KindLFRC.String() }
 
 // Retire implements Reclaimer: it frees the roots (and any descendants that
-// hit zero) immediately, up to the incremental-destroy budget; excess
-// objects park on the zombie stack for a later Drain.
-func (z *lfrcReclaimer) Retire(roots []mem.Ref) {
+// hit zero) immediately, up to the incremental-destroy budget for the whole
+// call; excess objects park on the zombie stack for a later Drain.
+func (z *lfrcReclaimer) Retire(root, more mem.Ref) {
+	n := int64(1)
+	if more != 0 {
+		n = roots(z.env, more)
+	}
 	st := z.st()
-	st.retired.Add(int64(len(roots)))
-	n := freeDFS(z.env, roots, z.budget, z.push)
-	st.freed.Add(int64(n))
+	st.retired.Add(n)
+	st.freed.Add(int64(freeDFS(z.env, root, more, z.budget, z.push)))
 }
 
 // Drain implements Reclaimer: it reclaims up to max parked objects (and
@@ -80,7 +83,7 @@ func (z *lfrcReclaimer) Drain(max int) int {
 		if max > 0 {
 			budget = max - processed
 		}
-		processed += freeDFS(z.env, []mem.Ref{p}, budget, z.push)
+		processed += freeDFS(z.env, p, 0, budget, z.push)
 	}
 	z.st().freed.Add(int64(processed))
 	return processed
@@ -109,7 +112,7 @@ func (z *lfrcReclaimer) Stats() Stats {
 func (z *lfrcReclaimer) push(p mem.Ref) {
 	for {
 		old := z.head.Load()
-		z.env.LinkStore(p, old&0xFFFF_FFFF)
+		z.env.LinkStore(p, link(mem.Ref(old&0xFFFF_FFFF)))
 		if z.fj.Inject(fault.ReclaimPush) {
 			continue
 		}

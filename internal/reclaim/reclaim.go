@@ -17,6 +17,12 @@
 //     observed dropping to zero (Retire). Count-zero objects are already
 //     unreachable under the LFRC invariants, so a backend is free to release
 //     them immediately or to defer — the choice is policy, not safety.
+//   - Dead objects travel as chains threaded through their own link words
+//     (the aux cell, see Push), never in Go slices: a Retire names one root
+//     plus a chain of further roots, and ReleaseChildren pushes the children
+//     it kills onto a chain. The hand-off therefore allocates nothing, the
+//     way the free lists of the C LFRC implementations reuse a word of the
+//     dead object itself.
 //   - The backend eventually frees every retired object through the Env:
 //     releasing the object's children first (which may surface more
 //     count-zero objects — the backend owns those too) and then returning
@@ -82,27 +88,54 @@ func (k Kind) String() string {
 // All methods must be safe for concurrent use.
 type Env interface {
 	// ReleaseChildren decrements the reference count of every pointer
-	// field of p, clears the field, appends the children whose count
-	// reached zero to dst, and returns dst. It is called exactly once
-	// per object, but backends differ on when: the lfrc backend calls
-	// it at free time (a budget-parked zombie keeps its fields intact
-	// until its destruction resumes, the paper's §7 discipline), while
-	// the epoch backend calls it at retire time so that limbo holds
-	// only edge-free husks — an intact edge in limbo would keep the
-	// child's count up for a whole grace period and, on chain-shaped
-	// structures, transitively pin the entire chain.
-	ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref
+	// field of p, clears the field, pushes each child whose count reached
+	// zero onto chain (with Push), and returns the new head. It is
+	// called exactly once per object, but backends differ on when: the
+	// lfrc backend calls it at free time (a budget-parked zombie keeps its
+	// fields intact until its destruction resumes, the paper's §7
+	// discipline), while the epoch backend calls it at retire time so that
+	// limbo holds only edge-free husks — an intact edge in limbo would
+	// keep the child's count up for a whole grace period and, on
+	// chain-shaped structures, transitively pin the entire chain.
+	ReleaseChildren(p, chain mem.Ref) mem.Ref
 
 	// FreeObject returns p's slot to the heap (counting frees and
 	// rejected double-frees in the owner's accounting).
 	FreeObject(p mem.Ref)
 
 	// LinkLoad and LinkStore access the per-object link word (the aux
-	// cell) a backend may use to build intrusive lists of dead objects.
-	// The word is dedicated to reclamation from the moment an object is
-	// retired until it is freed.
+	// cell) that retire chains and the backends' deferral stacks thread
+	// dead objects through. The word is dedicated to reclamation from the
+	// moment an object is retired until it is freed.
 	LinkLoad(p mem.Ref) uint64
 	LinkStore(p mem.Ref, v uint64)
+}
+
+// linkMark tags a link word that threads a retired object onto a retire
+// chain, the zombie stack or a limbo bin. The heap's free lists reuse the
+// word without it once the object is freed, and Alloc zeroes it, so a walk
+// can tell a link it may follow from one that a second retirement of the
+// same object (corrupted counts, experiment E1) has already consumed.
+const linkMark uint64 = 1 << 32
+
+// link is the link word that threads an object onto a chain ahead of next.
+func link(next mem.Ref) uint64 { return uint64(next) | linkMark }
+
+// linked reports whether link word w threads its object onto a chain or a
+// deferral stack: the object is retired and not yet freed.
+func linked(w uint64) bool { return w&linkMark != 0 }
+
+// Push threads dead object p onto chain through its link word and returns
+// the new head; ReleaseChildren and a Retire's chain of further roots are
+// built with it. A p whose word is already linked is retired elsewhere —
+// only corrupted counts (NaiveLoad) kill an object twice — and stays off
+// this chain, which could otherwise loop through it.
+func Push(env Env, chain, p mem.Ref) mem.Ref {
+	if linked(env.LinkLoad(p)) {
+		return chain
+	}
+	env.LinkStore(p, link(chain))
+	return p
 }
 
 // Reclaimer is the reclamation backend contract. Implementations must be
@@ -113,11 +146,13 @@ type Reclaimer interface {
 	// Name is the backend's stable spec name ("lfrc", "epoch").
 	Name() string
 
-	// Retire hands over objects whose reference count reached zero. The
-	// backend owns them from this call on and must eventually free each
-	// one (and any descendants that reach zero when it does) through the
-	// Env.
-	Retire(roots []mem.Ref)
+	// Retire hands over root and the 0-terminated chain more (threaded
+	// through the link words, as ReleaseChildren builds it) of further
+	// objects whose reference count reached zero. The backend owns them
+	// from this call on and must eventually free each one (and any
+	// descendants that reach zero when it does) through the Env. A single
+	// death passes more = 0 and writes no link word.
+	Retire(root, more mem.Ref)
 
 	// Drain performs up to max objects' worth of deferred reclamation
 	// (0 = drain everything), returning the number of objects freed.
@@ -137,7 +172,8 @@ type Stats struct {
 	// Backend is the backend's spec name.
 	Backend string `json:"backend"`
 
-	// Retired counts objects handed to Retire; Freed counts objects the
+	// Retired counts objects handed to Retire as roots (root plus each
+	// object on more); Freed counts objects the
 	// backend actually freed, including cascaded descendants discovered
 	// while freeing. Parked counts pushes onto deferred storage (the
 	// zombie stack or a limbo bin); Pending is the current deferred
@@ -209,30 +245,58 @@ func New(kind Kind, env Env, opts ...Option) Reclaimer {
 	}
 }
 
-// freeDFS frees every object on stack plus any descendant whose count drops
-// to zero while doing so, depth-first. With a positive budget it frees at
-// most budget objects and hands the rest to park; with budget 0 it frees
-// everything. It returns the number of objects freed.
+// freeDFS frees p, every object on chain and any descendant whose count
+// drops to zero while doing so, depth-first: ReleaseChildren pushes the
+// newly dead onto the chain, so the chain is the DFS stack and no Go memory
+// is allocated. With a positive budget it frees at most budget objects and
+// hands the rest to park; with budget 0 it frees everything. It returns the
+// number of objects freed.
 //
 // This is the paper's LFRCDestroy recursion (Figure 2, lines 13–15) with
 // the §7 budget cut-off. Only the lfrc backend uses it: there, a deferred
 // object's children are released at free time, never at retire time. The
 // epoch backend runs the same recursion inside Retire instead (edges must
 // not survive into limbo — see epochReclaimer).
-func freeDFS(env Env, stack []mem.Ref, budget int, park func(mem.Ref)) int {
+func freeDFS(env Env, p, chain mem.Ref, budget int, park func(mem.Ref)) int {
 	freed := 0
-	for len(stack) > 0 {
+	for p != 0 {
 		if budget > 0 && freed >= budget {
-			for _, p := range stack {
-				park(p)
+			for p != 0 {
+				q := p
+				p, chain = pop(env, chain)
+				park(q)
 			}
 			return freed
 		}
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stack = env.ReleaseChildren(p, stack)
+		chain = env.ReleaseChildren(p, chain)
 		env.FreeObject(p)
 		freed++
+		p, chain = pop(env, chain)
 	}
 	return freed
+}
+
+// pop takes the head off chain, reading its link word before the walk
+// releases or frees it, and returns the head and the rest. A head whose
+// word is no longer linked was freed under the walk by a second retirement
+// (only corrupted counts retire an object twice); its word now belongs to
+// the heap, so the walk ends there rather than follow it.
+func pop(env Env, chain mem.Ref) (head, rest mem.Ref) {
+	if chain == 0 {
+		return 0, 0
+	}
+	w := env.LinkLoad(chain)
+	if !linked(w) {
+		return 0, 0
+	}
+	return chain, mem.Ref(w & 0xFFFF_FFFF)
+}
+
+// roots counts the objects one Retire hands over: root plus the chain more.
+func roots(env Env, more mem.Ref) int64 {
+	n := int64(1)
+	for p, rest := pop(env, more); p != 0; p, rest = pop(env, rest) {
+		n++
+	}
+	return n
 }

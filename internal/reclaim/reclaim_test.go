@@ -3,6 +3,7 @@ package reclaim
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"lfrc/internal/fault"
 	"lfrc/internal/mem"
@@ -19,6 +20,11 @@ type fakeEnv struct {
 	freed     map[mem.Ref]bool
 	freeOrder []mem.Ref
 	doubles   int
+
+	// afterRelease, when set, runs under mu at the end of every
+	// ReleaseChildren call: tests corrupt counts from it the way a naive
+	// load's stray increment does.
+	afterRelease func(p mem.Ref)
 }
 
 func newFakeEnv() *fakeEnv {
@@ -38,19 +44,26 @@ func (e *fakeEnv) add(p mem.Ref, rc int, children ...mem.Ref) {
 	e.children[p] = children
 }
 
-func (e *fakeEnv) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
+func (e *fakeEnv) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	var dead []mem.Ref
 	for _, c := range e.children[p] {
 		e.rc[c]--
 		if e.rc[c] == 0 {
-			dst = append(dst, c)
+			dead = append(dead, c)
 		}
 	}
 	// Mirror the real Env: releasing also nulls the fields, so a second
 	// call on the same object releases nothing.
 	e.children[p] = nil
-	return dst
+	if e.afterRelease != nil {
+		e.afterRelease(p)
+	}
+	e.mu.Unlock()
+	for _, c := range dead {
+		chain = Push(e, chain, c)
+	}
+	return chain
 }
 
 func (e *fakeEnv) FreeObject(p mem.Ref) {
@@ -62,6 +75,8 @@ func (e *fakeEnv) FreeObject(p mem.Ref) {
 	}
 	e.freed[p] = true
 	e.freeOrder = append(e.freeOrder, p)
+	// The heap reuses the link word for its free list, without the mark.
+	e.links[p] = 0
 }
 
 func (e *fakeEnv) LinkLoad(p mem.Ref) uint64 {
@@ -74,6 +89,16 @@ func (e *fakeEnv) LinkStore(p mem.Ref, v uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.links[p] = v
+}
+
+// retire hands refs to r in one Retire call: refs[0] as the root and the
+// rest as the chain more, threaded so the walk meets them in order.
+func (e *fakeEnv) retire(r Reclaimer, refs ...mem.Ref) {
+	var more mem.Ref
+	for i := len(refs) - 1; i > 0; i-- {
+		more = Push(e, more, refs[i])
+	}
+	r.Retire(refs[0], more)
 }
 
 func (e *fakeEnv) freeCount() int {
@@ -133,7 +158,7 @@ func TestRetireFreesEverything(t *testing.T) {
 		env.add(11, 1, 12)
 		env.add(12, 1)
 		r := New(k, env)
-		r.Retire([]mem.Ref{10})
+		r.Retire(10, 0)
 		settle(t, r)
 		for _, p := range []mem.Ref{10, 11, 12} {
 			if !env.isFreed(p) {
@@ -162,7 +187,7 @@ func TestSharedChildFreedOnce(t *testing.T) {
 		env.add(20, 0, 30)
 		env.add(30, 2)
 		r := New(k, env)
-		r.Retire([]mem.Ref{10, 20})
+		env.retire(r, 10, 20)
 		settle(t, r)
 		if !env.isFreed(30) {
 			t.Fatal("shared child not freed")
@@ -187,7 +212,7 @@ func TestEpochReleasesEdgesAtRetire(t *testing.T) {
 	env.add(11, 1)
 	// epochEvery large enough that nothing auto-advances.
 	r := New(KindEpoch, env, WithEpochEvery(1000))
-	r.Retire([]mem.Ref{10})
+	r.Retire(10, 0)
 	if env.freeCount() != 0 {
 		t.Fatal("epoch backend freed inline")
 	}
@@ -215,7 +240,7 @@ func TestLFRCParkedZombieKeepsChildren(t *testing.T) {
 	env.add(20, 0, 21)
 	env.add(21, 1)
 	r := New(KindLFRC, env, WithBudget(1))
-	r.Retire([]mem.Ref{20, 10}) // frees 10 (budget), parks 20 with 21 intact
+	env.retire(r, 10, 20) // frees 10 (budget), parks 20 with 21 intact
 	if got := env.freeCount(); got != 1 {
 		t.Fatalf("freed %d inline, want budget 1", got)
 	}
@@ -239,7 +264,7 @@ func TestBudgetParksRemainder(t *testing.T) {
 		env.add(p, 0)
 	}
 	r := New(KindLFRC, env, WithBudget(2))
-	r.Retire([]mem.Ref{10, 11, 12, 13, 14})
+	env.retire(r, 10, 11, 12, 13, 14)
 	if got := env.freeCount(); got != 2 {
 		t.Fatalf("freed %d inline, want budget 2", got)
 	}
@@ -270,11 +295,11 @@ func TestDrainBounded(t *testing.T) {
 			// Budget 0 would free eagerly; park everything with a
 			// tiny budget spread across many Retire calls.
 			r = New(k, env, WithBudget(1))
-			r.Retire(roots)
+			env.retire(r, roots...)
 			// 1 freed inline, 9 parked.
 		} else {
 			r = New(k, env, WithEpochEvery(1000))
-			r.Retire(roots)
+			env.retire(r, roots...)
 		}
 		before := env.freeCount()
 		n := r.Drain(4)
@@ -298,7 +323,7 @@ func TestEpochGraceDiscipline(t *testing.T) {
 	env := newFakeEnv()
 	env.add(10, 0)
 	r := New(KindEpoch, env, WithEpochEvery(1000)).(*epochReclaimer)
-	r.Retire([]mem.Ref{10})        // parks in bin epoch%3 = bin 0
+	r.Retire(10, 0)                // parks in bin epoch%3 = bin 0
 	if n := r.advance(0); n != 0 { // epoch 0→1, flushes bin 1 (empty)
 		t.Fatalf("first advance freed %d, want 0", n)
 	}
@@ -323,7 +348,7 @@ func TestEpochAutoAdvance(t *testing.T) {
 	r := New(KindEpoch, env, WithEpochEvery(4))
 	for p := mem.Ref(10); p < 34; p++ {
 		env.add(p, 0)
-		r.Retire([]mem.Ref{p})
+		r.Retire(p, 0)
 	}
 	// 24 retirements at epochEvery=4 → 6 advances; bins filled in early
 	// epochs have long expired.
@@ -355,13 +380,14 @@ func TestCounterPackingWraparound(t *testing.T) {
 		switch k {
 		case KindLFRC:
 			z := New(k, env, WithBudget(1)).(*lfrcReclaimer)
-			// budget 1: the DFS frees 10 inline, then parks 11 and 12.
-			z.Retire([]mem.Ref{11, 12, 10})
+			// budget 1: the walk frees the root 10 inline, then parks 11
+			// and 12 in chain order, leaving 12 on top.
+			env.retire(z, 10, 11, 12)
 			head = &uint64head{load: z.head.Load, store: z.head.Store}
 			pop = z.pop
 		case KindEpoch:
 			z := New(k, env, WithEpochEvery(1000)).(*epochReclaimer)
-			z.Retire([]mem.Ref{11, 12})
+			env.retire(z, 11, 12)
 			bin := &z.bins[z.epoch.Load()%3]
 			head = &uint64head{load: bin.head.Load, store: bin.head.Store}
 			pop = func() mem.Ref { return z.popBin(bin) }
@@ -414,7 +440,7 @@ func TestCounterPackingLargeRef(t *testing.T) {
 	env.add(big, 0)
 	z := New(KindLFRC, env, WithBudget(1)).(*lfrcReclaimer)
 	env.add(1, 0)
-	z.Retire([]mem.Ref{big, 1}) // frees 1 (budget), parks big
+	env.retire(z, 1, big) // frees 1 (budget), parks big
 	z.head.Store(uint64(0xFFFF_FFFF)<<32 | z.head.Load()&0xFFFF_FFFF)
 	if p := z.pop(); p != big {
 		t.Fatalf("pop = %#x, want %#x", p, big)
@@ -445,7 +471,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 			opts = append(opts, WithEpochEvery(1000))
 		}
 		r := New(k, env, opts...)
-		r.Retire(roots)
+		env.retire(r, roots...)
 		settle(t, r)
 		if got := env.freeCount(); got != 5 {
 			t.Fatalf("freed %d, want 5", got)
@@ -466,7 +492,7 @@ func TestEpochAdvanceFaultTerminates(t *testing.T) {
 	env := newFakeEnv()
 	env.add(10, 0)
 	r := New(KindEpoch, env, WithEpochEvery(1000), WithFault(fault.NewInjector(pl, 1)))
-	r.Retire([]mem.Ref{10})
+	r.Retire(10, 0)
 	if n := r.Drain(0); n != 0 {
 		t.Fatalf("Drain freed %d with advance disabled, want 0", n)
 	}
@@ -499,7 +525,7 @@ func TestConcurrentRetireDrain(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					r.Retire([]mem.Ref{mem.Ref(1000 + g*each + i)})
+					r.Retire(mem.Ref(1000+g*each+i), 0)
 					if i%32 == 0 {
 						r.Drain(8)
 					}
@@ -517,6 +543,150 @@ func TestConcurrentRetireDrain(t *testing.T) {
 		s := r.Stats()
 		if s.Retired != goroutines*each || s.Freed != int64(goroutines*each) {
 			t.Fatalf("stats = %+v", s)
+		}
+	})
+}
+
+// finishes runs fn and fails the test if it does not return promptly: a
+// walk that loops on a corrupted chain never would.
+func finishes(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("walk did not terminate")
+	}
+}
+
+// TestDoublyRetiredObjectOnChain: a corrupted count (a naive load's stray
+// increment between two decrements) drives child 30 to zero twice while it
+// is still on the walk's chain. The second push must be refused — threading
+// 30 again would link it to itself — so the walk ends, freeing each object
+// once.
+func TestDoublyRetiredObjectOnChain(t *testing.T) {
+	kinds(t, func(t *testing.T, k Kind) {
+		env := newFakeEnv()
+		env.add(10, 0, 30, 20) // 30 is pushed first, 20 lands above it
+		env.add(20, 1, 30)
+		env.add(30, 1)
+		env.afterRelease = func(p mem.Ref) {
+			if p == 10 {
+				env.rc[30] = 1 // the stray increment
+			}
+		}
+		r := New(k, env, WithEpochEvery(1000))
+		finishes(t, func() {
+			r.Retire(10, 0)
+			settle(t, r)
+		})
+		if got := env.freeCount(); got != 3 {
+			t.Fatalf("freed %d objects, want 3", got)
+		}
+		if env.doubles != 0 {
+			t.Fatalf("%d double frees", env.doubles)
+		}
+	})
+}
+
+// TestDoublyRetiredObjectAfterFree: child 30 reaches zero a second time
+// after the lfrc walk already freed it. The walk pushes it again, meets it
+// once more, and the heap rejects the second free; the walk still
+// terminates. The epoch walk still holds 30 in limbo at that point, its
+// link word marked, so it refuses the second retirement outright.
+func TestDoublyRetiredObjectAfterFree(t *testing.T) {
+	kinds(t, func(t *testing.T, k Kind) {
+		env := newFakeEnv()
+		env.add(10, 0, 30)
+		env.add(20, 0, 30)
+		env.add(30, 1)
+		env.afterRelease = func(p mem.Ref) {
+			if p == 30 {
+				env.rc[30] = 1 // the stray increment, after 30 died
+			}
+		}
+		r := New(k, env, WithEpochEvery(1000))
+		finishes(t, func() {
+			env.retire(r, 10, 20)
+			settle(t, r)
+		})
+		if got := env.freeCount(); got != 3 {
+			t.Fatalf("freed %d objects, want 3", got)
+		}
+		want := 0
+		if k == KindLFRC {
+			want = 1
+		}
+		if env.doubles != want {
+			t.Fatalf("%d double frees, want %d", env.doubles, want)
+		}
+	})
+}
+
+// TestMultiRootRetireOneBudget: one Retire carrying several roots gets one
+// budget for the whole call, cascades included, and parks the leftovers.
+func TestMultiRootRetireOneBudget(t *testing.T) {
+	env := newFakeEnv()
+	env.add(10, 0, 11)
+	env.add(11, 1)
+	env.add(20, 0)
+	env.add(30, 0)
+	r := New(KindLFRC, env, WithBudget(2))
+	env.retire(r, 10, 20, 30) // frees 10 and its child 11, parks 20 and 30
+	if got := env.freeCount(); got != 2 {
+		t.Fatalf("freed %d inline, want budget 2", got)
+	}
+	if !env.isFreed(10) || !env.isFreed(11) {
+		t.Fatal("root or its cascaded child not freed first")
+	}
+	if p := r.Pending(); p != 2 {
+		t.Fatalf("pending = %d, want 2", p)
+	}
+	settle(t, r)
+	if got := env.freeCount(); got != 4 {
+		t.Fatalf("freed %d total, want 4", got)
+	}
+}
+
+// TestRetiredCountsRoots: Stats.Retired counts the roots one Retire hands
+// over (root plus chain), not the descendants the walk frees with them.
+func TestRetiredCountsRoots(t *testing.T) {
+	kinds(t, func(t *testing.T, k Kind) {
+		env := newFakeEnv()
+		env.add(10, 0, 11)
+		env.add(11, 1)
+		env.add(20, 0)
+		env.add(30, 0, 31)
+		env.add(31, 1)
+		r := New(k, env, WithEpochEvery(1000))
+		env.retire(r, 10, 20, 30)
+		settle(t, r)
+		if s := r.Stats(); s.Retired != 3 || s.Freed != 5 {
+			t.Fatalf("stats = %+v, want retired 3 freed 5", s)
+		}
+	})
+}
+
+// TestSelfEdgeUnderCorruptCount: a root whose own field points at it, with
+// a count corrupted down to the self-edge alone, pushes itself onto its own
+// walk when it releases that edge. The walk must still visit it once: on
+// the epoch backend, parking it twice would link its limbo bin through it
+// twice, and the flush would free it twice.
+func TestSelfEdgeUnderCorruptCount(t *testing.T) {
+	kinds(t, func(t *testing.T, k Kind) {
+		env := newFakeEnv()
+		env.add(10, 1, 10)
+		r := New(k, env, WithEpochEvery(1000))
+		finishes(t, func() {
+			r.Retire(10, 0)
+			settle(t, r)
+		})
+		if !env.isFreed(10) || env.doubles != 0 {
+			t.Fatalf("freed %v with %d double frees, want one free", env.isFreed(10), env.doubles)
 		}
 	})
 }
