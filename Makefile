@@ -8,35 +8,36 @@ GO ?= go
 BENCHTIME ?=
 
 # The sorted set's cross-configuration tests: its unit tests that run every
-# {figure2, split} x {lfrc, epoch} x {locking, mcas} cell (the hop-cost pin
-# and the concurrent key-churn checks) plus its linearizability oracle over
-# the same matrix. check-rc and check-reclaim both run them under -race.
+# {figure2, split} x {locking, mcas} cell (the hop-cost pin and the
+# concurrent key-churn checks) plus its linearizability oracle over the same
+# matrix. check-rc runs them under -race.
 SET_MATRIX = -race -count=1 -run 'TestSearchHandsCountsAlong|TestConcurrent(Disjoint|Contended)Keys|TestSortedSetLinearizable' ./internal/dlist ./internal/linear
 
-.PHONY: all check build vet check-fmt test check-inline check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
+.PHONY: all check build vet check-fmt test check-inline check-race check-fault check-rc check-timeline check-census check-doctor race cover bench bench-smoke check-bench fuzz experiments stress explore examples clean
 
 all: check
 
 # The default gate: compile, vet, tests, and the race detector in one target.
 # check-race runs first: it covers the packages with the trickiest
 # concurrency (seqlock rings, the lifecycle ledger/auditor, the LFRC core
-# and the dead-object chains it hands the reclaim backends,
+# and the dead-object chains it hands the reclaimer,
 # the MCAS engine's descriptors reused in place under a version) and fails
 # fast before the full -race sweep. check-fault stresses every
 # structure under deterministic fault injection with the lifecycle auditor
-# armed. check-reclaim repeats that sweep across both reclamation backends.
-# check-rc repeats it again across both reference-count strategies — the
-# count protocol is safety, not policy, so every cell must pass unconditionally.
+# armed, once with an incremental-destroy budget so releases park zombies
+# while concurrent drains race them. check-rc repeats that sweep across both reference-count
+# strategies — the count protocol is safety, so every cell must pass
+# unconditionally.
 # check-timeline covers the telemetry ring (seqlock capture vs read) and the
 # lfrctop render layer under the race detector.
 # check-census covers the heap-census graph pass — including censuses taken
 # while mutators run, which must be race-clean and strictly read-only.
 # check-doctor covers the health watchdog's rule engine, bundle capture, and
-# the chaos -> bundle -> lfrcdoctor offline-diagnosis loop on both backends.
+# the chaos -> bundle -> lfrcdoctor offline-diagnosis loop.
 # check-bench builds and tests the benchmark under bench/, its own module that
 # root `go test ./...` never reaches. check-inline keeps the hot path's
 # accessors inlinable. check-fmt fails on any file gofmt would change.
-check: build vet check-fmt check-inline test check-race check-fault check-reclaim check-rc check-timeline check-census check-doctor race check-bench
+check: build vet check-fmt check-inline test check-race check-fault check-rc check-timeline check-census check-doctor race check-bench
 
 # Focused race gate over the concurrency-critical packages, three runs each:
 # the race detector's scheduling makes goroutines migrate between Ps often,
@@ -44,25 +45,17 @@ check: build vet check-fmt check-inline test check-race check-fault check-reclai
 check-race:
 	$(GO) test -race -count=3 ./internal/obs ./internal/lifecycle ./internal/core ./internal/reclaim ./internal/contend ./internal/dcas ./internal/mem ./internal/stripe
 
-# Fault-injection gate: the multi-seed chaos sweep and the degraded-mode /
-# typed-error tests, under the race detector.
+# Fault-injection gate: the multi-seed chaos sweep, the reclamation sweep
+# (the same storm with an incremental-destroy budget, 3 seeds) and the
+# degraded-mode / typed-error tests, under the race detector.
 check-fault:
-	$(GO) test -race -count=1 -run 'TestFault|TestDegraded|TestHeapExhaust|TestErr' .
-
-# Cross-backend reclamation gate: the backend unit matrix (both backends share
-# one suite in internal/reclaim) plus the system-level fault/chaos/auditor
-# sweep parameterized over {lfrc, epoch}, 3 seeds each, and the sorted set's
-# configuration matrix, under the race detector.
-check-reclaim:
-	$(GO) test -race -count=1 ./internal/reclaim
-	$(GO) test -race -count=1 -run 'TestReclaim|TestReclamation' .
-	$(GO) test $(SET_MATRIX)
+	$(GO) test -race -count=1 -run 'TestFault|TestDegraded|TestHeapExhaust|TestErr|TestReclaim|TestReclamation' .
 
 # Cross-strategy RC gate: the strategy unit matrix in internal/core (figure2
 # vs split protocol equivalence, packing boundaries, refill/merge paths), the
 # split boundary tests on both engines, and the system-level fault/chaos/
-# auditor sweep over every {figure2, split} x {locking, mcas} x {lfrc, epoch}
-# cell, 2 seeds each, and the sorted set's configuration matrix, under the
+# auditor sweep over every {figure2, split} x {locking, mcas} cell, 2 seeds
+# each, and the sorted set's configuration matrix, under the
 # race detector.
 check-rc:
 	$(GO) test -race -count=1 ./internal/core
@@ -76,7 +69,7 @@ check-timeline:
 	$(GO) test -race -count=1 -run 'TestTimeline' .
 
 # Heap-census gate: the graph/SCC unit suite, the cycle-leak acceptance
-# scenario on both reclamation backends, and censuses taken while mutator
+# scenario (with budget-parked zombies as limbo), and censuses taken while mutator
 # goroutines run — all under the race detector, which is what proves the
 # census's read-only snapshot loads never race the engines.
 check-census:
@@ -150,36 +143,35 @@ check-bench:
 # Watchdog / diagnostic-bundle gate. Three layers:
 #   1. the rule-engine unit suite and the system-level watchdog/bundle tests
 #      (capture-while-mutating runs under the race detector);
-#   2. a planted epoch starvation (reclaim.epoch:p=1 pins the epoch, so limbo
-#      grows with zero drains): the chaos run must FAIL, auto-capture a
-#      bundle, and lfrcdoctor — offline, from the tarball alone — must reach
-#      the limbo_stall verdict with exit 1;
-#   3. a planted retry storm on the lfrc backend (core.load:p=0.85 forces the
-#      paper's §5 retry window): the chaos run itself stays clean, the
-#      explicitly requested bundle must carry the storm, and lfrcdoctor must
-#      surface the retry_storm finding.
+#   2. a planted heap exhaustion (mem.alloc:p=0.6 fails allocations often
+#      enough that some outlast the heap-pressure policy's 8 retries): the
+#      chaos run itself stays clean, the explicitly requested bundle must
+#      carry the incident, and lfrcdoctor — offline, from the tarball alone —
+#      must reach the heap_exhaustion verdict with exit 1;
+#   3. a planted retry storm (core.load:p=0.85 forces the paper's §5 retry
+#      window): the chaos run stays clean, the bundle must carry the storm,
+#      and lfrcdoctor must surface the retry_storm finding.
+# No fault plan is known to make chaos FAIL on the lfrc reclaimer, so the
+# FAIL path's automatic capture is covered by tests, not planted here.
 check-doctor:
 	$(GO) test -count=1 ./internal/watchdog
 	$(GO) test -race -count=1 -run 'TestWatchdog|TestBundle' .
 	$(GO) test -count=1 ./cmd/lfrcdoctor
 	@dir=$$(mktemp -d /tmp/lfrc-doctor-XXXXXX); \
-	echo "check-doctor: epoch limbo starvation -> bundle -> lfrcdoctor"; \
-	if $(GO) run ./cmd/lfrcbench -fault-plan 'reclaim.epoch:p=1' -reclaim epoch \
-		-dur 500ms -workers 4 -destroy-budget 1 -bundle $$dir/epoch.tar.gz >$$dir/epoch.log 2>&1; then \
-		echo "check-doctor: planted epoch starvation did not FAIL chaos"; cat $$dir/epoch.log; rm -rf $$dir; exit 1; \
+	echo "check-doctor: heap exhaustion -> bundle -> lfrcdoctor"; \
+	$(GO) run ./cmd/lfrcbench -fault-plan 'mem.alloc:p=0.6' \
+		-dur 500ms -workers 4 -bundle $$dir/oom.tar.gz >$$dir/oom.log 2>&1 || { echo "check-doctor: heap-exhaustion chaos run failed"; cat $$dir/oom.log; rm -rf $$dir; exit 1; }; \
+	if $(GO) run ./cmd/lfrcdoctor -json $$dir/oom.tar.gz >$$dir/oom.json 2>&1; then \
+		echo "check-doctor: lfrcdoctor called the exhausted bundle healthy"; cat $$dir/oom.json; rm -rf $$dir; exit 1; \
 	fi; \
-	grep -q '^bundle=' $$dir/epoch.log || { echo "check-doctor: FAIL did not capture a bundle"; cat $$dir/epoch.log; rm -rf $$dir; exit 1; }; \
-	if $(GO) run ./cmd/lfrcdoctor -json $$dir/epoch.tar.gz >$$dir/epoch.json 2>&1; then \
-		echo "check-doctor: lfrcdoctor called the starved epoch bundle healthy"; cat $$dir/epoch.json; rm -rf $$dir; exit 1; \
-	fi; \
-	grep -q '"rule": "limbo_stall"' $$dir/epoch.json || { echo "check-doctor: no limbo_stall verdict"; cat $$dir/epoch.json; rm -rf $$dir; exit 1; }; \
-	grep -q '"reclaimer": "epoch"' $$dir/epoch.json || { echo "check-doctor: wrong backend in verdict"; cat $$dir/epoch.json; rm -rf $$dir; exit 1; }; \
-	echo "check-doctor: lfrc retry storm -> bundle -> lfrcdoctor"; \
-	$(GO) run ./cmd/lfrcbench -fault-plan 'core.load:p=0.85' -reclaim lfrc \
+	grep -q '"rule": "heap_exhaustion"' $$dir/oom.json || { echo "check-doctor: no heap_exhaustion verdict"; cat $$dir/oom.json; rm -rf $$dir; exit 1; }; \
+	grep -q '"reclaimer": "lfrc"' $$dir/oom.json || { echo "check-doctor: wrong reclaimer in verdict"; cat $$dir/oom.json; rm -rf $$dir; exit 1; }; \
+	echo "check-doctor: retry storm -> bundle -> lfrcdoctor"; \
+	$(GO) run ./cmd/lfrcbench -fault-plan 'core.load:p=0.85' \
 		-dur 500ms -workers 4 -bundle $$dir/lfrc.tar.gz >$$dir/lfrc.log 2>&1 || { echo "check-doctor: retry-storm chaos run failed"; cat $$dir/lfrc.log; rm -rf $$dir; exit 1; }; \
 	$(GO) run ./cmd/lfrcdoctor -json $$dir/lfrc.tar.gz >$$dir/lfrc.json 2>&1; \
 	grep -q '"rule": "retry_storm"' $$dir/lfrc.json || { echo "check-doctor: no retry_storm finding"; cat $$dir/lfrc.json; rm -rf $$dir; exit 1; }; \
-	grep -q '"reclaimer": "lfrc"' $$dir/lfrc.json || { echo "check-doctor: wrong backend in verdict"; cat $$dir/lfrc.json; rm -rf $$dir; exit 1; }; \
+	grep -q '"reclaimer": "lfrc"' $$dir/lfrc.json || { echo "check-doctor: wrong reclaimer in verdict"; cat $$dir/lfrc.json; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir; echo "check-doctor: PASS"
 
 # Short fuzzing burst per fuzzer (seed corpora always run under `make test`).
@@ -197,8 +189,8 @@ stress:
 
 # Deep schedule-space hunt (historical Snark races, LFRC safety): the Snark
 # exploration tests with -deep run the default cell at 4 preemptions and up
-# to 200k schedules per scenario, and every other {engine} x {strategy} x
-# {reclaimer} cell at the tier-1 budget.
+# to 200k schedules per scenario, and the 3 other {engine} x {strategy}
+# cells (4 in all) at the tier-1 budget.
 explore:
 	$(GO) test -count=1 -timeout 0 -v -run 'Test(SnarkMemorySafety|ClaimingDequeExact)UnderExploration' ./internal/explore -args -deep
 

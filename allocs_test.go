@@ -9,9 +9,9 @@ import (
 // TestSteadyStateAllocatesNothing guards the allocation-free reclamation
 // hand-off: once a structure's heap has warmed up (its slabs carved and its
 // free lists stocked), facade loops that kill a node on every pop, dequeue
-// or delete allocate nothing from the Go heap, on every
-// {engine}x{strategy}x{reclaimer} cell. A dead object travels to the
-// reclamation backend through its own link word, never in a Go slice.
+// or delete allocate nothing from the Go heap, on every {engine}x{strategy}
+// cell (named with the backend last). A dead object travels to the
+// reclaimer through its own link word, never in a Go slice.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	loops := []struct {
 		name string
@@ -23,25 +23,23 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	for _, eng := range []lfrc.Engine{lfrc.EngineLocking, lfrc.EngineMCAS} {
 		for _, strat := range []lfrc.RCStrategy{lfrc.RCFigure2, lfrc.RCSplit} {
-			for _, rec := range []lfrc.Reclaimer{lfrc.ReclaimerLFRC, lfrc.ReclaimerEpoch} {
-				cell := eng.String() + "/" + strat.String() + "/" + rec.String()
-				for _, l := range loops {
-					t.Run(cell+"/"+l.name, func(t *testing.T) {
-						sys, err := lfrc.New(lfrc.WithEngine(eng), lfrc.WithRCStrategy(strat),
-							lfrc.WithReclamation(rec), lfrc.WithAllocShards(1))
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer sys.Close()
-						step := l.run(t, sys)
-						for range 256 { // warm up: carve, stock free lists, fill limbo
-							step()
-						}
-						if n := testing.AllocsPerRun(200, step); n != 0 {
-							t.Fatalf("%v Go allocations per step, want 0", n)
-						}
-					})
-				}
+			cell := eng.String() + "/" + strat.String() + "/" + backend
+			for _, l := range loops {
+				t.Run(cell+"/"+l.name, func(t *testing.T) {
+					sys, err := lfrc.New(lfrc.WithEngine(eng), lfrc.WithRCStrategy(strat),
+						lfrc.WithAllocShards(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sys.Close()
+					step := l.run(t, sys)
+					for range 256 { // warm up: carve, stock free lists
+						step()
+					}
+					if n := testing.AllocsPerRun(200, step); n != 0 {
+						t.Fatalf("%v Go allocations per step, want 0", n)
+					}
+				})
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lfrc/internal/obs"
+	"lfrc/internal/reclaim"
 )
 
 // BundleSchemaVersion is the diagnostic-bundle manifest schema version; bump
@@ -27,8 +28,8 @@ type BundleHost struct {
 }
 
 // BundleManifest is the bundle's manifest.json: enough context to interpret
-// every other artifact offline — which engine and reclamation backend the
-// system ran, the fault plan and seed (a failing chaos run is replayable from
+// every other artifact offline — which engine the system ran (Reclaimer
+// always reads "lfrc"), the fault plan and seed (a failing chaos run is replayable from
 // these), and the artifact roster.
 type BundleManifest struct {
 	SchemaVersion int        `json:"schema_version"`
@@ -125,7 +126,7 @@ func (s *System) WriteBundle(w io.Writer) error {
 			GoVersion:  runtime.Version(),
 		},
 		Engine:    s.EngineName(),
-		Reclaimer: s.ReclaimerName(),
+		Reclaimer: reclaim.Name,
 		Artifacts: []string{"manifest.json"},
 	}
 	if s.fj != nil {

@@ -5,6 +5,7 @@ import (
 
 	"lfrc/internal/census"
 	"lfrc/internal/mem"
+	"lfrc/internal/reclaim"
 )
 
 // CensusSnapshot is one whole-heap object-graph census: reachability from
@@ -48,9 +49,9 @@ func WithCensusRoots(fn func() []uint32) Option {
 // The census is strictly read-only — it frees nothing, retains nothing, and
 // never helps an in-flight engine operation — so it is safe to take while
 // mutators run; such a snapshot is race-clean but approximate. Quiescent
-// snapshots are exact. Objects parked by deferred reclamation (epoch limbo
-// bins, budget-parked zombies) are classified "limbo", not leaked; drain
-// with DrainZombies first when a final verdict is wanted.
+// snapshots are exact. Zombies parked by an incremental-destroy budget
+// (WithIncrementalDestroy) are classified "limbo", not leaked; drain with
+// DrainZombies first when a final verdict is wanted.
 //
 // The most recent snapshot is also what the lfrc_census_* metrics report.
 func (s *System) Census() *CensusSnapshot {
@@ -80,7 +81,7 @@ func (s *System) Census() *CensusSnapshot {
 		Read:    s.rc.SnapshotRead,
 		Decode:  s.rc.DecodeLink,
 		Roots:   roots,
-		Backend: s.ReclaimerName(),
+		Backend: reclaim.Name,
 	})
 	s.lastCensus.Store(snap)
 	return snap

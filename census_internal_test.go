@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lfrc/internal/mem"
+	"lfrc/internal/reclaim"
 )
 
 // buildCycle plants the paper's unfixable garbage: a doubly-linked A⇄B pair
@@ -38,83 +39,92 @@ func buildCycle(t *testing.T, sys *System) (a, b mem.Ref) {
 // TestCensusCycleLeak is the acceptance scenario: a deliberately constructed
 // doubly-linked cycle, unreachable after the structures close, is reported by
 // the census — with its member list, retained bytes, and a non-zero
-// lfrc_census_cycle_bytes gauge — on both reclamation backends. On the epoch
-// backend the pre-drain census must additionally classify retired husks as
-// limbo, never as leaks.
+// lfrc_census_cycle_bytes gauge. A set closed under an incremental-destroy
+// budget of 1 leaves its chain behind a zombie parked on the zombie stack,
+// and the pre-drain census must classify that zombie and what it pins as
+// limbo, never as leaks. The subtest is named after the backend.
 func TestCensusCycleLeak(t *testing.T) {
-	for _, backend := range []Reclaimer{ReclaimerLFRC, ReclaimerEpoch} {
-		t.Run(backend.String(), func(t *testing.T) {
-			sys, err := New(WithReclamation(backend))
-			if err != nil {
-				t.Fatalf("New: %v", err)
+	t.Run(reclaim.Name, func(t *testing.T) {
+		sys, err := New(WithIncrementalDestroy(1))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer sys.Close()
+		q, err := sys.NewQueue()
+		if err != nil {
+			t.Fatalf("NewQueue: %v", err)
+		}
+		for i := Value(0); i < 64; i++ {
+			if err := q.Enqueue(i); err != nil {
+				t.Fatalf("Enqueue: %v", err)
 			}
-			defer sys.Close()
-			q, err := sys.NewQueue()
-			if err != nil {
-				t.Fatalf("NewQueue: %v", err)
+		}
+		for i := 0; i < 32; i++ {
+			if _, ok := q.Dequeue(); !ok {
+				t.Fatal("Dequeue: empty")
 			}
-			for i := Value(0); i < 64; i++ {
-				if err := q.Enqueue(i); err != nil {
-					t.Fatalf("Enqueue: %v", err)
-				}
+		}
+		set, err := sys.NewSet()
+		if err != nil {
+			t.Fatalf("NewSet: %v", err)
+		}
+		for k := Value(32); k > 0; k-- {
+			if _, err := set.Insert(k); err != nil {
+				t.Fatalf("Insert: %v", err)
 			}
-			for i := 0; i < 32; i++ {
-				if _, ok := q.Dequeue(); !ok {
-					t.Fatal("Dequeue: empty")
-				}
-			}
-			a, b := buildCycle(t, sys)
+		}
+		set.Close() // budget 1: frees one node, parks the next, which pins the rest
+		a, b := buildCycle(t, sys)
 
-			pre := sys.Census()
-			if pre.Unreachable.Objects != 2 {
-				t.Errorf("pre-drain unreachable = %d, want 2 (only the cycle): %+v",
-					pre.Unreachable.Objects, pre.Unreachable)
-			}
-			if backend == ReclaimerEpoch && pre.Limbo.Objects == 0 {
-				t.Errorf("epoch pre-drain census shows no limbo despite 32 undrained retirees")
-			}
+		pre := sys.Census()
+		if pre.Unreachable.Objects != 2 {
+			t.Errorf("pre-drain unreachable = %d, want 2 (only the cycle): %+v",
+				pre.Unreachable.Objects, pre.Unreachable)
+		}
+		if pre.Limbo.Objects == 0 {
+			t.Errorf("pre-drain census shows no limbo despite a closed set parked undrained")
+		}
 
-			q.Close()
-			sys.DrainZombies(0)
-			c := sys.Census()
+		q.Close()
+		sys.DrainZombies(0)
+		c := sys.Census()
 
-			if c.Limbo.Objects != 0 {
-				t.Errorf("post-drain limbo = %d, want 0", c.Limbo.Objects)
+		if c.Limbo.Objects != 0 {
+			t.Errorf("post-drain limbo = %d, want 0", c.Limbo.Objects)
+		}
+		if c.CycleCount != 1 || len(c.Cycles) != 1 {
+			t.Fatalf("cycle count = %d (%d listed), want 1", c.CycleCount, len(c.Cycles))
+		}
+		cy := c.Cycles[0]
+		if cy.Size != 2 || cy.Bytes <= 0 || cy.RetainedBytes < cy.Bytes {
+			t.Errorf("cycle = %+v, want size 2 with positive (retained) bytes", cy)
+		}
+		members := map[uint32]uint64{}
+		for _, o := range cy.Objects {
+			members[o.Ref] = o.RC
+			if o.Type != "cyclepair" {
+				t.Errorf("member type = %q, want cyclepair", o.Type)
 			}
-			if c.CycleCount != 1 || len(c.Cycles) != 1 {
-				t.Fatalf("cycle count = %d (%d listed), want 1", c.CycleCount, len(c.Cycles))
-			}
-			cy := c.Cycles[0]
-			if cy.Size != 2 || cy.Bytes <= 0 || cy.RetainedBytes < cy.Bytes {
-				t.Errorf("cycle = %+v, want size 2 with positive (retained) bytes", cy)
-			}
-			members := map[uint32]uint64{}
-			for _, o := range cy.Objects {
-				members[o.Ref] = o.RC
-				if o.Type != "cyclepair" {
-					t.Errorf("member type = %q, want cyclepair", o.Type)
-				}
-			}
-			if members[uint32(a)] != 1 || members[uint32(b)] != 1 {
-				t.Errorf("members = %v, want a=%d and b=%d at rc=1", cy.Objects, a, b)
-			}
-			if c.CycleBytes <= 0 || c.Unreachable.Objects != 2 {
-				t.Errorf("cycle_bytes=%d unreachable=%d, want >0 and 2", c.CycleBytes, c.Unreachable.Objects)
-			}
-			// The cycle's counts are consistent (1 in-edge each), so it must
-			// NOT be flagged as an rc mismatch — it is a leak, not a count bug.
-			if c.RCMismatchCount != 0 {
-				t.Errorf("rc mismatches = %d (%v), want 0", c.RCMismatchCount, c.RCMismatches)
-			}
+		}
+		if members[uint32(a)] != 1 || members[uint32(b)] != 1 {
+			t.Errorf("members = %v, want a=%d and b=%d at rc=1", cy.Objects, a, b)
+		}
+		if c.CycleBytes <= 0 || c.Unreachable.Objects != 2 {
+			t.Errorf("cycle_bytes=%d unreachable=%d, want >0 and 2", c.CycleBytes, c.Unreachable.Objects)
+		}
+		// The cycle's counts are consistent (1 in-edge each), so it must
+		// NOT be flagged as an rc mismatch — it is a leak, not a count bug.
+		if c.RCMismatchCount != 0 {
+			t.Errorf("rc mismatches = %d (%v), want 0", c.RCMismatchCount, c.RCMismatches)
+		}
 
-			var buf bytes.Buffer
-			sys.WriteMetrics(&buf)
-			v, ok := metricValue(buf.String(), "lfrc_census_cycle_bytes")
-			if !ok || v <= 0 {
-				t.Errorf("lfrc_census_cycle_bytes = %v (found=%v), want > 0", v, ok)
-			}
-		})
-	}
+		var buf bytes.Buffer
+		sys.WriteMetrics(&buf)
+		v, ok := metricValue(buf.String(), "lfrc_census_cycle_bytes")
+		if !ok || v <= 0 {
+			t.Errorf("lfrc_census_cycle_bytes = %v (found=%v), want > 0", v, ok)
+		}
+	})
 }
 
 // metricValue scans Prometheus text exposition for an unlabelled series.

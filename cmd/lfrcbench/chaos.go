@@ -29,10 +29,9 @@ import (
 // A FAIL additionally captures a diagnostic bundle (to bundlePath, or an
 // auto-generated name) and echoes it as a machine-readable "bundle=" line so
 // harnesses can hand the black box straight to cmd/lfrcdoctor.
-func runChaos(stdout io.Writer, eng lfrc.Engine, rec lfrc.Reclaimer, strat lfrc.RCStrategy, plan string, seed uint64, dur time.Duration, workers int, bundlePath string, destroyBudget, heapWords int) error {
+func runChaos(stdout io.Writer, eng lfrc.Engine, strat lfrc.RCStrategy, plan string, seed uint64, dur time.Duration, workers int, bundlePath string, destroyBudget, heapWords int) error {
 	opts := []lfrc.Option{
 		lfrc.WithEngine(eng),
-		lfrc.WithReclamation(rec),
 		lfrc.WithRCStrategy(strat),
 		lfrc.WithFaultPlan(plan),
 		lfrc.WithFaultSeed(seed),
@@ -46,8 +45,8 @@ func runChaos(stdout io.Writer, eng lfrc.Engine, rec lfrc.Reclaimer, strat lfrc.
 		// second, and the watchdog's windowed rules (limbo_stall needs ten
 		// qualifying samples) must be able to fire inside one. A -metrics
 		// chaos run serves the same samples live on
-		// /debug/lfrc/timeline.json — the epoch backend's limbo backlog
-		// rising and draining is the headline trajectory.
+		// /debug/lfrc/timeline.json — with -destroy-budget, the zombie
+		// backlog rising and draining is the headline trajectory.
 		lfrc.WithTimeline(lfrc.TimelineOptions{Interval: 10 * time.Millisecond}),
 		// Probe the census more often than the always-on default for the
 		// same reason: short run, want at least a few cross-checks.
@@ -75,7 +74,7 @@ func runChaos(stdout io.Writer, eng lfrc.Engine, rec lfrc.Reclaimer, strat lfrc.
 	capture := func() {
 		path := bundlePath
 		if path == "" {
-			path = fmt.Sprintf("lfrc-chaos-%s-%s.tar.gz", eng, sys.ReclaimerName())
+			path = fmt.Sprintf("lfrc-chaos-%s-%s.tar.gz", eng, sys.RCStrategyName())
 		}
 		f, err := os.Create(path)
 		if err != nil {
@@ -117,7 +116,7 @@ func runChaos(stdout io.Writer, eng lfrc.Engine, rec lfrc.Reclaimer, strat lfrc.
 		return err
 	}
 
-	fmt.Fprintf(stdout, "chaos: engine=%s reclaim=%s rc=%s workers=%d dur=%v\n", eng, sys.ReclaimerName(), sys.RCStrategyName(), workers, dur)
+	fmt.Fprintf(stdout, "chaos: engine=%s rc=%s workers=%d dur=%v\n", eng, sys.RCStrategyName(), workers, dur)
 	fmt.Fprintf(stdout, "fault_seed=%d\n", seed)
 	fmt.Fprintf(stdout, "fault_plan=%s\n", plan)
 

@@ -1,20 +1,20 @@
 // Command lfrcbench runs the reproduction's experiment suite (E1..E9, A1..A3,
-// L1, G1, R2, R3, O1..O6 — see DESIGN.md §4 and EXPERIMENTS.md) and prints
+// L1, G1, R3, O1..O6 — see DESIGN.md §4 and EXPERIMENTS.md) and prints
 // one table per experiment, in the same format EXPERIMENTS.md records. A3's
 // notes include the unified System.Stats snapshot as JSON. Performance
 // records are taken and compared by the benchmark under bench/, not here.
 //
 // Usage:
 //
-//	lfrcbench [-run E1,E5] [-engine locking|mcas|both] [-reclaim lfrc|epoch]
-//	          [-rc figure2|split] [-scale N] [-dur 250ms] [-workers 1,2,4,8]
+//	lfrcbench [-run E1,E5] [-engine locking|mcas|both] [-rc figure2|split]
+//	          [-scale N] [-dur 250ms] [-workers 1,2,4,8]
 //	          [-markdown] [-stats-json] [-census] [-metrics addr]
 //	          [-trace out.json] [-fault-plan plan] [-fault-seed N]
 //
 // With no -run flag every experiment runs; an unknown id is an error.
 // -fault-plan replaces the experiment tables with a chaos run of all four
-// structures under that fault-injection plan (see chaos.go); -reclaim and -rc
-// select its reclamation backend and counting strategy. -stats-json appends
+// structures under that fault-injection plan (see chaos.go); -rc selects its
+// counting strategy. -stats-json appends
 // the final unified System.Stats of the last system an experiment or the
 // chaos run published (O1, O2, O3, O4, A3) as one JSON object on stdout.
 // -metrics serves /metrics (Prometheus text), /debug/vars (expvar),
@@ -117,7 +117,6 @@ var experiments = []experiment{
 	{"A2", true, func(p params) *workload.Table { return workload.RunA2(p.kind, p.scale) }},
 	{"L1", true, func(p params) *workload.Table { return workload.RunL1(p.kind, p.scale) }},
 	{"G1", true, func(p params) *workload.Table { return workload.RunG1(p.kind, p.dur) }},
-	{"R2", true, func(p params) *workload.Table { return workload.RunR2(p.kind, p.dur) }},
 	{"O1", true, func(p params) *workload.Table { return workload.RunO1(p.kind, p.dur) }},
 	{"O2", true, func(p params) *workload.Table { return workload.RunO2(p.kind, p.dur) }},
 	{"O3", true, func(p params) *workload.Table { return workload.RunO3(p.kind, p.dur) }},
@@ -169,13 +168,11 @@ func run(args []string, stdout io.Writer) error {
 		tracePath = fs.String("trace", "", "write the published system's Chrome trace_event export to this file after the run")
 		faultPlan = fs.String("fault-plan", "", "chaos mode: skip the experiment tables and stress all structures under this fault-injection plan (e.g. 'core.*:p=0.01;mem.alloc:every=500')")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection seed; same seed and plan replay the same firing schedule")
-		bundle    = fs.String("bundle", "", "chaos mode: write the diagnostic bundle here even on PASS; a FAIL always captures one (auto-named lfrc-chaos-<engine>-<reclaim>.tar.gz when unset)")
+		bundle    = fs.String("bundle", "", "chaos mode: write the diagnostic bundle here even on PASS; a FAIL always captures one (auto-named lfrc-chaos-<engine>-<rc>.tar.gz when unset)")
 		destroyB  = fs.Int("destroy-budget", 0, "chaos mode: incremental-destroy budget (objects parked per release; 0 = eager)")
 		heapWords = fs.Int("heap-words", 0, "chaos mode: cap the arena at this many words (0 = default) to plant heap-pressure exhaustions")
 		doCensus  = fs.Bool("census", false, "after the run, take a heap census of the published system, drain zombies, take another, and print the summaries plus the diff")
 	)
-	reclaimer := lfrc.ReclaimerLFRC
-	fs.Var(&reclaimer, "reclaim", "chaos mode: reclamation backend, lfrc or epoch (experiment R2 always measures both)")
 	rcStrategy := lfrc.RCFigure2
 	fs.Var(&rcStrategy, "rc", "chaos mode: reference-count strategy, figure2 or split (experiment R3 always measures both)")
 	if err := fs.Parse(args); err != nil {
@@ -220,7 +217,7 @@ func run(args []string, stdout io.Writer) error {
 	var chaosErr error
 	if chaosMode {
 		nw := workerCounts[len(workerCounts)-1]
-		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), reclaimer, rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB, *heapWords)
+		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB, *heapWords)
 	} else {
 		emit := func(t *workload.Table) {
 			if *markdown {

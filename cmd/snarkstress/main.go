@@ -7,7 +7,7 @@
 // Usage:
 //
 //	snarkstress [-dur 10s] [-workers 8] [-engine locking|mcas]
-//	            [-reclaim lfrc|epoch] [-rc figure2|split]
+//	            [-rc figure2|split]
 //	            [-structure deque|queue|stack|all]
 //	            [-checkpoint 2s] [-claim]
 //
@@ -29,7 +29,6 @@ import (
 	"lfrc/internal/check"
 	"lfrc/internal/core"
 	"lfrc/internal/mem"
-	"lfrc/internal/reclaim"
 	"lfrc/internal/snark"
 	"lfrc/internal/workload"
 )
@@ -45,7 +44,6 @@ type options struct {
 	dur        time.Duration
 	workers    int
 	engine     workload.EngineKind
-	reclaimer  lfrc.Reclaimer
 	rcStrategy lfrc.RCStrategy
 	structures []string
 	checkpoint time.Duration
@@ -63,8 +61,6 @@ func run(args []string) error {
 		claim      = fs.Bool("claim", true, "use the value-claiming deque variant")
 	)
 	fs.Var(&engine, "engine", "DCAS engine: locking or mcas")
-	reclaimer := lfrc.ReclaimerLFRC
-	fs.Var(&reclaimer, "reclaim", "reclamation backend: lfrc or epoch")
 	rcStrategy := lfrc.RCFigure2
 	fs.Var(&rcStrategy, "rc", "reference-count strategy: figure2 or split")
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +84,6 @@ func run(args []string) error {
 		dur:        *dur,
 		workers:    *workers,
 		engine:     kind,
-		reclaimer:  reclaimer,
 		rcStrategy: rcStrategy,
 		structures: structures,
 		checkpoint: *checkpoint,
@@ -100,8 +95,8 @@ func run(args []string) error {
 
 	failures := 0
 	for _, st := range opts.structures {
-		fmt.Printf("=== soaking %s (%s engine, %s reclaim, %s rc, %d workers, %v) ===\n",
-			st, opts.engine, opts.reclaimer, opts.rcStrategy, opts.workers, opts.dur)
+		fmt.Printf("=== soaking %s (%s engine, %s rc, %d workers, %v) ===\n",
+			st, opts.engine, opts.rcStrategy, opts.workers, opts.dur)
 		if err := soak(st, opts); err != nil {
 			fmt.Printf("FAIL %s: %v\n", st, err)
 			failures++
@@ -188,11 +183,8 @@ func buildOps(st string, env *workload.Env, claim bool) (ops, error) {
 }
 
 func soak(st string, o options) error {
-	// lfrc.Reclaimer is numerically aligned with reclaim.Kind, and
-	// lfrc.RCStrategy with core.StrategyKind.
-	env := workload.NewEnv(o.engine,
-		core.WithReclaimerKind(reclaim.Kind(o.reclaimer)),
-		core.WithStrategyKind(core.StrategyKind(o.rcStrategy)))
+	// lfrc.RCStrategy is numerically aligned with core.StrategyKind.
+	env := workload.NewEnv(o.engine, core.WithStrategyKind(core.StrategyKind(o.rcStrategy)))
 	structure, err := buildOps(st, env, o.claim)
 	if err != nil {
 		return err
@@ -274,9 +266,6 @@ func soak(st string, o options) error {
 			c.Name, c.Live, c.Freed, c.LiveWords)
 	}
 	structure.close()
-	// The epoch backend holds freed-at-count-zero objects in limbo; finish
-	// its deferred work before demanding an empty heap.
-	env.RC.DrainZombies(0)
 	if leaks := check.Leaks(env.Heap); len(leaks) != 0 {
 		return fmt.Errorf("%d objects leaked after close", len(leaks))
 	}

@@ -18,8 +18,8 @@ import (
 //
 // Injection points cover the LFRC operations' CAS/DCAS attempts (core.load,
 // core.store, core.storealloc, core.cas, core.dcas, core.addtorc), the
-// reclamation backends (reclaim.push, reclaim.drain, reclaim.epoch — or
-// reclaim.* to arm all three), the four Snark hat loops
+// zombie stack (reclaim.push, reclaim.drain — or reclaim.* to arm both),
+// the four Snark hat loops
 // (snark.pushleft/pushright/popleft/popright), the queue, stack, and set
 // retry loops (queue.enqueue/dequeue, stack.push/pop,
 // set.insert/delete/popmin), and the allocator (mem.alloc forces an injected

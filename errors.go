@@ -35,9 +35,9 @@ var (
 	ErrClosed = errors.New("lfrc: structure is closed")
 
 	// ErrUnknownName reports a name that resolves to no value of one of the
-	// pluggable seams: ParseEngine, ParseReclaimer and ParseRCStrategy all
-	// wrap it (listing the valid names), so flag plumbing and config
-	// loaders can branch on bad selector input with a single errors.Is.
+	// pluggable seams: ParseEngine and ParseRCStrategy both wrap it
+	// (listing the valid names), so flag plumbing and config loaders can
+	// branch on bad selector input with a single errors.Is.
 	ErrUnknownName = errors.New("lfrc: unknown")
 )
 

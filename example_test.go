@@ -174,24 +174,3 @@ func ExampleWithIncrementalDestroy() {
 	// Output:
 	// live objects: 0
 }
-
-// ExampleWithReclamation swaps the reclamation policy behind the count-zero
-// invariant: the epoch backend defers frees into limbo bins and releases
-// them a grace period later, so quiescent code drains explicitly before
-// expecting an empty heap.
-func ExampleWithReclamation() {
-	sys, _ := lfrc.New(lfrc.WithReclamation(lfrc.ReclaimerEpoch))
-	st, _ := sys.NewStack()
-	for v := lfrc.Value(1); v <= 100; v++ {
-		_ = st.Push(v)
-	}
-	st.Close()
-	sys.DrainZombies(0) // flush the limbo bins
-	fmt.Println(sys.ReclaimerName())
-	fmt.Println("live objects:", sys.Stats().Heap.LiveObjects)
-	fmt.Println("pending frees:", sys.Stats().Reclaim.Pending)
-	// Output:
-	// epoch
-	// live objects: 0
-	// pending frees: 0
-}

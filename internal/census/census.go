@@ -23,12 +23,11 @@
 // run it is race-clean and internally consistent per cell, but edges and
 // counts are a moving target; quiescent snapshots are exact.
 //
-// Husks parked by deferred reclamation — the epoch backend's limbo bins, the
-// lfrc backend's budget-parked zombie stack — are live blocks with a zero
-// stored count. They are classified "limbo", not leaked: they are already on
-// a path to the allocator and merely awaiting a drain. Objects only such
-// husks still pin (the lfrc backend parks zombies with fields intact) are
-// limbo too.
+// Zombies parked on the zombie stack by an incremental-destroy budget are
+// live blocks with a zero stored count. They are classified "limbo", not
+// leaked: they are already on a path to the allocator and merely awaiting a
+// drain. Objects only such zombies still pin (they are parked with fields
+// intact) are limbo too.
 package census
 
 import (
@@ -81,7 +80,7 @@ type Config struct {
 	// Roots are the reachability roots, keyed by ref.
 	Roots map[uint32]Root
 
-	// Backend names the reclamation backend, recorded in the snapshot.
+	// Backend names the reclaimer ("lfrc"), recorded in the snapshot.
 	Backend string
 
 	// MaxCycles, MaxCycleObjects and MaxMismatches cap the snapshot's list
@@ -383,8 +382,8 @@ func classify(cfg Config, s *Snapshot, g *graph) {
 	}
 
 	// Limbo: unreachable husks (rc 0 or poisoned) and, transitively,
-	// unreachable objects they pin — the lfrc backend parks budget-deferred
-	// zombies with fields intact, so a husk's subgraph is en route to the
+	// unreachable objects they pin — budget-deferred zombies are parked
+	// with fields intact, so a husk's subgraph is en route to the
 	// allocator, not leaked.
 	for i := range g.nodes {
 		n := &g.nodes[i]

@@ -19,11 +19,11 @@
 // check that the pointer still exists (paper §5). NaiveLoad preserves the
 // broken CAS-only protocol for experiment E1.
 //
-// What happens *after* a count reaches zero is not this package's policy:
-// count-zero objects are handed to a pluggable reclamation backend (the
-// internal/reclaim seam — the paper-faithful zombie stack by default, or
-// epoch-based limbo bins), and the RC implements reclaim.Env so backends
-// can release children and return slots without knowing the LFRC protocol.
+// What happens *after* a count reaches zero lives in internal/reclaim:
+// count-zero objects are handed to its Reclaimer (the paper's destroy
+// recursion with the §7 zombie stack), and the RC implements reclaim.Env so
+// the Reclaimer can release children and return slots without knowing the
+// LFRC protocol.
 //
 // Pointer cells managed by this package must be accessed only through these
 // operations (the paper's "LFRC compliance" criterion, §2.1).
@@ -56,16 +56,14 @@ type RC struct {
 	splitLink   int64
 	splitRefill int64
 
-	// reclaimKind selects the reclamation backend built at construction;
-	// destroyBudget is the incremental-destroy budget handed to it (the
+	// destroyBudget is the incremental-destroy budget handed to rec (the
 	// paper's §7 "incremental collection of large structures").
-	reclaimKind   reclaim.Kind
 	destroyBudget int
 
-	// rec is the reclamation backend: every object whose count this RC
-	// observes dropping to zero is retired through it, and it frees them
-	// back through the reclaim.Env methods below.
-	rec reclaim.Reclaimer
+	// rec is the Reclaimer: every object whose count this RC observes
+	// dropping to zero is retired through it, and it frees them back
+	// through the reclaim.Env methods below.
+	rec *reclaim.Reclaimer
 
 	// LoadHook and NaiveHook, when non-nil, run inside Load and
 	// NaiveLoad respectively, between reading the pointer and updating
@@ -102,18 +100,12 @@ type RC struct {
 type Option func(*RC)
 
 // WithIncrementalDestroy caps reclamation work per release at budget
-// objects; excess dead objects stay parked with the reclamation backend and
-// are reclaimed by later releases or by DrainZombies. This implements the
+// objects; excess dead objects stay parked on the zombie stack until
+// DrainZombies reclaims them. This implements the
 // paper's §7 suggestion for avoiding long pauses when the last pointer to a
 // large structure is dropped. A budget of 0 (the default) reclaims eagerly.
 func WithIncrementalDestroy(budget int) Option {
 	return func(c *RC) { c.destroyBudget = budget }
-}
-
-// WithReclaimerKind selects the reclamation backend (see internal/reclaim).
-// The default is reclaim.KindLFRC, the paper-faithful zombie stack.
-func WithReclaimerKind(k reclaim.Kind) Option {
-	return func(c *RC) { c.reclaimKind = k }
 }
 
 // WithStrategyKind selects the reference-count strategy (see strategy.go).
@@ -148,27 +140,26 @@ func WithContention(t *contend.Table) Option {
 }
 
 // WithFault attaches a fault injector: the DCAS/CAS attempts of every LFRC
-// operation, add_to_rc, and the reclamation backend's park/drain loops
+// operation, add_to_rc, and the zombie stack's park/drain loops
 // consult it and treat a firing as a failed attempt. A nil injector leaves
 // injection disabled.
 func WithFault(in *fault.Injector) Option {
 	return func(c *RC) { c.fj = in }
 }
 
-// New creates an RC over the given heap and engine. The reclamation backend
-// is built last, over the fully configured RC, which implements its Env.
+// New creates an RC over the given heap and engine. The Reclaimer is built
+// last, over the fully configured RC, which implements its Env.
 func New(h *mem.Heap, e dcas.Engine, opts ...Option) *RC {
 	c := &RC{
-		h:           h,
-		e:           e,
-		reclaimKind: reclaim.KindLFRC,
-		stats:       make([]opStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0))),
+		h:     h,
+		e:     e,
+		stats: make([]opStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0))),
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.strat = strategyFor(c.stratKind, c.splitLink, c.splitRefill)
-	c.rec = reclaim.New(c.reclaimKind, c,
+	c.rec = reclaim.New(c,
 		reclaim.WithBudget(c.destroyBudget),
 		reclaim.WithObserver(c.obs),
 		reclaim.WithFault(c.fj),
@@ -200,8 +191,8 @@ func (c *RC) Heap() *mem.Heap { return c.h }
 // Engine returns the underlying DCAS engine.
 func (c *RC) Engine() dcas.Engine { return c.e }
 
-// Reclaimer returns the reclamation backend the RC was built with.
-func (c *RC) Reclaimer() reclaim.Reclaimer { return c.rec }
+// Reclaimer returns the RC's Reclaimer.
+func (c *RC) Reclaimer() *reclaim.Reclaimer { return c.rec }
 
 // Strategy returns the reference-count strategy the RC was built with.
 func (c *RC) Strategy() Strategy { return c.strat }
@@ -480,9 +471,9 @@ func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
 
 // Destroy implements LFRCDestroy (Figure 2, lines 13–15) for any number of
 // local pointer values: each non-null argument's count is decremented, and
-// objects whose count reaches zero are retired to the reclamation backend —
-// which releases every pointer they contain when it frees them, either
-// eagerly or deferred, per its policy.
+// objects whose count reaches zero are retired to the Reclaimer — which
+// releases every pointer they contain when it frees them, eagerly or, past
+// the incremental-destroy budget, deferred on the zombie stack.
 func (c *RC) Destroy(vs ...mem.Ref) { c.destroy(c.st(), vs...) }
 
 // destroy is Destroy counting on stripe st. The first ref that dies is the
@@ -524,14 +515,11 @@ func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 
 // ReleaseChildren implements reclaim.Env: it decrements the reference count
 // of every pointer field of p, nulls the field, and pushes children whose
-// count reached zero onto chain, returning the new head. The backend
-// chooses when to call it — the lfrc backend at free time (a budget-parked
-// zombie keeps its fields until its destruction resumes, §7), the epoch
-// backend at retire time (so a parked husk holds no edges and cannot
-// transitively pin its subgraph in limbo). Nulling is safe either way: p is
-// count-zero and unreachable, and it keeps a mid-drain Audit consistent — a
-// cleared field contributes no expected count, matching the
-// already-decremented child.
+// count reached zero onto chain, returning the new head. The Reclaimer
+// calls it at free time (a budget-parked zombie keeps its fields until its
+// destruction resumes, §7). Nulling is safe: p is count-zero and
+// unreachable, and it keeps a mid-drain Audit consistent — a cleared field
+// contributes no expected count, matching the already-decremented child.
 func (c *RC) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 	d, err := c.h.Type(c.h.TypeOf(p))
 	if err != nil {
@@ -581,19 +569,19 @@ func (c *RC) FreeObject(p mem.Ref) {
 	}
 }
 
-// LinkLoad implements reclaim.Env: it reads p's aux word, the cell backends
-// link deferral lists through.
+// LinkLoad implements reclaim.Env: it reads p's aux word, the cell retire
+// chains and the zombie stack link through.
 func (c *RC) LinkLoad(p mem.Ref) uint64 { return c.h.Load(c.h.AuxAddr(p)) }
 
 // LinkStore implements reclaim.Env: it writes p's aux word.
 func (c *RC) LinkStore(p mem.Ref, v uint64) { c.h.Store(c.h.AuxAddr(p), v) }
 
 // DrainZombies finishes up to max deferred reclamations (0 = all),
-// returning the number of objects actually freed, whatever the backend.
+// returning the number of objects actually freed.
 func (c *RC) DrainZombies(max int) int { return c.rec.Drain(max) }
 
 // ZombieCount reports the number of objects currently parked for deferred
-// reclamation (the backend's pending backlog).
+// reclamation (the zombie stack's backlog).
 func (c *RC) ZombieCount() int64 { return c.rec.Pending() }
 
 // addToRC implements add_to_rc (Figure 2, lines 16–20): a CAS loop adding v
@@ -730,8 +718,7 @@ type Stats struct {
 	// inside Load (contention on the pointer or its referent's count).
 	Loads, LoadRetries, Stores, Copies, CASOps, DCASOps, Destroys int64
 
-	// ZombiePushes counts objects parked for deferred reclamation (the
-	// backend's park traffic, whatever the backend).
+	// ZombiePushes counts objects parked on the zombie stack.
 	ZombiePushes int64
 
 	// PoisonedRCUpdates counts reference-count updates that found poison

@@ -12,7 +12,6 @@ import (
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
-	"lfrc/internal/reclaim"
 )
 
 type world struct {
@@ -22,9 +21,13 @@ type world struct {
 }
 
 // worldFactories covers every supported configuration: {locking, mcas}
-// engines x {figure2, split} rc strategies x {lfrc, epoch} reclaimers. The
-// paper-faithful figure2/lfrc cell keeps the bare engine name; the others
-// append their non-default dimensions, e.g. "mcas-split-epoch".
+// engines x {figure2, split} rc strategies x {eager, deferred} reclamation.
+// The paper-faithful figure2/eager cell keeps the bare engine name; the
+// others append their non-default dimensions, e.g. "mcas-split-epoch". The
+// "-epoch" cells defer reclamation: an incremental-destroy budget of 1
+// (§7) parks every dead node past the first on the zombie stack, so the
+// list runs with a standing backlog of undestroyed corpses, as it once did
+// under an epoch backend's grace period, whose cell name they keep.
 func worldFactories() map[string]func(t *testing.T) *world {
 	engines := map[string]func(h *mem.Heap) dcas.Engine{
 		"locking": func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) },
@@ -33,18 +36,20 @@ func worldFactories() map[string]func(t *testing.T) *world {
 	out := map[string]func(t *testing.T) *world{}
 	for ename, engine := range engines {
 		for _, strat := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
-			for _, rk := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
+			for _, deferred := range []bool{false, true} {
 				name := ename
 				if strat == core.StrategySplit {
 					name += "-split"
 				}
-				if rk == reclaim.KindEpoch {
+				opts := []core.Option{core.WithStrategyKind(strat)}
+				if deferred {
 					name += "-epoch"
+					opts = append(opts, core.WithIncrementalDestroy(1))
 				}
 				out[name] = func(t *testing.T) *world {
 					t.Helper()
 					h := mem.NewHeap()
-					rc := core.New(h, engine(h), core.WithStrategyKind(strat), core.WithReclaimerKind(rk))
+					rc := core.New(h, engine(h), opts...)
 					return &world{h: h, rc: rc, ts: MustRegisterTypes(h)}
 				}
 			}
@@ -53,8 +58,8 @@ func worldFactories() map[string]func(t *testing.T) *world {
 	return out
 }
 
-// closeAndDrain closes l and finishes any reclamation the backend deferred, so
-// the heap can be checked for leaks (the epoch backend parks frees in limbo).
+// closeAndDrain closes l and destroys the zombies a deferred cell parked, so
+// the heap can be checked for leaks.
 func (w *world) closeAndDrain(l *List) {
 	l.Close()
 	w.rc.DrainZombies(0)

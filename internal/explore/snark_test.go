@@ -12,7 +12,6 @@ import (
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
-	"lfrc/internal/reclaim"
 	"lfrc/internal/snark"
 )
 
@@ -21,25 +20,20 @@ import (
 // and the deep scenarios, and every other cell at the tier-1 budget.
 var deep = flag.Bool("deep", false, "explore every Snark configuration cell, the default one at depth")
 
-// snarkCell is one {engine}×{strategy}×{reclaimer} configuration the Snark
-// scenarios run in.
+// snarkCell is one {engine}×{strategy} configuration the Snark scenarios
+// run in.
 type snarkCell struct {
-	engine    string // a key of cellEngines
-	strategy  core.StrategyKind
-	reclaimer reclaim.Kind
+	engine   string // a key of cellEngines
+	strategy core.StrategyKind
 }
 
 // String names the cell as internal/linear's configMatrix does: the engine,
-// then each non-default dimension, e.g. "mcas-split-epoch".
+// then "-split" under the split strategy, e.g. "mcas-split".
 func (c snarkCell) String() string {
-	name := c.engine
 	if c.strategy == core.StrategySplit {
-		name += "-split"
+		return c.engine + "-split"
 	}
-	if c.reclaimer == reclaim.KindEpoch {
-		name += "-epoch"
-	}
-	return name
+	return c.engine
 }
 
 // snarkCells lists every configuration cell, the default one first.
@@ -47,9 +41,7 @@ func snarkCells() []snarkCell {
 	var cells []snarkCell
 	for _, e := range []string{"locking", "mcas"} {
 		for _, s := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
-			for _, r := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
-				cells = append(cells, snarkCell{e, s, r})
-			}
+			cells = append(cells, snarkCell{e, s})
 		}
 	}
 	return cells
@@ -152,8 +144,7 @@ func snarkScenario(cell snarkCell, sc dequeScenario, claiming bool) Scenario {
 		}
 		clean = false
 		before := h.Stats()
-		rc := core.New(h, instrument(base),
-			core.WithStrategyKind(cell.strategy), core.WithReclaimerKind(cell.reclaimer))
+		rc := core.New(h, instrument(base), core.WithStrategyKind(cell.strategy))
 		var sopts []snark.Option
 		if claiming {
 			sopts = append(sopts, snark.WithValueClaiming())
@@ -221,7 +212,6 @@ func snarkScenario(cell snarkCell, sc dequeScenario, claiming bool) Scenario {
 			}
 			slices.Sort(values)
 			d.Close()
-			rc.DrainZombies(0) // the epoch backend defers frees into limbo
 			if problems := heapProblems(h, before); len(problems) > 0 {
 				return &heapError{append(problems, values...)}
 			}

@@ -41,9 +41,8 @@ type Point uint8
 
 // Injection points. The core points cover the LFRC operations' CAS/DCAS
 // attempts (Copy and Destroy inject through CoreAddToRC, the count-update
-// loop they share); the reclaim points cover the reclamation backends'
-// deferral machinery (park/drain CASes on either backend, plus the epoch
-// backend's advance CAS); the structure points cover each retry loop at the
+// loop they share); the reclaim points cover the zombie stack's park/drain
+// CASes; the structure points cover each retry loop at the
 // spot between its loads and its linearizing CAS/DCAS — the window the
 // proofs close; the mem points cover allocation failure and allocator
 // slow-path forcing.
@@ -54,8 +53,8 @@ const (
 	CoreCAS                     // LFRCCAS attempt
 	CoreDCAS                    // LFRCDCAS / DCASMixed attempt
 	CoreAddToRC                 // CAS inside add_to_rc (Copy/Destroy inject here)
-	ReclaimPush                 // deferral-list push CAS (zombie stack / limbo bin)
-	ReclaimDrain                // deferral-list pop CAS (zombie stack / limbo bin)
+	ReclaimPush                 // zombie-stack push CAS
+	ReclaimDrain                // zombie-stack pop CAS
 	SnarkPushLeft               // left-hat DCAS in Deque.PushLeft
 	SnarkPushRight              // right-hat DCAS in Deque.PushRight
 	SnarkPopLeft                // left-hat DCAS in Deque.PopLeft
@@ -69,7 +68,6 @@ const (
 	SetPopMin                   // dead-mark CAS in List.PopMin
 	MemAlloc                    // Alloc fails with ErrOutOfMemory
 	MemAllocSlow                // Alloc skips the shard-local free list
-	ReclaimEpoch                // epoch-advance CAS in the epoch reclamation backend
 
 	NumPoints
 )
@@ -84,7 +82,6 @@ var pointNames = [NumPoints]string{
 	CoreAddToRC:    "core.addtorc",
 	ReclaimPush:    "reclaim.push",
 	ReclaimDrain:   "reclaim.drain",
-	ReclaimEpoch:   "reclaim.epoch",
 	SnarkPushLeft:  "snark.pushleft",
 	SnarkPushRight: "snark.pushright",
 	SnarkPopLeft:   "snark.popleft",

@@ -56,7 +56,7 @@ func TestParseGlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Point{ReclaimPush, ReclaimDrain, ReclaimEpoch} {
+	for _, p := range []Point{ReclaimPush, ReclaimDrain} {
 		if rpl.Rule(p).EveryN != 7 {
 			t.Fatalf("%v not covered by reclaim.*", p)
 		}

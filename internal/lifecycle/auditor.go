@@ -62,7 +62,7 @@ func (v Violation) String() string {
 
 // Probe is the view of the system the auditor cross-checks the ledger
 // against: the live reference count and freed bit of an object, and the
-// reclamation epoch clock it ticks once per pass.
+// heap epoch, the pass clock it ticks once per pass.
 type Probe interface {
 	// RCOf returns the current reference count of the object at ref.
 	RCOf(ref uint32) uint64
@@ -227,7 +227,7 @@ func (a *Auditor) Violations() []Violation {
 	return out
 }
 
-// RunPass executes one audit pass: it ticks the reclamation epoch, sweeps
+// RunPass executes one audit pass: it ticks the heap epoch, sweeps
 // every tracked object, and returns the violations newly flagged this pass.
 // Safe to call concurrently with a running background loop (passes
 // serialize on the auditor's mutex).

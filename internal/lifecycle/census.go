@@ -12,7 +12,7 @@ import (
 // individual stuck objects, the census shows whether the population as a
 // whole is skewing old and high-rc (a systemic leak) or healthy.
 type Census struct {
-	// Epoch is the reclamation epoch at capture time.
+	// Epoch is the heap epoch (the auditor's pass clock) at capture time.
 	Epoch uint64 `json:"epoch"`
 
 	// TS is the capture time, nanoseconds since the Unix epoch.

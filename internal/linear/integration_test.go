@@ -11,7 +11,6 @@ import (
 	"lfrc/internal/dlist"
 	"lfrc/internal/mem"
 	"lfrc/internal/msqueue"
-	"lfrc/internal/reclaim"
 	"lfrc/internal/snark"
 	"lfrc/internal/stackrc"
 )
@@ -38,30 +37,24 @@ func newEnv(t *testing.T, engine string, opts ...core.Option) *env {
 }
 
 // config is one supported configuration: an engine plus the core options
-// selecting its rc strategy and reclaimer.
+// selecting its rc strategy.
 type config struct {
 	name, engine string
 	opts         []core.Option
 }
 
-// configMatrix lists every {engine} x {rc strategy} x {reclaimer} cell. The
-// paper-faithful figure2/lfrc cell keeps the bare engine name; the others
-// append their non-default dimensions, e.g. "mcas-split-epoch".
+// configMatrix lists every {engine} x {rc strategy} cell. The
+// paper-faithful figure2 cell keeps the bare engine name; split appends
+// "-split", e.g. "mcas-split".
 func configMatrix() []config {
 	var out []config
 	for _, engine := range []string{"locking", "mcas"} {
 		for _, strat := range []core.StrategyKind{core.StrategyFigure2, core.StrategySplit} {
-			for _, rk := range []reclaim.Kind{reclaim.KindLFRC, reclaim.KindEpoch} {
-				name := engine
-				if strat == core.StrategySplit {
-					name += "-split"
-				}
-				if rk == reclaim.KindEpoch {
-					name += "-epoch"
-				}
-				out = append(out, config{name, engine,
-					[]core.Option{core.WithStrategyKind(strat), core.WithReclaimerKind(rk)}})
+			name := engine
+			if strat == core.StrategySplit {
+				name += "-split"
 			}
+			out = append(out, config{name, engine, []core.Option{core.WithStrategyKind(strat)}})
 		}
 	}
 	return out

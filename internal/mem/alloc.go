@@ -98,7 +98,7 @@ func (h *Heap) alloc(t TypeID, idx int) (Ref, error) {
 	if stolen {
 		h.obs.Note(obs.KindSteal, uint32(r), 0)
 	}
-	// Old carries the slot generation, New the reclamation epoch, so a
+	// Old carries the slot generation, New the auditor's pass clock, so a
 	// lifecycle timeline distinguishes a fresh carve (gen 1) from a reuse
 	// and places both in audit time.
 	h.obs.RecordT(t0, obs.KindAlloc, uint32(r), 0, recycled, 0, gen, uint32(h.epoch.Load()))

@@ -63,8 +63,8 @@ type Heap struct {
 	stats     []statStripe
 	highWater atomic.Int64
 
-	// epoch is the reclamation epoch: a coarse logical clock advanced by
-	// the lifecycle auditor (one tick per audit pass). Alloc and Free
+	// epoch is the lifecycle auditor's pass clock: a coarse logical clock
+	// it advances once per audit pass. Alloc and Free
 	// stamp their flight events with it so a timeline shows *when*, in
 	// audit time, a slot was carved, freed, or reused.
 	epoch atomic.Uint64

@@ -10,16 +10,18 @@ import (
 	"lfrc/internal/stripe"
 )
 
-// lfrcReclaimer is the paper-faithful backend: count-zero objects are
-// destroyed eagerly, except that a positive budget caps the reclamation work
-// done by any single Retire call (the paper's §7 incremental collection of
-// large structures) and parks the remainder on a zombie stack.
+// Reclaimer destroys count-zero objects eagerly, except that a positive
+// budget caps the reclamation work done by any single Retire call (the
+// paper's §7 incremental collection of large structures) and parks the
+// remainder on a zombie stack. It is safe for concurrent use: Retire is
+// called from every releasing goroutine, and Drain may run concurrently
+// with Retire (the degraded-mode drain path does exactly that).
 //
 // The zombie stack is a Treiber stack linked through each parked object's
 // link word; the head packs a 32-bit pop counter with the 32-bit object
 // address (cnt<<32 | ref) so a pop that raced with a push-pop-push of the
 // same object cannot succeed on a stale next pointer (ABA).
-type lfrcReclaimer struct {
+type Reclaimer struct {
 	env    Env
 	budget int
 	obs    *obs.Recorder
@@ -36,42 +38,47 @@ type lfrcReclaimer struct {
 	counts []retireStripe
 }
 
-// retireStripe is one stripe of the lfrc backend's per-free accounting,
-// padded to a cache line.
+// retireStripe is one stripe of the per-free accounting, padded to a cache
+// line.
 type retireStripe struct {
 	retired atomic.Int64
 	freed   atomic.Int64
 	_       [48]byte
 }
 
-func newLFRC(env Env, cfg config) *lfrcReclaimer {
-	return &lfrcReclaimer{env: env, budget: cfg.budget, obs: cfg.obs, fj: cfg.fj,
+// New builds a Reclaimer over env.
+func New(env Env, opts ...Option) *Reclaimer {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return &Reclaimer{env: env, budget: cfg.budget, obs: cfg.obs, fj: cfg.fj,
 		counts: make([]retireStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0)))}
 }
 
 // st routes the calling goroutine to the counter stripe of the P it runs on.
-func (z *lfrcReclaimer) st() *retireStripe { return &z.counts[stripe.Hint(len(z.counts))] }
+func (z *Reclaimer) st() *retireStripe { return &z.counts[stripe.Hint(len(z.counts))] }
 
-// Name implements Reclaimer.
-func (z *lfrcReclaimer) Name() string { return KindLFRC.String() }
-
-// Retire implements Reclaimer: it frees the roots (and any descendants that
-// hit zero) immediately, up to the incremental-destroy budget for the whole
-// call; excess objects park on the zombie stack for a later Drain.
-func (z *lfrcReclaimer) Retire(root, more mem.Ref) {
+// Retire hands over root and the 0-terminated chain more (threaded through
+// the link words, as ReleaseChildren builds it) of further objects whose
+// reference count reached zero. It frees them (and any descendants that hit
+// zero) immediately, up to the incremental-destroy budget for the whole
+// call; excess objects park on the zombie stack for a later Drain. A single
+// death passes more = 0 and writes no link word.
+func (z *Reclaimer) Retire(root, more mem.Ref) {
 	n := int64(1)
 	if more != 0 {
 		n = roots(z.env, more)
 	}
 	st := z.st()
 	st.retired.Add(n)
-	st.freed.Add(int64(freeDFS(z.env, root, more, z.budget, z.push)))
+	st.freed.Add(int64(z.freeDFS(root, more, z.budget)))
 }
 
-// Drain implements Reclaimer: it reclaims up to max parked objects (and
-// their newly dead descendants), returning the number actually freed. A max
-// of 0 drains everything.
-func (z *lfrcReclaimer) Drain(max int) int {
+// Drain reclaims up to max parked objects (and their newly dead
+// descendants), returning the number actually freed. A max of 0 drains
+// everything.
+func (z *Reclaimer) Drain(max int) int {
 	z.drains.Add(1)
 	processed := 0
 	for max <= 0 || processed < max {
@@ -83,19 +90,19 @@ func (z *lfrcReclaimer) Drain(max int) int {
 		if max > 0 {
 			budget = max - processed
 		}
-		processed += freeDFS(z.env, p, 0, budget, z.push)
+		processed += z.freeDFS(p, 0, budget)
 	}
 	z.st().freed.Add(int64(processed))
 	return processed
 }
 
-// Pending implements Reclaimer.
-func (z *lfrcReclaimer) Pending() int64 { return z.pending.Load() }
+// Pending reports the number of objects parked on the zombie stack.
+func (z *Reclaimer) Pending() int64 { return z.pending.Load() }
 
-// Stats implements Reclaimer.
-func (z *lfrcReclaimer) Stats() Stats {
+// Stats snapshots the Reclaimer's accounting.
+func (z *Reclaimer) Stats() Stats {
 	s := Stats{
-		Backend: z.Name(),
+		Backend: Name,
 		Parked:  z.parked.Load(),
 		Pending: z.pending.Load(),
 		Drains:  z.drains.Load(),
@@ -107,9 +114,37 @@ func (z *lfrcReclaimer) Stats() Stats {
 	return s
 }
 
+// freeDFS frees p, every object on chain and any descendant whose count
+// drops to zero while doing so, depth-first: ReleaseChildren pushes the
+// newly dead onto the chain, so the chain is the DFS stack and no Go memory
+// is allocated. With a positive budget it frees at most budget objects and
+// parks the rest on the zombie stack, children intact; with budget 0 it
+// frees everything. It returns the number of objects freed.
+//
+// This is the paper's LFRCDestroy recursion (Figure 2, lines 13–15) with
+// the §7 budget cut-off.
+func (z *Reclaimer) freeDFS(p, chain mem.Ref, budget int) int {
+	freed := 0
+	for p != 0 {
+		if budget > 0 && freed >= budget {
+			for p != 0 {
+				q := p
+				p, chain = pop(z.env, chain)
+				z.push(q)
+			}
+			return freed
+		}
+		chain = z.env.ReleaseChildren(p, chain)
+		z.env.FreeObject(p)
+		freed++
+		p, chain = pop(z.env, chain)
+	}
+	return freed
+}
+
 // push parks a dead object (count already zero) on the zombie stack,
 // linking through its link word.
-func (z *lfrcReclaimer) push(p mem.Ref) {
+func (z *Reclaimer) push(p mem.Ref) {
 	for {
 		old := z.head.Load()
 		z.env.LinkStore(p, link(mem.Ref(old&0xFFFF_FFFF)))
@@ -128,7 +163,7 @@ func (z *lfrcReclaimer) push(p mem.Ref) {
 // pop removes one parked object, or returns 0 if none are parked. The pop
 // counter in the head's high half increments on every successful pop, which
 // is what defeats ABA on the next pointer.
-func (z *lfrcReclaimer) pop() mem.Ref {
+func (z *Reclaimer) pop() mem.Ref {
 	for {
 		old := z.head.Load()
 		p := mem.Ref(old & 0xFFFF_FFFF)

@@ -11,7 +11,7 @@ import (
 
 // fakeEnv is a toy object graph implementing Env: objects have children with
 // toy reference counts, a link word, and a freed flag. It is mutex-protected
-// so concurrent backend paths can run under -race.
+// so concurrent Retire and Drain paths can run under -race.
 type fakeEnv struct {
 	mu        sync.Mutex
 	rc        map[mem.Ref]int
@@ -93,7 +93,7 @@ func (e *fakeEnv) LinkStore(p mem.Ref, v uint64) {
 
 // retire hands refs to r in one Retire call: refs[0] as the root and the
 // rest as the chain more, threaded so the walk meets them in order.
-func (e *fakeEnv) retire(r Reclaimer, refs ...mem.Ref) {
+func (e *fakeEnv) retire(r *Reclaimer, refs ...mem.Ref) {
 	var more mem.Ref
 	for i := len(refs) - 1; i > 0; i-- {
 		more = Push(e, more, refs[i])
@@ -113,51 +113,33 @@ func (e *fakeEnv) isFreed(p mem.Ref) bool {
 	return e.freed[p]
 }
 
-// kinds runs a subtest per backend kind, the "green under both backends"
-// harness the satellite checklist asks for.
-func kinds(t *testing.T, fn func(t *testing.T, k Kind)) {
-	t.Helper()
-	for _, k := range []Kind{KindLFRC, KindEpoch} {
-		t.Run(k.String(), func(t *testing.T) { fn(t, k) })
-	}
+// backend runs fn as one subtest named after the reclaimer, Name. The
+// checks of the backend's contract (every retired object freed exactly once,
+// bounded drains, fault retries, concurrent retire/drain) run under it; the
+// checks of the §7 budget's own mechanics run bare.
+func backend(t *testing.T, fn func(t *testing.T)) {
+	t.Run(Name, fn)
 }
 
-// settle forces any deferred work to completion so both backends can be
-// checked against the same end state.
-func settle(t *testing.T, r Reclaimer) {
+// settle drains the zombie stack and checks nothing stays parked.
+func settle(t *testing.T, r *Reclaimer) {
 	t.Helper()
 	r.Drain(0)
 	if p := r.Pending(); p != 0 {
-		t.Fatalf("%s: pending = %d after full drain, want 0", r.Name(), p)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindLFRC.String() != "lfrc" || KindEpoch.String() != "epoch" {
-		t.Fatalf("kind names: %q, %q", KindLFRC, KindEpoch)
-	}
-	if got := Kind(99).String(); got != "Kind(99)" {
-		t.Fatalf("unknown kind name = %q", got)
-	}
-}
-
-func TestNewFallsBackToLFRC(t *testing.T) {
-	r := New(Kind(0), newFakeEnv())
-	if r.Name() != "lfrc" {
-		t.Fatalf("unknown kind built %q, want lfrc fallback", r.Name())
+		t.Fatalf("pending = %d after full drain, want 0", p)
 	}
 }
 
 // TestRetireFreesEverything: with no budget, every retired object (and every
 // descendant that hits zero) is freed by retire+settle, exactly once.
 func TestRetireFreesEverything(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		// 10 → 11 → 12 chain, each child held only by its parent.
 		env.add(10, 0, 11)
 		env.add(11, 1, 12)
 		env.add(12, 1)
-		r := New(k, env)
+		r := New(env)
 		r.Retire(10, 0)
 		settle(t, r)
 		for _, p := range []mem.Ref{10, 11, 12} {
@@ -172,8 +154,8 @@ func TestRetireFreesEverything(t *testing.T) {
 		if s.Retired != 1 || s.Freed != 3 {
 			t.Fatalf("stats = %+v, want retired 1 freed 3", s)
 		}
-		if s.Backend != k.String() {
-			t.Fatalf("stats backend = %q, want %q", s.Backend, k)
+		if s.Backend != Name {
+			t.Fatalf("stats backend = %q, want %q", s.Backend, Name)
 		}
 	})
 }
@@ -181,12 +163,12 @@ func TestRetireFreesEverything(t *testing.T) {
 // TestSharedChildFreedOnce: a child held by two retired parents is freed
 // exactly once, when the second parent releases it.
 func TestSharedChildFreedOnce(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		env.add(10, 0, 30)
 		env.add(20, 0, 30)
 		env.add(30, 2)
-		r := New(k, env)
+		r := New(env)
 		env.retire(r, 10, 20)
 		settle(t, r)
 		if !env.isFreed(30) {
@@ -201,37 +183,7 @@ func TestSharedChildFreedOnce(t *testing.T) {
 	})
 }
 
-// TestEpochReleasesEdgesAtRetire: the epoch backend must drop an object's
-// edges when it parks, not when it frees — a parked object that kept its
-// fields would hold its successor's count up for a whole grace period, and
-// on chain-shaped structures (an MS-queue's dequeued head → next → next...)
-// one parked node would transitively pin everything behind it in limbo.
-func TestEpochReleasesEdgesAtRetire(t *testing.T) {
-	env := newFakeEnv()
-	env.add(10, 0, 11)
-	env.add(11, 1)
-	// epochEvery large enough that nothing auto-advances.
-	r := New(KindEpoch, env, WithEpochEvery(1000))
-	r.Retire(10, 0)
-	if env.freeCount() != 0 {
-		t.Fatal("epoch backend freed inline")
-	}
-	env.mu.Lock()
-	childRC := env.rc[11]
-	env.mu.Unlock()
-	if childRC != 0 {
-		t.Fatalf("child rc = %d after retire, want 0 (edges released at park time)", childRC)
-	}
-	if p := r.Pending(); p != 2 {
-		t.Fatalf("pending = %d, want 2 (parent and child both parked as husks)", p)
-	}
-	settle(t, r)
-	if !env.isFreed(10) || !env.isFreed(11) {
-		t.Fatal("husks not freed after drain")
-	}
-}
-
-// TestLFRCParkedZombieKeepsChildren: the lfrc backend is the paper's §7
+// TestLFRCParkedZombieKeepsChildren: the budget is the paper's §7
 // incremental destroy — a budget-parked zombie's fields stay intact, and its
 // children are released only when its destruction resumes at free time.
 func TestLFRCParkedZombieKeepsChildren(t *testing.T) {
@@ -239,7 +191,7 @@ func TestLFRCParkedZombieKeepsChildren(t *testing.T) {
 	env.add(10, 0)
 	env.add(20, 0, 21)
 	env.add(21, 1)
-	r := New(KindLFRC, env, WithBudget(1))
+	r := New(env, WithBudget(1))
 	env.retire(r, 10, 20) // frees 10 (budget), parks 20 with 21 intact
 	if got := env.freeCount(); got != 1 {
 		t.Fatalf("freed %d inline, want budget 1", got)
@@ -256,14 +208,14 @@ func TestLFRCParkedZombieKeepsChildren(t *testing.T) {
 	}
 }
 
-// TestBudgetParksRemainder: the lfrc backend frees at most budget objects per
+// TestBudgetParksRemainder: the Reclaimer frees at most budget objects per
 // Retire and parks the rest; Drain finishes the job.
 func TestBudgetParksRemainder(t *testing.T) {
 	env := newFakeEnv()
 	for p := mem.Ref(10); p < 15; p++ {
 		env.add(p, 0)
 	}
-	r := New(KindLFRC, env, WithBudget(2))
+	r := New(env, WithBudget(2))
 	env.retire(r, 10, 11, 12, 13, 14)
 	if got := env.freeCount(); got != 2 {
 		t.Fatalf("freed %d inline, want budget 2", got)
@@ -283,24 +235,16 @@ func TestBudgetParksRemainder(t *testing.T) {
 // TestDrainBounded: Drain(max) frees at most max objects and leaves the rest
 // pending.
 func TestDrainBounded(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		var roots []mem.Ref
 		for p := mem.Ref(10); p < 20; p++ {
 			env.add(p, 0)
 			roots = append(roots, p)
 		}
-		var r Reclaimer
-		if k == KindLFRC {
-			// Budget 0 would free eagerly; park everything with a
-			// tiny budget spread across many Retire calls.
-			r = New(k, env, WithBudget(1))
-			env.retire(r, roots...)
-			// 1 freed inline, 9 parked.
-		} else {
-			r = New(k, env, WithEpochEvery(1000))
-			env.retire(r, roots...)
-		}
+		// Budget 0 would free eagerly; budget 1 frees 1 inline and parks 9.
+		r := New(env, WithBudget(1))
+		env.retire(r, roots...)
 		before := env.freeCount()
 		n := r.Drain(4)
 		if n > 4 {
@@ -316,96 +260,34 @@ func TestDrainBounded(t *testing.T) {
 	})
 }
 
-// TestEpochGraceDiscipline: a retired object waits out the three-bin grace
-// cycle — it is not freed by the advance that merely follows its epoch, only
-// once its bin reaches the expired position.
-func TestEpochGraceDiscipline(t *testing.T) {
-	env := newFakeEnv()
-	env.add(10, 0)
-	r := New(KindEpoch, env, WithEpochEvery(1000)).(*epochReclaimer)
-	r.Retire(10, 0)                // parks in bin epoch%3 = bin 0
-	if n := r.advance(0); n != 0 { // epoch 0→1, flushes bin 1 (empty)
-		t.Fatalf("first advance freed %d, want 0", n)
-	}
-	if n := r.advance(0); n != 0 { // epoch 1→2, flushes bin 2 (empty)
-		t.Fatalf("second advance freed %d, want 0", n)
-	}
-	if env.isFreed(10) {
-		t.Fatal("object freed before its bin expired")
-	}
-	if n := r.advance(0); n != 1 { // flushes bin 0, two advances after fill
-		t.Fatalf("third advance freed %d, want 1", n)
-	}
-	if !env.isFreed(10) {
-		t.Fatal("object not freed once its bin expired")
-	}
-}
-
-// TestEpochAutoAdvance: steady retirement traffic advances the epoch on its
-// own every epochEvery retirements, so old bins flush without Drain.
-func TestEpochAutoAdvance(t *testing.T) {
-	env := newFakeEnv()
-	r := New(KindEpoch, env, WithEpochEvery(4))
-	for p := mem.Ref(10); p < 34; p++ {
-		env.add(p, 0)
-		r.Retire(p, 0)
-	}
-	// 24 retirements at epochEvery=4 → 6 advances; bins filled in early
-	// epochs have long expired.
-	if got := env.freeCount(); got == 0 {
-		t.Fatal("no frees from automatic epoch advances")
-	}
-	s := r.Stats()
-	if s.EpochAdvances == 0 || s.Epoch == 0 {
-		t.Fatalf("stats = %+v, want nonzero epoch progress", s)
-	}
-	settle(t, r)
-	if got := env.freeCount(); got != 24 {
-		t.Fatalf("freed %d total, want 24", got)
-	}
-}
-
-// TestCounterPackingWraparound: the deferral stacks pack a 32-bit pop counter
+// TestCounterPackingWraparound: the zombie stack packs a 32-bit pop counter
 // above the 32-bit object address (cnt<<32 | ref). Seed the counter at the
 // top of its range and check pops still return the right objects while the
 // counter wraps to zero instead of spilling into the address half.
 func TestCounterPackingWraparound(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		for p := mem.Ref(10); p < 13; p++ {
 			env.add(p, 0)
 		}
-		var head *uint64head
-		var pop func() mem.Ref
-		switch k {
-		case KindLFRC:
-			z := New(k, env, WithBudget(1)).(*lfrcReclaimer)
-			// budget 1: the walk frees the root 10 inline, then parks 11
-			// and 12 in chain order, leaving 12 on top.
-			env.retire(z, 10, 11, 12)
-			head = &uint64head{load: z.head.Load, store: z.head.Store}
-			pop = z.pop
-		case KindEpoch:
-			z := New(k, env, WithEpochEvery(1000)).(*epochReclaimer)
-			env.retire(z, 11, 12)
-			bin := &z.bins[z.epoch.Load()%3]
-			head = &uint64head{load: bin.head.Load, store: bin.head.Store}
-			pop = func() mem.Ref { return z.popBin(bin) }
-		}
+		z := New(env, WithBudget(1))
+		// budget 1: the walk frees the root 10 inline, then parks 11 and 12
+		// in chain order, leaving 12 on top.
+		env.retire(z, 10, 11, 12)
 
 		// Seed the pop counter one below the 32-bit boundary.
-		old := head.load()
+		old := z.head.Load()
 		if ref := old & 0xFFFF_FFFF; ref != 12 {
 			t.Fatalf("head ref = %d, want 12 (LIFO)", ref)
 		}
-		head.store(uint64(0xFFFF_FFFF)<<32 | old&0xFFFF_FFFF)
+		z.head.Store(uint64(0xFFFF_FFFF)<<32 | old&0xFFFF_FFFF)
 
 		// First pop increments the counter off 0xFFFF_FFFF: it must wrap
 		// to 0 in the high half, leaving the address half intact.
-		if p := pop(); p != 12 {
+		if p := z.pop(); p != 12 {
 			t.Fatalf("pop = %d, want 12", p)
 		}
-		after := head.load()
+		after := z.head.Load()
 		if cnt := after >> 32; cnt != 0 {
 			t.Fatalf("counter after wraparound pop = %#x, want 0", cnt)
 		}
@@ -414,22 +296,16 @@ func TestCounterPackingWraparound(t *testing.T) {
 		}
 
 		// Next pop continues normally from the wrapped counter.
-		if p := pop(); p != 11 {
+		if p := z.pop(); p != 11 {
 			t.Fatalf("pop = %d, want 11", p)
 		}
-		if cnt := head.load() >> 32; cnt != 1 {
-			t.Fatalf("counter = %#x, want 1", head.load()>>32)
+		if cnt := z.head.Load() >> 32; cnt != 1 {
+			t.Fatalf("counter = %#x, want 1", cnt)
 		}
-		if p := pop(); p != 0 {
+		if p := z.pop(); p != 0 {
 			t.Fatalf("pop on empty = %d, want 0", p)
 		}
 	})
-}
-
-// uint64head adapts either backend's stack head for the wraparound test.
-type uint64head struct {
-	load  func() uint64
-	store func(uint64)
 }
 
 // TestCounterPackingLargeRef: a ref with all 32 low bits in play must survive
@@ -438,7 +314,7 @@ func TestCounterPackingLargeRef(t *testing.T) {
 	env := newFakeEnv()
 	const big = mem.Ref(0xFFFF_FFF0)
 	env.add(big, 0)
-	z := New(KindLFRC, env, WithBudget(1)).(*lfrcReclaimer)
+	z := New(env, WithBudget(1))
 	env.add(1, 0)
 	env.retire(z, 1, big) // frees 1 (budget), parks big
 	z.head.Store(uint64(0xFFFF_FFFF)<<32 | z.head.Load()&0xFFFF_FFFF)
@@ -453,7 +329,7 @@ func TestCounterPackingLargeRef(t *testing.T) {
 // TestFaultInjectionRetries: armed reclaim.* points force the park/pop CAS
 // loops around extra laps without corrupting the outcome.
 func TestFaultInjectionRetries(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		pl, err := fault.Parse("reclaim.push:nth=1;reclaim.drain:nth=1")
 		if err != nil {
 			t.Fatal(err)
@@ -464,13 +340,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 			env.add(p, 0)
 			roots = append(roots, p)
 		}
-		opts := []Option{WithFault(fault.NewInjector(pl, 1))}
-		if k == KindLFRC {
-			opts = append(opts, WithBudget(1))
-		} else {
-			opts = append(opts, WithEpochEvery(1000))
-		}
-		r := New(k, env, opts...)
+		r := New(env, WithBudget(1), WithFault(fault.NewInjector(pl, 1)))
 		env.retire(r, roots...)
 		settle(t, r)
 		if got := env.freeCount(); got != 5 {
@@ -482,29 +352,10 @@ func TestFaultInjectionRetries(t *testing.T) {
 	})
 }
 
-// TestEpochAdvanceFaultTerminates: with reclaim.epoch firing on every
-// attempt, advances never tick and Drain must give up instead of spinning.
-func TestEpochAdvanceFaultTerminates(t *testing.T) {
-	pl, err := fault.Parse("reclaim.epoch:p=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := newFakeEnv()
-	env.add(10, 0)
-	r := New(KindEpoch, env, WithEpochEvery(1000), WithFault(fault.NewInjector(pl, 1)))
-	r.Retire(10, 0)
-	if n := r.Drain(0); n != 0 {
-		t.Fatalf("Drain freed %d with advance disabled, want 0", n)
-	}
-	if p := r.Pending(); p != 1 {
-		t.Fatalf("pending = %d, want 1 (stuck in limbo)", p)
-	}
-}
-
 // TestConcurrentRetireDrain: hammer Retire and Drain from many goroutines;
 // -race plus the fake env's double-free detector do the checking.
 func TestConcurrentRetireDrain(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		const goroutines, each = 4, 200
 		for g := 0; g < goroutines; g++ {
@@ -512,13 +363,7 @@ func TestConcurrentRetireDrain(t *testing.T) {
 				env.add(mem.Ref(1000+g*each+i), 0)
 			}
 		}
-		var opts []Option
-		if k == KindLFRC {
-			opts = append(opts, WithBudget(1))
-		} else {
-			opts = append(opts, WithEpochEvery(16))
-		}
-		r := New(k, env, opts...)
+		r := New(env, WithBudget(1))
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -569,7 +414,7 @@ func finishes(t *testing.T, fn func()) {
 // 30 again would link it to itself — so the walk ends, freeing each object
 // once.
 func TestDoublyRetiredObjectOnChain(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		env.add(10, 0, 30, 20) // 30 is pushed first, 20 lands above it
 		env.add(20, 1, 30)
@@ -579,7 +424,7 @@ func TestDoublyRetiredObjectOnChain(t *testing.T) {
 				env.rc[30] = 1 // the stray increment
 			}
 		}
-		r := New(k, env, WithEpochEvery(1000))
+		r := New(env)
 		finishes(t, func() {
 			r.Retire(10, 0)
 			settle(t, r)
@@ -596,10 +441,9 @@ func TestDoublyRetiredObjectOnChain(t *testing.T) {
 // TestDoublyRetiredObjectAfterFree: child 30 reaches zero a second time
 // after the lfrc walk already freed it. The walk pushes it again, meets it
 // once more, and the heap rejects the second free; the walk still
-// terminates. The epoch walk still holds 30 in limbo at that point, its
-// link word marked, so it refuses the second retirement outright.
+// terminates.
 func TestDoublyRetiredObjectAfterFree(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		env.add(10, 0, 30)
 		env.add(20, 0, 30)
@@ -609,7 +453,7 @@ func TestDoublyRetiredObjectAfterFree(t *testing.T) {
 				env.rc[30] = 1 // the stray increment, after 30 died
 			}
 		}
-		r := New(k, env, WithEpochEvery(1000))
+		r := New(env)
 		finishes(t, func() {
 			env.retire(r, 10, 20)
 			settle(t, r)
@@ -617,12 +461,8 @@ func TestDoublyRetiredObjectAfterFree(t *testing.T) {
 		if got := env.freeCount(); got != 3 {
 			t.Fatalf("freed %d objects, want 3", got)
 		}
-		want := 0
-		if k == KindLFRC {
-			want = 1
-		}
-		if env.doubles != want {
-			t.Fatalf("%d double frees, want %d", env.doubles, want)
+		if env.doubles != 1 {
+			t.Fatalf("%d double frees, want 1", env.doubles)
 		}
 	})
 }
@@ -635,7 +475,7 @@ func TestMultiRootRetireOneBudget(t *testing.T) {
 	env.add(11, 1)
 	env.add(20, 0)
 	env.add(30, 0)
-	r := New(KindLFRC, env, WithBudget(2))
+	r := New(env, WithBudget(2))
 	env.retire(r, 10, 20, 30) // frees 10 and its child 11, parks 20 and 30
 	if got := env.freeCount(); got != 2 {
 		t.Fatalf("freed %d inline, want budget 2", got)
@@ -655,14 +495,14 @@ func TestMultiRootRetireOneBudget(t *testing.T) {
 // TestRetiredCountsRoots: Stats.Retired counts the roots one Retire hands
 // over (root plus chain), not the descendants the walk frees with them.
 func TestRetiredCountsRoots(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		env.add(10, 0, 11)
 		env.add(11, 1)
 		env.add(20, 0)
 		env.add(30, 0, 31)
 		env.add(31, 1)
-		r := New(k, env, WithEpochEvery(1000))
+		r := New(env)
 		env.retire(r, 10, 20, 30)
 		settle(t, r)
 		if s := r.Stats(); s.Retired != 3 || s.Freed != 5 {
@@ -673,14 +513,12 @@ func TestRetiredCountsRoots(t *testing.T) {
 
 // TestSelfEdgeUnderCorruptCount: a root whose own field points at it, with
 // a count corrupted down to the self-edge alone, pushes itself onto its own
-// walk when it releases that edge. The walk must still visit it once: on
-// the epoch backend, parking it twice would link its limbo bin through it
-// twice, and the flush would free it twice.
+// walk when it releases that edge. The walk must still visit it once.
 func TestSelfEdgeUnderCorruptCount(t *testing.T) {
-	kinds(t, func(t *testing.T, k Kind) {
+	backend(t, func(t *testing.T) {
 		env := newFakeEnv()
 		env.add(10, 1, 10)
-		r := New(k, env, WithEpochEvery(1000))
+		r := New(env)
 		finishes(t, func() {
 			r.Retire(10, 0)
 			settle(t, r)

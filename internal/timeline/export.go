@@ -74,7 +74,6 @@ var csvColumns = []string{
 	"rc_dcas", "rc_destroys", "rc_zombie_pushes",
 	"alloc_global_free",
 	"zombies", "reclaim_retired", "reclaim_freed", "reclaim_pending",
-	"reclaim_epoch",
 	"deg_retries", "deg_recoveries", "deg_exhaustions", "deg_zombies_drained",
 	"fault_injected", "obs_recorded",
 	"lat_load_p50_ns", "lat_load_p99_ns", "retry_p99",
@@ -123,7 +122,6 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 			strconv.FormatInt(sm.ReclaimRetired, 10),
 			strconv.FormatInt(sm.ReclaimFreed, 10),
 			strconv.FormatInt(sm.ReclaimPending, 10),
-			strconv.FormatUint(sm.ReclaimEpoch, 10),
 			strconv.FormatInt(sm.DegRetries, 10),
 			strconv.FormatInt(sm.DegRecoveries, 10),
 			strconv.FormatInt(sm.DegExhaustions, 10),

@@ -4,11 +4,11 @@
 //
 // Every observability surface built before it — /metrics, Stats(), the
 // contention report — answers "what is true now"; the benchmark under bench/
-// answers "what was the median over a whole run". The phenomena that matter to the
-// north star are trajectories between those two extremes: the epoch
-// backend's limbo backlog grows and drains over seconds, degradation retry
-// storms are bursty, and contention hot-spots migrate between the deque's
-// hats under phase-shifting load. The timeline captures a compact delta
+// answers "what was the median over a whole run". The phenomena that matter
+// to the north star are trajectories between those two extremes: a zombie
+// backlog under an incremental-destroy budget grows and drains over seconds,
+// degradation retry storms are bursty, and contention hot-spots migrate
+// between the deque's hats under phase-shifting load. The timeline captures a compact delta
 // snapshot of all the existing counters every interval (default 100ms) into
 // a fixed-size ring, so any of them can be read back as a series.
 //
@@ -100,13 +100,12 @@ type Sample struct {
 	Shards          int64            `json:"shards"`
 	ShardAllocs     [MaxShards]int64 `json:"shard_allocs"`
 
-	// Deferred reclamation: the pending backlog (limbo bins or zombie
-	// stack) as a gauge, plus retire/free deltas and the backend epoch.
-	Zombies        int64  `json:"zombies"`         // gauge
-	ReclaimRetired int64  `json:"reclaim_retired"` // delta
-	ReclaimFreed   int64  `json:"reclaim_freed"`   // delta
-	ReclaimPending int64  `json:"reclaim_pending"` // gauge
-	ReclaimEpoch   uint64 `json:"reclaim_epoch"`   // gauge
+	// Deferred reclamation: the zombie-stack backlog as a gauge, plus
+	// retire/free deltas.
+	Zombies        int64 `json:"zombies"`         // gauge
+	ReclaimRetired int64 `json:"reclaim_retired"` // delta
+	ReclaimFreed   int64 `json:"reclaim_freed"`   // delta
+	ReclaimPending int64 `json:"reclaim_pending"` // gauge
 
 	// Heap-pressure degradation counters (deltas).
 	DegRetries        int64 `json:"deg_retries"`
@@ -133,9 +132,9 @@ type Sample struct {
 }
 
 // payloadWords is the encoded size of a Sample minus its Seq (which lives in
-// the slot's publication word): 34 scalar words + MaxShards shard words +
+// the slot's publication word): 33 scalar words + MaxShards shard words +
 // 3 words per hot cell. encode panics if this drifts from the field list.
-const payloadWords = 34 + MaxShards + 3*TopK
+const payloadWords = 33 + MaxShards + 3*TopK
 
 // slot is one ring entry: w0 carries the sample's Seq and doubles as the
 // seqlock publication word (0 = empty or being rewritten), words the encoded
@@ -176,7 +175,6 @@ func (s *Sample) encode(dst *[payloadWords]uint64) {
 	put(uint64(s.ReclaimRetired))
 	put(uint64(s.ReclaimFreed))
 	put(uint64(s.ReclaimPending))
-	put(s.ReclaimEpoch)
 	put(uint64(s.DegRetries))
 	put(uint64(s.DegRecoveries))
 	put(uint64(s.DegExhaustions))
@@ -227,7 +225,6 @@ func (s *Sample) decode(src *[payloadWords]uint64) {
 	s.ReclaimRetired = int64(get())
 	s.ReclaimFreed = int64(get())
 	s.ReclaimPending = int64(get())
-	s.ReclaimEpoch = get()
 	s.DegRetries = int64(get())
 	s.DegRecoveries = int64(get())
 	s.DegExhaustions = int64(get())

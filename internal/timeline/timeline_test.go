@@ -25,7 +25,6 @@ func fillCumulative(s *Sample, tick int64) {
 	s.ReclaimRetired = 7 * tick
 	s.ReclaimFreed = 6 * tick
 	s.ReclaimPending = tick % 5 // gauge
-	s.ReclaimEpoch = uint64(tick)
 	s.FaultInjected = uint64(2 * tick)
 	s.ObsRecorded = uint64(3 * tick)
 	s.LatLoadP50 = 128 // quantile: instantaneous
@@ -88,9 +87,6 @@ func TestDeltasAndGauges(t *testing.T) {
 	}
 	if second.Zombies != 3 || second.LatLoadP50 != 128 {
 		t.Errorf("gauge fields disturbed: zombies=%d latp50=%d", second.Zombies, second.LatLoadP50)
-	}
-	if second.ReclaimEpoch != 2 {
-		t.Errorf("epoch gauge = %d, want 2", second.ReclaimEpoch)
 	}
 	if second.Ops() != 100+50+25 {
 		t.Errorf("Ops() = %d, want 175", second.Ops())

@@ -67,20 +67,16 @@ func (s *System) WriteMetrics(w io.Writer) {
 	writeHeader(w, "lfrc_zombie_backlog", "gauge", "Objects awaiting deferred reclamation.")
 	writeScalar(w, "lfrc_zombie_backlog", st.Zombies)
 
-	writeHeader(w, "lfrc_reclaim_retired_total", "counter", "Count-zero objects handed to the reclamation backend.")
+	writeHeader(w, "lfrc_reclaim_retired_total", "counter", "Count-zero objects handed to the reclaimer.")
 	writeLabeled(w, "lfrc_reclaim_retired_total", "backend", st.Reclaim.Backend, st.Reclaim.Retired)
-	writeHeader(w, "lfrc_reclaim_freed_total", "counter", "Objects freed by the reclamation backend (including cascaded descendants).")
+	writeHeader(w, "lfrc_reclaim_freed_total", "counter", "Objects freed by the reclaimer (including cascaded descendants).")
 	writeLabeled(w, "lfrc_reclaim_freed_total", "backend", st.Reclaim.Backend, st.Reclaim.Freed)
-	writeHeader(w, "lfrc_reclaim_parked_total", "counter", "Objects parked on deferred storage (zombie stack or limbo bins).")
+	writeHeader(w, "lfrc_reclaim_parked_total", "counter", "Objects parked on the zombie stack.")
 	writeLabeled(w, "lfrc_reclaim_parked_total", "backend", st.Reclaim.Backend, st.Reclaim.Parked)
-	writeHeader(w, "lfrc_reclaim_pending", "gauge", "Deferred-reclamation backlog held by the backend.")
+	writeHeader(w, "lfrc_reclaim_pending", "gauge", "Zombie-stack backlog awaiting deferred reclamation.")
 	writeLabeled(w, "lfrc_reclaim_pending", "backend", st.Reclaim.Backend, st.Reclaim.Pending)
-	writeHeader(w, "lfrc_reclaim_drains_total", "counter", "Explicit drain calls on the reclamation backend.")
+	writeHeader(w, "lfrc_reclaim_drains_total", "counter", "Explicit zombie-stack drain calls.")
 	writeLabeled(w, "lfrc_reclaim_drains_total", "backend", st.Reclaim.Backend, st.Reclaim.Drains)
-	writeHeader(w, "lfrc_reclaim_epoch", "gauge", "Reclamation epoch (epoch backend; 0 on lfrc).")
-	writeLabeled(w, "lfrc_reclaim_epoch", "backend", st.Reclaim.Backend, int64(st.Reclaim.Epoch))
-	writeHeader(w, "lfrc_reclaim_epoch_advances_total", "counter", "Epoch advances (epoch backend; 0 on lfrc).")
-	writeLabeled(w, "lfrc_reclaim_epoch_advances_total", "backend", st.Reclaim.Backend, st.Reclaim.EpochAdvances)
 
 	writeHeader(w, "lfrc_degraded_retries_total", "counter", "Heap-pressure degraded-mode retry attempts.")
 	writeScalar(w, "lfrc_degraded_retries_total", st.Degraded.Retries)

@@ -9,7 +9,7 @@ import (
 	"lfrc"
 )
 
-// The three pluggable seams — engine, reclaimer, RC strategy — share one
+// The pluggable seams — engine and RC strategy — share one
 // parser contract: String and Parse are inverses over every valid value,
 // flag.Value works out of the box, and a bad name yields the one shared
 // error shape (ErrUnknownName, listing the valid spellings).
@@ -46,24 +46,6 @@ func roundTripCases() []seamCase {
 				return err
 			},
 			func() flag.Value { v := new(lfrc.Engine); return v }),
-		mk("reclaimer", lfrc.ReclaimerLFRC.String(),
-			func(s string) error {
-				v, err := lfrc.ParseReclaimer(s)
-				if err == nil && v != lfrc.ReclaimerLFRC {
-					return errors.New("wrong value")
-				}
-				return err
-			},
-			func() flag.Value { v := new(lfrc.Reclaimer); return v }),
-		mk("reclaimer", lfrc.ReclaimerEpoch.String(),
-			func(s string) error {
-				v, err := lfrc.ParseReclaimer(s)
-				if err == nil && v != lfrc.ReclaimerEpoch {
-					return errors.New("wrong value")
-				}
-				return err
-			},
-			func() flag.Value { v := new(lfrc.Reclaimer); return v }),
 		mk("rc strategy", lfrc.RCFigure2.String(),
 			func(s string) error {
 				v, err := lfrc.ParseRCStrategy(s)
@@ -110,7 +92,6 @@ func TestSeamParsersShareErrorShape(t *testing.T) {
 		names []string
 	}{
 		{"engine", func(s string) error { _, err := lfrc.ParseEngine(s); return err }, []string{"locking", "mcas"}},
-		{"reclaimer", func(s string) error { _, err := lfrc.ParseReclaimer(s); return err }, []string{"lfrc", "epoch"}},
 		{"rc strategy", func(s string) error { _, err := lfrc.ParseRCStrategy(s); return err }, []string{"figure2", "split"}},
 	}
 	for _, p := range parsers {

@@ -7,29 +7,22 @@ import (
 )
 
 // TestRCStrategySweep is the cross-strategy acceptance gate for the RCStrategy
-// seam: the fault/chaos/auditor storm that guards the reclamation seam runs
-// over every {figure2, split} x {locking, mcas} x {lfrc, epoch} cell. Unlike
-// reclamation — which is policy layered over a safe count — the count protocol
-// itself is safety (a lost decrement leaks, a stray one frees live memory), so
-// no assertion here is strategy-conditional: both strategies must come out of
-// the same storm with a clean lifecycle auditor, a clean quiescent RC audit,
-// and an empty heap. Run under -race by `make check-rc`.
+// seam: the fault/chaos/auditor storm of TestReclaimBackendSweep runs over
+// every {figure2, split} x {locking, mcas} cell. The count protocol is safety
+// (a lost decrement leaks, a stray one frees live memory), so no assertion
+// here is strategy-conditional: both strategies must come out of the same
+// storm with a clean lifecycle auditor, a clean quiescent RC audit, and an
+// empty heap. Run under -race by `make check-rc`.
 func TestRCStrategySweep(t *testing.T) {
-	const plan = "core.*:p=0.01;reclaim.*:p=0.05;snark.*:p=0.02;queue.*:p=0.02;" +
-		"stack.*:p=0.02;set.*:p=0.02;mem.alloc:p=0.002;mem.alloc.slow:p=0.01"
 	for _, strat := range []lfrc.RCStrategy{lfrc.RCFigure2, lfrc.RCSplit} {
 		for _, eng := range []lfrc.Engine{lfrc.EngineLocking, lfrc.EngineMCAS} {
-			for _, rec := range []lfrc.Reclaimer{lfrc.ReclaimerLFRC, lfrc.ReclaimerEpoch} {
-				strat, eng, rec := strat, eng, rec
-				t.Run(strat.String()+"/"+eng.String()+"/"+rec.String(), func(t *testing.T) {
-					for _, seed := range []uint64{1, 20260808} {
-						seed := seed
-						t.Run("seed="+itoa(seed), func(t *testing.T) {
-							sweepOneConfig(t, rec, strat, plan, seed, lfrc.WithEngine(eng))
-						})
-					}
-				})
-			}
+			t.Run(strat.String()+"/"+eng.String()+"/"+backend, func(t *testing.T) {
+				for _, seed := range []uint64{1, 20260808} {
+					t.Run("seed="+itoa(seed), func(t *testing.T) {
+						sweepOneConfig(t, strat, sweepPlan, seed, lfrc.WithEngine(eng))
+					})
+				}
+			})
 		}
 	}
 }

@@ -83,8 +83,8 @@ func (r RCStrategy) kind() core.StrategyKind {
 
 // WithRCStrategy selects the reference-count strategy. The default is
 // RCFigure2, the paper-faithful protocol. Both strategies run under the same
-// structures, engines, reclamation backends, fault points, lifecycle auditor
-// and census, so they can be compared on identical workloads (experiment
+// structures, engines, reclaimer, fault points, lifecycle auditor and
+// census, so they can be compared on identical workloads (experiment
 // R3).
 func WithRCStrategy(r RCStrategy) Option {
 	return optionFunc(func(c *config) { c.rcStrategy = r })

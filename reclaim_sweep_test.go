@@ -8,39 +8,36 @@ import (
 	"lfrc"
 )
 
-// TestReclaimBackendSweep is the cross-backend acceptance gate for the
-// Reclaimer seam: the fault/chaos/auditor sweep that has always guarded the
-// LFRC backend must pass bit-for-bit identically in structure on the epoch
-// backend — same plan (including the reclaim.* points), same seeds, same
-// invariants. Reclamation is policy, not safety, so no assertion here is
-// allowed to be backend-conditional except the final backend-identity and
-// epoch-progress checks. Run under -race by `make check-reclaim`.
+// sweepPlan arms every fault point the structures and the reclaimer reach.
+const sweepPlan = "core.*:p=0.01;reclaim.*:p=0.05;snark.*:p=0.02;queue.*:p=0.02;" +
+	"stack.*:p=0.02;set.*:p=0.02;mem.alloc:p=0.002;mem.alloc.slow:p=0.01"
+
+// backend names the reclaimer as Stats.Reclaim.Backend reports it. The
+// reclamation gates run one subtest level named after it.
+const backend = "lfrc"
+
+// TestReclaimBackendSweep is the reclamation gate under faults: the
+// fault/chaos/auditor storm with an incremental-destroy budget, so releases
+// park zombies while concurrent drains race them. Run under -race by `make
+// check-fault`.
 func TestReclaimBackendSweep(t *testing.T) {
-	const plan = "core.*:p=0.01;reclaim.*:p=0.05;snark.*:p=0.02;queue.*:p=0.02;" +
-		"stack.*:p=0.02;set.*:p=0.02;mem.alloc:p=0.002;mem.alloc.slow:p=0.01"
-	for _, rec := range []lfrc.Reclaimer{lfrc.ReclaimerLFRC, lfrc.ReclaimerEpoch} {
-		rec := rec
-		t.Run(rec.String(), func(t *testing.T) {
-			for _, seed := range []uint64{1, 7, 20260808} {
-				seed := seed
-				t.Run("seed="+itoa(seed), func(t *testing.T) {
-					sweepOneBackend(t, rec, plan, seed)
-				})
-			}
-		})
-	}
+	t.Run(backend, func(t *testing.T) {
+		for _, seed := range []uint64{1, 7, 20260808} {
+			t.Run("seed="+itoa(seed), func(t *testing.T) {
+				s := sweepOneConfig(t, 0, sweepPlan, seed, lfrc.WithIncrementalDestroy(4))
+				if s.Reclaim.Parked == 0 {
+					t.Error("sweep parked no zombies; the budget never bit")
+				}
+			})
+		}
+	})
 }
 
-func sweepOneBackend(t *testing.T, rec lfrc.Reclaimer, plan string, seed uint64) {
-	sweepOneConfig(t, rec, 0, plan, seed)
-}
-
-// sweepOneConfig runs the fault/chaos/auditor storm on one {reclaimer, rc
-// strategy} cell; strat 0 keeps the default (figure2). Extra options (the RC
-// sweep passes WithEngine) are appended last.
-func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, plan string, seed uint64, extra ...lfrc.Option) {
+// sweepOneConfig runs the fault/chaos/auditor storm on one rc strategy
+// (strat 0 keeps the default, figure2) and returns the final Stats. Extra
+// options (the RC sweep passes WithEngine) are appended last.
+func sweepOneConfig(t *testing.T, strat lfrc.RCStrategy, plan string, seed uint64, extra ...lfrc.Option) lfrc.Stats {
 	opts := []lfrc.Option{
-		lfrc.WithReclamation(rec),
 		lfrc.WithFaultPlan(plan),
 		lfrc.WithFaultSeed(seed),
 		lfrc.WithHeapPressurePolicy(lfrc.DefaultHeapPressurePolicy()),
@@ -55,9 +52,6 @@ func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, pla
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if got := sys.ReclaimerName(); got != rec.String() {
-		t.Fatalf("system runs on %q, want %q", got, rec)
-	}
 	if strat != 0 {
 		if got := sys.RCStrategyName(); got != strat.String() {
 			t.Fatalf("system counts with %q, want %q", got, strat)
@@ -111,9 +105,9 @@ func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, pla
 					st.Pop()
 					set.Delete(v)
 				case 8:
-					// Concurrent maintenance drain: exercises the backend's
-					// pop/flush path (and its reclaim.drain / reclaim.epoch
-					// fault points) while retirements race it.
+					// Concurrent maintenance drain: exercises the zombie
+					// stack's pop path (and its reclaim.drain fault point)
+					// while retirements race it.
 					sys.DrainZombies(32)
 				}
 				if err != nil && !errors.Is(err, lfrc.ErrOutOfMemory) {
@@ -151,8 +145,8 @@ func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, pla
 	if s.Reclaim.Pending != 0 || s.Zombies != 0 {
 		t.Errorf("deferred backlog not drained: pending=%d zombies=%d", s.Reclaim.Pending, s.Zombies)
 	}
-	if s.Reclaim.Backend != rec.String() {
-		t.Errorf("Stats.Reclaim.Backend = %q, want %q", s.Reclaim.Backend, rec)
+	if s.Reclaim.Backend != backend {
+		t.Errorf("Stats.Reclaim.Backend = %q, want %q", s.Reclaim.Backend, backend)
 	}
 	if strat != 0 && s.RCStrategy != strat.String() {
 		t.Errorf("Stats.RCStrategy = %q, want %q", s.RCStrategy, strat)
@@ -163,7 +157,52 @@ func sweepOneConfig(t *testing.T, rec lfrc.Reclaimer, strat lfrc.RCStrategy, pla
 	if s.Fault.Injected == 0 {
 		t.Error("sweep injected nothing; plan or workload is off")
 	}
-	if rec == lfrc.ReclaimerEpoch && s.Reclaim.EpochAdvances == 0 {
-		t.Error("epoch backend never advanced its epoch")
-	}
+	return s
+}
+
+// TestReclamationBackends runs a queue workload on both engines and checks
+// the Reclaim stats block: after Close and a full drain, no zombies remain,
+// every alloc was freed, and the block names the backend.
+func TestReclamationBackends(t *testing.T) {
+	t.Run(backend, func(t *testing.T) {
+		for name, sys := range systems(t) {
+			t.Run(name, func(t *testing.T) {
+				q, err := sys.NewQueue()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := lfrc.Value(1); v <= 200; v++ {
+					if err := q.Enqueue(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for v := lfrc.Value(1); v <= 200; v++ {
+					got, ok := q.Dequeue()
+					if !ok || got != v {
+						t.Fatalf("Dequeue = (%d,%v), want (%d,true)", got, ok, v)
+					}
+				}
+				q.Close()
+				sys.DrainZombies(0)
+				st := sys.Stats()
+				if st.Reclaim.Backend != backend {
+					t.Errorf("Stats().Reclaim.Backend = %q, want %q", st.Reclaim.Backend, backend)
+				}
+				if st.Zombies != 0 || st.Reclaim.Pending != 0 {
+					t.Errorf("zombies = %d, pending = %d after full drain, want 0",
+						st.Zombies, st.Reclaim.Pending)
+				}
+				if st.Heap.LiveObjects != 0 {
+					t.Errorf("LiveObjects = %d after Close+drain, want 0", st.Heap.LiveObjects)
+				}
+				// Freed counts cascaded descendants too, so it can exceed
+				// Retired; with nothing pending it must at least cover
+				// everything ever retired.
+				if st.Reclaim.Freed < st.Reclaim.Retired {
+					t.Errorf("freed %d < retired %d with empty backlog",
+						st.Reclaim.Freed, st.Reclaim.Retired)
+				}
+			})
+		}
+	})
 }

@@ -67,7 +67,6 @@ type Option interface {
 
 type config struct {
 	engine         Engine
-	reclaimer      Reclaimer
 	rcStrategy     RCStrategy
 	maxHeapWords   uint64
 	destroyBudget  int
@@ -200,7 +199,6 @@ func (tr *typeReg[T]) get(h *mem.Heap, register func(*mem.Heap) (T, error)) (T, 
 func New(opts ...Option) (*System, error) {
 	cfg := config{
 		engine:       EngineLocking,
-		reclaimer:    ReclaimerLFRC,
 		rcStrategy:   RCFigure2,
 		maxHeapWords: 64 << 20,
 		poisonCheck:  true,
@@ -209,11 +207,6 @@ func New(opts ...Option) (*System, error) {
 	}
 	for _, o := range opts {
 		o.apply(&cfg)
-	}
-	switch cfg.reclaimer {
-	case ReclaimerLFRC, ReclaimerEpoch:
-	default:
-		return nil, fmt.Errorf("lfrc: unknown reclaimer %v", cfg.reclaimer)
 	}
 	switch cfg.rcStrategy {
 	case RCFigure2, RCSplit:
@@ -277,7 +270,6 @@ func New(opts ...Option) (*System, error) {
 	}
 
 	var rcOpts []core.Option
-	rcOpts = append(rcOpts, core.WithReclaimerKind(cfg.reclaimer.kind()))
 	rcOpts = append(rcOpts, core.WithStrategyKind(cfg.rcStrategy.kind()))
 	if cfg.destroyBudget > 0 {
 		rcOpts = append(rcOpts, core.WithIncrementalDestroy(cfg.destroyBudget))
@@ -550,13 +542,11 @@ type Stats struct {
 	// activity.
 	Alloc AllocStats `json:"alloc"`
 
-	// Reclaim is the reclamation backend's accounting (see
-	// WithReclamation).
+	// Reclaim is the reclamation accounting (see WithIncrementalDestroy).
 	Reclaim ReclaimStats `json:"reclaim"`
 
-	// Zombies is the number of objects currently awaiting deferred
-	// reclamation — the backend's pending backlog (see
-	// WithIncrementalDestroy, WithReclamation).
+	// Zombies is the number of objects currently parked on the zombie
+	// stack, awaiting deferred reclamation (see WithIncrementalDestroy).
 	Zombies int64 `json:"zombies"`
 
 	// Lifecycle is the diagnosis layer's accounting; zero unless the
@@ -597,8 +587,8 @@ type LifecycleStats struct {
 	SkippedFull    uint64 `json:"skipped_full"`
 
 	// AuditPasses counts invariant-auditor sweeps; Violations counts
-	// breaches ever flagged; Epoch is the reclamation epoch (one tick
-	// per pass).
+	// breaches ever flagged; Epoch is the heap epoch the auditor ticks
+	// once per pass.
 	AuditPasses uint64 `json:"audit_passes"`
 	Violations  uint64 `json:"violations"`
 	Epoch       uint64 `json:"epoch"`
@@ -616,6 +606,28 @@ type HeapStats struct {
 	DoubleFrees   int64 `json:"double_frees"`
 	Corruptions   int64 `json:"corruptions"`
 	AllocFailures int64 `json:"alloc_failures"`
+}
+
+// ReclaimStats is the reclamation accounting snapshot: the destroy
+// recursion and the zombie stack that holds what an incremental-destroy
+// budget leaves over (see DESIGN.md §3.10).
+type ReclaimStats struct {
+	// Backend is always "lfrc", the paper's eager reclamation.
+	Backend string `json:"backend"`
+
+	// Retired counts objects handed over at count zero; Freed counts
+	// objects actually freed, including cascaded descendants discovered
+	// by the destroy recursion. Parked counts pushes onto the zombie
+	// stack; Pending is its current backlog (also exported as
+	// Stats.Zombies).
+	Retired int64 `json:"retired"`
+	Freed   int64 `json:"freed"`
+	Parked  int64 `json:"parked"`
+	Pending int64 `json:"pending"`
+
+	// Drains counts explicit DrainZombies calls (maintenance or
+	// degraded-mode).
+	Drains int64 `json:"drains"`
 }
 
 // RCStats mirrors the LFRC operation counters.
@@ -659,13 +671,12 @@ type ShardStats struct {
 }
 
 // DrainZombies finishes up to max deferred reclamations (0 = all): objects
-// parked by an incremental-destroy budget (WithIncrementalDestroy) or held in
-// the epoch backend's limbo bins (WithReclamation). It returns the number of
-// objects freed.
+// parked on the zombie stack by an incremental-destroy budget
+// (WithIncrementalDestroy). It returns the number of objects freed.
 func (s *System) DrainZombies(max int) int { return s.rc.DrainZombies(max) }
 
 // ZombieCount reports how many objects currently await deferred reclamation
-// (the reclamation backend's pending backlog).
+// on the zombie stack.
 func (s *System) ZombieCount() int64 { return s.rc.ZombieCount() }
 
 // Collect runs the stop-the-world backup tracing collector (paper §7) and

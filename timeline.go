@@ -38,7 +38,7 @@ type TimelineOptions struct {
 // WithTimeline enables the continuous telemetry timeline: a background
 // sampler that every interval captures a delta snapshot of every counter the
 // system already maintains — heap and RC stripes, per-shard allocation,
-// zombie and reclaim-limbo depth, degradation counters, fault firings, the
+// zombie-stack depth, degradation counters, fault firings, the
 // contention top-K, and observer latency quantiles — into a fixed-size
 // lock-free ring. Capture is read-only against the existing counters and
 // allocates nothing, so instrumented operations pay nothing new. Read the
@@ -105,7 +105,6 @@ func (s *System) captureTimeline(sm *timeline.Sample) {
 	sm.ReclaimRetired = rst.Retired
 	sm.ReclaimFreed = rst.Freed
 	sm.ReclaimPending = rst.Pending
-	sm.ReclaimEpoch = rst.Epoch
 
 	sm.DegRetries = s.deg.retries.Load()
 	sm.DegRecoveries = s.deg.recoveries.Load()

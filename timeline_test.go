@@ -22,7 +22,7 @@ func newTimelineSystem(t *testing.T, extra ...lfrc.Option) *lfrc.System {
 	opts := append([]lfrc.Option{
 		lfrc.WithTimeline(lfrc.TimelineOptions{Manual: true}),
 		lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1, Contention: true}),
-		lfrc.WithReclamation(lfrc.ReclaimerEpoch),
+		lfrc.WithIncrementalDestroy(1),
 	}, extra...)
 	sys, err := lfrc.New(opts...)
 	if err != nil {
@@ -137,28 +137,25 @@ func TestTimelineCapturesSystemActivity(t *testing.T) {
 	d.Close()
 }
 
-// TestTimelineLimboSeries checks the acceptance-criteria shape: under the
-// epoch reclaimer, the pending-limbo series must rise while garbage is
-// retired and drain back down — visible across the captured intervals.
+// TestTimelineLimboSeries checks the acceptance-criteria shape: under an
+// incremental-destroy budget of 1, the pending-limbo series must rise while
+// closed sets park their chains on the zombie stack and drain back down —
+// visible across the captured intervals.
 func TestTimelineLimboSeries(t *testing.T) {
 	sys := newTimelineSystem(t)
 
-	d, err := sys.NewDeque()
-	if err != nil {
-		t.Fatalf("NewDeque: %v", err)
-	}
 	maxPending := int64(0)
 	for round := 0; round < 20; round++ {
-		for i := lfrc.Value(1); i <= 16; i++ {
-			if err := d.PushRight(i); err != nil {
-				t.Fatalf("PushRight: %v", err)
+		set, err := sys.NewSet()
+		if err != nil {
+			t.Fatalf("NewSet: %v", err)
+		}
+		for k := lfrc.Value(16); k > 0; k-- {
+			if _, err := set.Insert(k); err != nil {
+				t.Fatalf("Insert: %v", err)
 			}
 		}
-		for i := 0; i < 16; i++ {
-			if _, ok := d.PopLeft(); !ok {
-				t.Fatal("PopLeft: empty")
-			}
-		}
+		set.Close() // one release: frees one node, parks the next
 		sys.CaptureTimelineSample()
 	}
 	for sm := range sys.Timeline() {
@@ -167,7 +164,7 @@ func TestTimelineLimboSeries(t *testing.T) {
 		}
 	}
 	if maxPending == 0 {
-		t.Fatal("limbo-depth series never rose above zero under the epoch reclaimer")
+		t.Fatal("limbo-depth series never rose above zero under a destroy budget of 1")
 	}
 	sys.DrainZombies(0)
 	sys.CaptureTimelineSample()
@@ -175,10 +172,9 @@ func TestTimelineLimboSeries(t *testing.T) {
 	for sm := range sys.Timeline() {
 		last = sm
 	}
-	if last.ReclaimPending >= maxPending {
+	if last.ReclaimPending != 0 {
 		t.Errorf("limbo series did not drain: final pending %d, peak %d", last.ReclaimPending, maxPending)
 	}
-	d.Close()
 }
 
 // TestTimelineBackgroundSampling exercises the WithTimeline background
