@@ -29,7 +29,7 @@ import (
 // A FAIL additionally captures a diagnostic bundle (to bundlePath, or an
 // auto-generated name) and echoes it as a machine-readable "bundle=" line so
 // harnesses can hand the black box straight to cmd/lfrcdoctor.
-func runChaos(stdout io.Writer, eng lfrc.Engine, strat lfrc.RCStrategy, plan string, seed uint64, dur time.Duration, workers int, bundlePath string, destroyBudget, heapWords int) error {
+func runChaos(stdout io.Writer, eng lfrc.Engine, strat lfrc.RCStrategy, plan string, seed uint64, dur time.Duration, workers int, bundlePath string, destroyBudget int) error {
 	opts := []lfrc.Option{
 		lfrc.WithEngine(eng),
 		lfrc.WithRCStrategy(strat),
@@ -54,12 +54,6 @@ func runChaos(stdout io.Writer, eng lfrc.Engine, strat lfrc.RCStrategy, plan str
 	}
 	if destroyBudget > 0 {
 		opts = append(opts, lfrc.WithIncrementalDestroy(destroyBudget))
-	}
-	if heapWords > 0 {
-		// A deliberately tiny arena turns sustained pushes into genuine
-		// heap-pressure exhaustions — the planted scenario for the
-		// watchdog's heap_exhaustion rule.
-		opts = append(opts, lfrc.WithMaxHeapWords(uint64(heapWords)))
 	}
 	sys, err := lfrc.New(opts...)
 	if err != nil {

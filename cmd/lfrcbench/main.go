@@ -170,7 +170,6 @@ func run(args []string, stdout io.Writer) error {
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection seed; same seed and plan replay the same firing schedule")
 		bundle    = fs.String("bundle", "", "chaos mode: write the diagnostic bundle here even on PASS; a FAIL always captures one (auto-named lfrc-chaos-<engine>-<rc>.tar.gz when unset)")
 		destroyB  = fs.Int("destroy-budget", 0, "chaos mode: incremental-destroy budget (objects parked per release; 0 = eager)")
-		heapWords = fs.Int("heap-words", 0, "chaos mode: cap the arena at this many words (0 = default) to plant heap-pressure exhaustions")
 		doCensus  = fs.Bool("census", false, "after the run, take a heap census of the published system, drain zombies, take another, and print the summaries plus the diff")
 	)
 	rcStrategy := lfrc.RCFigure2
@@ -217,7 +216,7 @@ func run(args []string, stdout io.Writer) error {
 	var chaosErr error
 	if chaosMode {
 		nw := workerCounts[len(workerCounts)-1]
-		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB, *heapWords)
+		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB)
 	} else {
 		emit := func(t *workload.Table) {
 			if *markdown {

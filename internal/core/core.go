@@ -194,9 +194,6 @@ func (c *RC) Engine() dcas.Engine { return c.e }
 // Reclaimer returns the RC's Reclaimer.
 func (c *RC) Reclaimer() *reclaim.Reclaimer { return c.rec }
 
-// Strategy returns the reference-count strategy the RC was built with.
-func (c *RC) Strategy() Strategy { return c.strat }
-
 // StrategyName returns the active strategy's name ("figure2" or "split").
 func (c *RC) StrategyName() string { return c.strat.Name() }
 
@@ -659,10 +656,10 @@ func (c *RC) RCOf(p mem.Ref) uint64 { return c.e.Read(c.h.RCAddr(p)) }
 func (c *RC) WordLoad(a mem.Addr) uint64 { return c.e.Read(a) }
 
 // SnapshotRead reads the cell at a for a strictly read-only observer (the
-// heap census, the lifecycle auditor and population census). Unlike WordLoad
-// it never goes through the engine: Engine.Read helps in-flight MCAS
-// operations to completion, which mutates shared cells — exactly what an
-// observer guaranteed to be side-effect-free must not do. Instead it takes a
+// heap census and the lifecycle auditor). Unlike WordLoad it never goes
+// through the engine: Engine.Read helps in-flight MCAS operations to
+// completion, which mutates shared cells — exactly what an observer
+// guaranteed to be side-effect-free must not do. Instead it takes a
 // plain atomic load; if the value carries an engine tag (a software-MCAS
 // descriptor, or the locking engine's lock bit while a DCAS holds the cell)
 // it backs off briefly and retries, and after a bounded number of attempts

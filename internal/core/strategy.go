@@ -110,7 +110,7 @@ type Strategy interface {
 	SwingPair(c *RC, a0, a1 mem.Addr, old0, old1, new0, new1 mem.Ref) (d0, d1 uint64, ok bool)
 
 	// SwingMixed is Swing where a0 is a pointer cell and a1 a scalar cell
-	// outside the counting protocol (DCASMixed; see llsc.go).
+	// outside the counting protocol (DCASMixed; see mixed.go).
 	SwingMixed(c *RC, a0 mem.Addr, old0, new0 mem.Ref, a1 mem.Addr, old1, new1 uint64) (d0 uint64, ok bool)
 
 	// FailRole attributes one failed blind-store CAS that read word u from

@@ -68,21 +68,3 @@ type Engine interface {
 	// new0 == new1.
 	DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool
 }
-
-// MultiEngine is implemented by engines that additionally support N-word
-// CAS over up to four distinct locations (the full Harris–Fraser–Pratt
-// generality). Both bundled engines implement it.
-type MultiEngine interface {
-	Engine
-
-	// NCAS atomically compares every cell at addrs[i] with olds[i] and,
-	// if all match, replaces each with news[i]. It returns false without
-	// side effects on mismatched slice lengths, empty or oversized input,
-	// or duplicate addresses.
-	NCAS(addrs []mem.Addr, olds, news []uint64) bool
-}
-
-var (
-	_ MultiEngine = (*LockingEngine)(nil)
-	_ MultiEngine = (*MCASEngine)(nil)
-)

@@ -6,10 +6,9 @@ import (
 	"lfrc/internal/mem"
 )
 
-// lockBit marks a cell held by an in-flight DCAS or NCAS of the
-// LockingEngine. It is the bit the MCASEngine uses as its descriptor tag;
-// the two engines never share a heap, and application values keep it clear
-// (mem.ValueMask).
+// lockBit marks a cell held by an in-flight DCAS of the LockingEngine. It is
+// the bit the MCASEngine uses as its descriptor tag; the two engines never
+// share a heap, and application values keep it clear (mem.ValueMask).
 const lockBit = descBit
 
 // LockingEngine models a hardware DCAS with a lock bit in every cell: the
@@ -18,12 +17,11 @@ const lockBit = descBit
 //   - CAS is one hardware CAS. Only if it fails on a locked cell does it
 //     wait for the unlock and compare again, so a CAS never fails against a
 //     DCAS that is itself going to fail.
-//   - DCAS and NCAS lock their cells in address order, each with a CAS from
-//     the expected value to the same value with lockBit set. A cell that
-//     holds a different value fails the operation at once and releases the
-//     cells already locked; once every cell is locked the operation commits
-//     by swapping each locked word for its new value, which also unlocks
-//     it.
+//   - DCAS locks its two cells in address order, each with a CAS from the
+//     expected value to the same value with lockBit set. A cell that holds
+//     a different value fails the operation at once and releases the cell
+//     already locked; once both cells are locked the operation commits by
+//     swapping each locked word for its new value, which also unlocks it.
 //   - A DCAS that writes one of its cells back unchanged (old == new, the
 //     shape of the paper's LFRCLoad, which compares the pointer cell and
 //     swaps the count) is compare-only on that cell: it locks just the
@@ -163,8 +161,8 @@ func (e *LockingEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) boo
 	}
 	// Each commit is one CAS from the locked word, which unlocks the cell
 	// and leaves in place a value the heap stored into it meanwhile. The
-	// commits here and in compareSwap and NCAS are written out because a
-	// helper for them would not inline.
+	// commits here and in compareSwap are written out because a helper for
+	// them would not inline.
 	e.yield()
 	e.h.CAS(a0, old0|lockBit, new0)
 	e.yield()
@@ -192,33 +190,4 @@ func (e *LockingEngine) compareSwap(c mem.Addr, cOld uint64, s mem.Addr, sOld, s
 			return false
 		}
 	}
-}
-
-// NCAS atomically compares-and-swaps up to four distinct locations,
-// mirroring MCASEngine.NCAS on the modeled hardware. Same argument
-// validation rules apply.
-func (e *LockingEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
-	op, ok := newOp(addrs, olds, news)
-	if !ok {
-		return false
-	}
-	if op.n == 1 {
-		return e.CAS(op.addrs[0], op.olds[0], op.news[0])
-	}
-	if !op.sort() {
-		return false
-	}
-	for i := range op.n {
-		if !e.lock(op.addrs[i], op.olds[i]) {
-			for j := i - 1; j >= 0; j-- {
-				e.unlock(op.addrs[j], op.olds[j])
-			}
-			return false
-		}
-	}
-	for i := range op.n {
-		e.yield()
-		e.h.CAS(op.addrs[i], op.olds[i]|lockBit, op.news[i])
-	}
-	return true
 }

@@ -82,9 +82,6 @@ const (
 	stSucceeded = 1
 	stFailed    = 2
 	stRetry     = 3
-
-	// cmpOnly is the n of a compare-only op's descriptor.
-	cmpOnly = maxNCAS + 1
 )
 
 // isDescriptor reports whether a cell value is a descriptor reference.
@@ -107,46 +104,10 @@ func unpackRef(ref uint64) (slot uint32, ver uint64) {
 	return uint32(ref & slotMask), (ref >> slotBits) & verMask
 }
 
-// maxNCAS is the largest location count one MCAS operation may cover.
-const maxNCAS = 4
-
-// mcasOp is one operation's (addr, old, new) triples.
+// mcasOp is a full DCAS's two (addr, old, new) triples, in address order.
 type mcasOp struct {
-	n          int
-	addrs      [maxNCAS]mem.Addr
-	olds, news [maxNCAS]uint64
-}
-
-// newOp validates the lengths of an NCAS request and returns it as an
-// mcasOp. ok is false if the slices disagree in length, are empty or exceed
-// maxNCAS locations.
-func newOp(addrs []mem.Addr, olds, news []uint64) (op mcasOp, ok bool) {
-	n := len(addrs)
-	if n == 0 || n > maxNCAS || len(olds) != n || len(news) != n {
-		return op, false
-	}
-	op.n = n
-	copy(op.addrs[:], addrs)
-	copy(op.olds[:], olds)
-	copy(op.news[:], news)
-	return op, true
-}
-
-// sort orders op's triples by address, so that overlapping operations take
-// their locations in one order, and reports false if an address repeats.
-func (op *mcasOp) sort() bool {
-	for i := 1; i < op.n; i++ {
-		j := i
-		for ; j > 0 && op.addrs[j] < op.addrs[j-1]; j-- {
-			op.addrs[j], op.addrs[j-1] = op.addrs[j-1], op.addrs[j]
-			op.olds[j], op.olds[j-1] = op.olds[j-1], op.olds[j]
-			op.news[j], op.news[j-1] = op.news[j-1], op.news[j]
-		}
-		if j > 0 && op.addrs[j] == op.addrs[j-1] {
-			return false
-		}
-	}
-	return true
+	addrs      [2]mem.Addr
+	olds, news [2]uint64
 }
 
 // cmpOp is a compare-only DCAS: it swaps cell s from sOld to sNew if cell c
@@ -157,14 +118,14 @@ type cmpOp struct {
 }
 
 // mcasDesc publishes an mcasOp plus a version-packed status word. A
-// compare-only op is published with n = cmpOnly, its swapped cell as
-// location 0 and its compared cell as location 1.
+// compare-only op is published with cmp set, its swapped cell as location 0
+// and its compared cell as location 1.
 type mcasDesc struct {
 	status atomic.Uint64 // ver<<2 | state; ver is odd while active
-	n      atomic.Uint64
-	addrs  [maxNCAS]atomic.Uint64
-	olds   [maxNCAS]atomic.Uint64
-	news   [maxNCAS]atomic.Uint64
+	cmp    atomic.Uint64 // 1 for a compare-only op, 0 for a full DCAS
+	addrs  [2]atomic.Uint64
+	olds   [2]atomic.Uint64
+	news   [2]atomic.Uint64
 }
 
 // rdcssDesc is one conditional install: write mref into a2 if *a2 == o2 and
@@ -176,13 +137,13 @@ type rdcssDesc struct {
 	o2   atomic.Uint64
 }
 
-// descSlot is one owner's descriptors, padded to three cache lines so that
+// descSlot is one owner's descriptors, padded to two cache lines so that
 // owners on different cores never share a line.
 type descSlot struct {
 	busy  atomic.Uint64 // 1 while claimed
 	mcas  mcasDesc
 	rdcss rdcssDesc
-	_     [40]byte
+	_     [24]byte
 }
 
 // Option configures an engine.
@@ -202,7 +163,7 @@ func newConfig(opts []Option) config {
 }
 
 // WithPoolSize sets the number of descriptor slots. A goroutine holds a slot
-// only while it is inside the engine — for one DCAS or NCAS, or for one
+// only while it is inside the engine — for one DCAS, or for one
 // helping install made from Read, Write or CAS — so the count bounds the
 // goroutines inside the engine at once, not the operations; the default of
 // 4096 is far beyond any realistic goroutine count. A goroutine that finds
@@ -287,24 +248,11 @@ func (e *MCASEngine) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 uint64) bool {
 	if old1 == new1 && old0 != new0 {
 		return e.compareSwap(&cmpOp{c: a1, cOld: old1, s: a0, sOld: old0, sNew: new0})
 	}
-	return e.runMCAS(&mcasOp{n: 2, addrs: [maxNCAS]mem.Addr{a0, a1},
-		olds: [maxNCAS]uint64{old0, old1}, news: [maxNCAS]uint64{new0, new1}})
-}
-
-// NCAS atomically compares-and-swaps up to maxNCAS distinct locations — the
-// full generality of the Harris–Fraser–Pratt construction the DCAS above is
-// a special case of. It returns false without side effects if the slices
-// disagree in length, are empty, exceed maxNCAS locations, or repeat an
-// address.
-func (e *MCASEngine) NCAS(addrs []mem.Addr, olds, news []uint64) bool {
-	op, ok := newOp(addrs, olds, news)
-	if !ok {
-		return false
+	if a0 > a1 {
+		a0, a1, old0, old1, new0, new1 = a1, a0, old1, old0, new1, new0
 	}
-	if op.n == 1 {
-		return e.CAS(op.addrs[0], op.olds[0], op.news[0])
-	}
-	return e.runMCAS(&op)
+	return e.runMCAS(&mcasOp{addrs: [2]mem.Addr{a0, a1},
+		olds: [2]uint64{old0, old1}, news: [2]uint64{new0, new1}})
 }
 
 // yield hands control to the WithStep hook, if any, before a heap access or
@@ -355,19 +303,14 @@ func (e *MCASEngine) release(s uint32) {
 	e.slots[s].busy.Store(0)
 }
 
-// runMCAS sorts op by address and rejects a repeated address. It then
-// publishes op in a claimed slot's MCAS descriptor, drives it to
+// runMCAS publishes op in a claimed slot's MCAS descriptor, drives it to
 // completion, and retires it.
 func (e *MCASEngine) runMCAS(op *mcasOp) bool {
-	if !op.sort() {
-		return false
-	}
-
 	own := e.claim()
 	d := &e.slots[own].mcas
 	ver := d.status.Load()>>2 + 1 // becomes odd
-	e.st(&d.n, uint64(op.n))
-	for i := range op.n {
+	e.st(&d.cmp, 0)
+	for i := range 2 {
 		e.st(&d.addrs[i], uint64(op.addrs[i]))
 		e.st(&d.olds[i], op.olds[i])
 		e.st(&d.news[i], op.news[i])
@@ -412,7 +355,7 @@ func (e *MCASEngine) compareSwap(op *cmpOp) bool {
 func (e *MCASEngine) publishCmp(own uint32, op *cmpOp) uint64 {
 	d := &e.slots[own].mcas
 	ver := d.status.Load()>>2 + 1 // becomes odd
-	e.st(&d.n, cmpOnly)
+	e.st(&d.cmp, 1)
 	e.st(&d.addrs[0], uint64(op.s))
 	e.st(&d.olds[0], op.sOld)
 	e.st(&d.news[0], op.sNew)
@@ -477,7 +420,7 @@ func (e *MCASEngine) preempt(v, ref uint64) uint64 {
 		return v
 	}
 	d := &e.slots[v&slotMask].mcas
-	if e.ld(&d.n) != cmpOnly {
+	if e.ld(&d.cmp) == 0 {
 		return v
 	}
 	op := e.snapshotCmp(d)
@@ -550,16 +493,15 @@ func (e *MCASEngine) help(v uint64, own uint32) {
 	// Snapshot the op, then validate the version: a retired op's snapshot
 	// is garbage, but then the caller's cell no longer holds v either.
 	d := &e.slots[v&slotMask].mcas
-	n := e.ld(&d.n)
-	if n == cmpOnly {
+	if e.ld(&d.cmp) != 0 {
 		op := e.snapshotCmp(d)
 		if _, ok := e.statusOf(v); ok {
 			e.settleCmp(v, &op)
 		}
 		return
 	}
-	op := mcasOp{n: min(int(n), maxNCAS)}
-	for i := range op.n {
+	var op mcasOp
+	for i := range 2 {
 		op.addrs[i] = mem.Addr(e.ld(&d.addrs[i]))
 		op.olds[i] = e.ld(&d.olds[i])
 		op.news[i] = e.ld(&d.news[i])
@@ -577,7 +519,7 @@ func (e *MCASEngine) helpMCAS(ref uint64, op *mcasOp, from int, own uint32) bool
 	// being undecided.
 	desired := uint64(stSucceeded)
 phase1:
-	for i := from; i < op.n; i++ {
+	for i := from; i < 2; i++ {
 		for {
 			st, ok := e.statusOf(ref)
 			if !ok {
@@ -616,7 +558,7 @@ phase1:
 
 	// Phase 2: release the cells, writing news on success and restoring
 	// olds on failure.
-	for i := range op.n {
+	for i := range 2 {
 		v := op.olds[i]
 		if st == stSucceeded {
 			v = op.news[i]

@@ -300,8 +300,8 @@ func TestMCASFirstInstallMismatch(t *testing.T) {
 // slot's own RDCSS descriptor must serve the second install, and one slot
 // must serve nearly every op.
 func TestMCASSlotReuseInPlace(t *testing.T) {
-	if s := unsafe.Sizeof(descSlot{}); s%64 != 0 {
-		t.Errorf("descSlot is %d bytes, not a whole number of cache lines", s)
+	if s := unsafe.Sizeof(descSlot{}); s != 128 {
+		t.Errorf("descSlot is %d bytes, want 128 (two cache lines)", s)
 	}
 	// Slots are probed from the running P's id, so reuse in place is a
 	// per-P property: on one P the goroutine cannot migrate.

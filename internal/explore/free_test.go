@@ -26,7 +26,7 @@ import (
 //
 // Runs are sequential, so they share one heap (building a heap costs more
 // than a run); each run first releases what the last one left.
-func loadVsFreeScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, relink bool) CellScenario {
+func loadVsFreeScenario(mk func(*mem.Heap, func(bool)) dcas.Engine, relink bool) CellScenario {
 	h := mem.NewHeap(mem.WithAllocShards(1))
 	// A pointer field gives the freer an engine step between the count
 	// reaching zero and the slot being poisoned.

@@ -25,21 +25,21 @@ import (
 
 // cellEngines builds each engine under test over h with the explorer's step
 // hook.
-var cellEngines = map[string]func(h *mem.Heap, step func(bool)) dcas.MultiEngine{
-	"locking": func(h *mem.Heap, step func(bool)) dcas.MultiEngine {
+var cellEngines = map[string]func(h *mem.Heap, step func(bool)) dcas.Engine{
+	"locking": func(h *mem.Heap, step func(bool)) dcas.Engine {
 		return dcas.NewLocking(h, dcas.WithStep(step))
 	},
-	"mcas": func(h *mem.Heap, step func(bool)) dcas.MultiEngine {
+	"mcas": func(h *mem.Heap, step func(bool)) dcas.Engine {
 		return dcas.NewMCAS(h, dcas.WithPoolSize(2), dcas.WithStep(step))
 	},
 }
 
 // memOp is one engine operation a thread performs.
 type memOp struct {
-	kind             int // 0 = CAS, 1 = DCAS, 2 = Read, 3 = Write, 4 = 3-word NCAS, 5 = heap store
-	a0, a1, a2       int // cell indices
-	old0, old1, old2 uint64
-	new0, new1, new2 uint64
+	kind       int // 0 = CAS, 1 = DCAS, 2 = Read, 3 = Write, 4 = heap store
+	a0, a1     int // cell indices
+	old0, old1 uint64
+	new0, new1 uint64
 }
 
 // applySeq runs an op sequentially against a model memory, returning the
@@ -61,14 +61,6 @@ func (op memOp) applySeq(cells []uint64) (ok bool, val uint64) {
 		return false, 0
 	case 2:
 		return true, cells[op.a0]
-	case 4:
-		if cells[op.a0] == op.old0 && cells[op.a1] == op.old1 && cells[op.a2] == op.old2 {
-			cells[op.a0] = op.new0
-			cells[op.a1] = op.new1
-			cells[op.a2] = op.new2
-			return true, 0
-		}
-		return false, 0
 	default:
 		cells[op.a0] = op.new0
 		return true, 0
@@ -119,7 +111,7 @@ func legalOutcomes(nCells int, threads [][]memOp) map[outcome]bool {
 
 // engineCellScenario builds an engine with the step hook and runs the
 // threads' op streams, checking the observed outcome against the oracle.
-func engineCellScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
+func engineCellScenario(mk func(*mem.Heap, func(bool)) dcas.Engine, nCells int, threads [][]memOp, legal map[outcome]bool) CellScenario {
 	// Runs are sequential, so they share one heap (building a heap costs
 	// more than a run) and each starts from zeroed cells.
 	h := mem.NewHeap(mem.WithAllocShards(1))
@@ -154,11 +146,6 @@ func engineCellScenario(mk func(*mem.Heap, func(bool)) dcas.MultiEngine, nCells 
 					case 2:
 						ok, val = true, e.Read(addr[op.a0])
 					case 4:
-						ok = e.NCAS(
-							[]mem.Addr{addr[op.a0], addr[op.a1], addr[op.a2]},
-							[]uint64{op.old0, op.old1, op.old2},
-							[]uint64{op.new0, op.new1, op.new2})
-					case 5:
 						ok = true
 						step(false)
 						h.Store(addr[op.a0], op.new0)
@@ -286,8 +273,8 @@ func TestMCASModelCheckThreeWay(t *testing.T) {
 }
 
 // heapStore is a plain store straight into the cell, past the engine: the
-// way mem.Free poisons a freed object's cells (kind 5).
-func heapStore(a int, v uint64) memOp { return memOp{kind: 5, a0: a, new0: v} }
+// way mem.Free poisons a freed object's cells (kind 4).
+func heapStore(a int, v uint64) memOp { return memOp{kind: 4, a0: a, new0: v} }
 
 // TestMCASModelCheckFailedDCASKeepsHeapStore races a DCAS that fails on its
 // second cell against a heap store into its first cell, the shape of a Load
@@ -299,26 +286,6 @@ func TestMCASModelCheckFailedDCASKeepsHeapStore(t *testing.T) {
 		{dcasOp(0, 1, 0, 5, 1, 1)},
 		{heapStore(0, 9)},
 	}, 3, 50_000)
-}
-
-// ncas3 is a three-word NCAS op (kind 4).
-func ncas3(a0, a1, a2 int, o [3]uint64, n [3]uint64) memOp {
-	return memOp{kind: 4, a0: a0, a1: a1, a2: a2, old0: o[0], old1: o[1], old2: o[2],
-		new0: n[0], new1: n[1], new2: n[2]}
-}
-
-func TestMCASModelCheckThreeWordNCAS(t *testing.T) {
-	checkMCASLinearizable(t, "3-word NCAS vs DCAS", 3, [][]memOp{
-		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{1, 1, 1})},
-		{dcasOp(1, 2, 0, 0, 2, 2)},
-	}, 2, 60_000)
-}
-
-func TestMCASModelCheckTwoThreeWordNCAS(t *testing.T) {
-	checkMCASLinearizable(t, "competing 3-word NCAS", 3, [][]memOp{
-		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{1, 1, 1})},
-		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{2, 2, 2})},
-	}, 2, 60_000)
 }
 
 // cmpSwap is a compare-only DCAS (kind 1 with old == new on cell c): it
@@ -383,15 +350,6 @@ func TestMCASModelCheckCompareOnlyAboveVsDCAS(t *testing.T) {
 		{cmpSwap(1, 0, 0, 0, 1)},
 		{dcasOp(0, 1, 0, 0, 2, 2)},
 	}, 3, 50_000)
-}
-
-// TestMCASModelCheckCompareOnlyVsNCAS races a compare-only DCAS against a
-// three-word NCAS that covers both of its cells.
-func TestMCASModelCheckCompareOnlyVsNCAS(t *testing.T) {
-	checkMCASLinearizable(t, "compare-only DCAS vs 3-word NCAS", 3, [][]memOp{
-		{cmpSwap(0, 1, 0, 0, 1)},
-		{ncas3(0, 1, 2, [3]uint64{0, 0, 0}, [3]uint64{2, 2, 2})},
-	}, 2, 60_000)
 }
 
 // TestMCASModelCheckCompareOnlySlotReuse is SlotReuse for compare-only

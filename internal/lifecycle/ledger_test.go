@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lfrc/internal/mem"
 	"lfrc/internal/obs"
 )
 
@@ -368,36 +367,6 @@ func TestAuditorStartStop(t *testing.T) {
 	// Stop without Start must not hang.
 	b := NewAuditor(l, probe, nil)
 	b.Stop()
-}
-
-func TestTakeCensus(t *testing.T) {
-	h := mem.NewHeap(mem.WithMaxWords(1 << 16))
-	typ := h.MustRegisterType(mem.TypeDesc{Name: "t", NumFields: 2})
-	refs := make([]mem.Ref, 0, 5)
-	for i := 0; i < 5; i++ {
-		refs = append(refs, h.MustAlloc(typ))
-	}
-	if err := h.Free(refs[0]); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	h.AdvanceEpoch()
-
-	l := New(WithSampleEvery(1))
-	l.OnEvent(ev(obs.KindAlloc, uint32(refs[1]), time.Now().UnixNano(), false))
-
-	c := TakeCensus(h, h.Load, l)
-	if c.LiveObjects != 4 || c.FreedSlots != 1 {
-		t.Fatalf("live=%d freed=%d, want 4/1", c.LiveObjects, c.FreedSlots)
-	}
-	if c.ByRC["1"] != 4 {
-		t.Fatalf("ByRC[1] = %d, want 4 (all live objects born at rc 1); census %+v", c.ByRC["1"], c)
-	}
-	if c.Epoch != 1 {
-		t.Fatalf("epoch = %d, want 1", c.Epoch)
-	}
-	if c.Tracked != 1 || len(c.ByAge) == 0 {
-		t.Fatalf("tracked=%d byAge=%v, want 1 tracked with an age bucket", c.Tracked, c.ByAge)
-	}
 }
 
 // BenchmarkCurrentGID prices goroutine attribution — the dominant per-event

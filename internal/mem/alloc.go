@@ -75,9 +75,7 @@ func (h *Heap) alloc(t TypeID, idx int) (Ref, error) {
 	if recycled {
 		old := h.Load(r)
 		gen = headerGen(old) + 1
-		if h.poisonCheck {
-			h.checkPoison(r, size, st)
-		}
+		h.checkPoison(r, size, st)
 	}
 
 	// Initialize payload (null refs / zero scalars), then rc, then the

@@ -178,20 +178,6 @@ func TestUseAfterFreeCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestPoisonCheckDisabled(t *testing.T) {
-	h := NewHeap(WithPoisonCheck(false))
-	node := h.MustRegisterType(TypeDesc{Name: "node", NumFields: 1})
-	r := h.MustAlloc(node)
-	if err := h.Free(r); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	h.Store(h.RCAddr(r), 12345)
-	h.MustAlloc(node)
-	if got := h.Stats().Corruptions; got != 0 {
-		t.Errorf("Corruptions = %d with poison check disabled, want 0", got)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	h := testHeap(t)
 	node, leaf := registerPair(t, h)

@@ -46,8 +46,6 @@ type Heap struct {
 	typeCount atomic.Uint32
 	types     [maxTypes]TypeDesc
 
-	poisonCheck bool
-
 	// obs is the optional flight recorder shared with the RC layer; nil
 	// means disabled (every call on it is a single nil check).
 	obs *obs.Recorder
@@ -74,8 +72,7 @@ type Heap struct {
 type Option func(*heapConfig)
 
 type heapConfig struct {
-	maxWords    uint64
-	poisonCheck bool
+	maxWords uint64
 
 	// obs is the optional flight recorder shared with the RC layer; nil
 	// means disabled (every call on it is a single nil check).
@@ -88,13 +85,6 @@ type heapConfig struct {
 // (512 MiB of simulated memory).
 func WithMaxWords(n uint64) Option {
 	return func(c *heapConfig) { c.maxWords = n }
-}
-
-// WithPoisonCheck enables or disables verification, at allocation time, that
-// a recycled slot's poison pattern is intact. It is enabled by default; the
-// check is how experiment E1 observes use-after-free corruption.
-func WithPoisonCheck(on bool) Option {
-	return func(c *heapConfig) { c.poisonCheck = on }
 }
 
 // WithAllocShards sets the number of allocation shards — per-shard free
@@ -122,10 +112,7 @@ func WithFault(in *fault.Injector) Option {
 
 // NewHeap creates an empty heap.
 func NewHeap(opts ...Option) *Heap {
-	cfg := heapConfig{
-		maxWords:    64 << 20,
-		poisonCheck: true,
-	}
+	cfg := heapConfig{maxWords: 64 << 20}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -137,12 +124,11 @@ func NewHeap(opts ...Option) *Heap {
 	}
 	shards := stripe.Clamp(cfg.allocShards, runtime.GOMAXPROCS(0))
 	h := &Heap{
-		limit:       cfg.maxWords,
-		poisonCheck: cfg.poisonCheck,
-		obs:         cfg.obs,
-		fj:          cfg.fj,
-		shards:      make([]allocShard, shards),
-		stats:       make([]statStripe, shards),
+		limit:  cfg.maxWords,
+		obs:    cfg.obs,
+		fj:     cfg.fj,
+		shards: make([]allocShard, shards),
+		stats:  make([]statStripe, shards),
 	}
 	h.next.Store(firstAddr)
 	h.ensureSegment(0)

@@ -473,21 +473,12 @@ func (r *Recorder) recordT(t0 int64, kind Kind, ref, addr uint32, ok bool, retri
 // sampling.
 func (r *Recorder) Note(kind Kind, ref, addr uint32) {
 	if r != nil && (r.every != 0 || r.sink != nil) {
-		r.noteT(kind, ref, addr, 0, 0)
+		r.note(kind, ref, addr)
 	}
 }
 
-// NoteT is Note carrying a transition in the event's Old/New fields. On a
-// nil recorder, or one that neither samples nor has a sink, it costs one
-// check that inlines into the caller.
-func (r *Recorder) NoteT(kind Kind, ref, addr, oldv, newv uint32) {
-	if r != nil && (r.every != 0 || r.sink != nil) {
-		r.noteT(kind, ref, addr, oldv, newv)
-	}
-}
-
-// noteT is NoteT's body on a recorder that samples or has a sink.
-func (r *Recorder) noteT(kind Kind, ref, addr, oldv, newv uint32) {
+// note is Note's body on a recorder that samples or has a sink.
+func (r *Recorder) note(kind Kind, ref, addr uint32) {
 	wanted := r.sink != nil && ref != 0 && (kind == KindAlloc || r.sinkRefs.Has(ref))
 	sampled := r.every != 0
 	if sampled && r.every > 1 {
@@ -503,7 +494,7 @@ func (r *Recorder) noteT(kind Kind, ref, addr, oldv, newv uint32) {
 	if sampled {
 		now = time.Now().UnixNano()
 	}
-	e := Event{TS: now, Kind: kind, Ref: ref, Addr: addr, OK: true, Old: oldv, New: newv}
+	e := Event{TS: now, Kind: kind, Ref: ref, Addr: addr, OK: true}
 	if wanted {
 		r.sink.OnEvent(e)
 	}

@@ -368,7 +368,7 @@ func TestRecordCarriesTransitionValues(t *testing.T) {
 }
 
 // TestTapChecksKeepSemantics pins what the inlined "nil or off" checks of
-// Sample, RecordT and NoteT may skip: only work no ring and no sink wants.
+// Sample, RecordT and Note may skip: only work no ring and no sink wants.
 func TestTapChecksKeepSemantics(t *testing.T) {
 	var nilRec *Recorder
 	off := New(WithSampleEvery(0), WithStripes(1))
@@ -377,7 +377,7 @@ func TestTapChecksKeepSemantics(t *testing.T) {
 			t.Errorf("%s Sample() = %d, want 0", name, tok)
 		}
 		r.RecordT(0, KindLoad, 0x10, 0, true, 0, 1, 2)
-		r.NoteT(KindZombiePush, 0x10, 0, 1, 0)
+		r.Note(KindZombiePush, 0x10, 0)
 		if got := r.Recorded(); got != 0 {
 			t.Errorf("%s recorder recorded %d events", name, got)
 		}
@@ -397,7 +397,7 @@ func TestTapChecksKeepSemantics(t *testing.T) {
 	off.RecordT(0, KindAlloc, 0x10, 0, true, 0, 1, 7)
 	off.RecordT(0, KindDestroy, 0x10, 0, true, 0, 2, 1)
 	off.RecordT(0, KindDestroy, 0x20, 0, true, 0, 2, 1) // unclaimed ref
-	off.NoteT(KindZombiePush, 0x10, 0, 1, 0)
+	off.Note(KindZombiePush, 0x10, 0)
 	if got := off.Recorded(); got != 0 {
 		t.Errorf("ring recorded %d events with sampling off", got)
 	}
@@ -408,7 +408,7 @@ func TestTapChecksKeepSemantics(t *testing.T) {
 	if e := evs[1]; e.Kind != KindDestroy || e.TS != 0 || e.Old != 2 || e.New != 1 {
 		t.Errorf("sink-only destroy = %+v, want TS 0 and transition 2->1", e)
 	}
-	if e := evs[2]; e.Kind != KindZombiePush || e.Old != 1 {
-		t.Errorf("sink-only note = %+v, want zombie_push carrying 1->0", e)
+	if e := evs[2]; e.Kind != KindZombiePush || e.TS != 0 {
+		t.Errorf("sink-only note = %+v, want zombie_push with TS 0", e)
 	}
 }

@@ -140,7 +140,10 @@ func TestAuditorDetectsDoubleFreeAndUseAfterFree(t *testing.T) {
 	}
 }
 
-func TestPopulationThroughPublicAPI(t *testing.T) {
+// TestLedgerThroughPublicAPI reads the ledger back through Stats and
+// ObjectTimeline: every object is sampled, and each timeline records
+// whether its incarnation was freed.
+func TestLedgerThroughPublicAPI(t *testing.T) {
 	sys, tid := diagSystem(t)
 	refs := make([]mem.Ref, 0, 4)
 	for i := 0; i < 4; i++ {
@@ -152,19 +155,26 @@ func TestPopulationThroughPublicAPI(t *testing.T) {
 	}
 	sys.rc.Destroy(refs[0])
 
-	c := sys.Population()
-	if c.LiveObjects != 3 || c.FreedSlots != 1 {
-		t.Errorf("population live=%d freed=%d, want 3/1", c.LiveObjects, c.FreedSlots)
-	}
-	if c.ByRC["1"] != 3 {
-		t.Errorf("population ByRC[1] = %d, want 3: %+v", c.ByRC["1"], c)
-	}
-	if c.Tracked != 3 || c.TrackedFreed != 1 {
-		t.Errorf("population tracked=%d trackedFreed=%d, want 3/1", c.Tracked, c.TrackedFreed)
-	}
 	st := sys.Stats()
 	if !st.Lifecycle.Enabled || st.Lifecycle.SampledObjects != 4 {
 		t.Errorf("stats lifecycle section wrong: %+v", st.Lifecycle)
+	}
+	if st.Heap.LiveObjects != 3 {
+		t.Errorf("heap live objects = %d, want 3", st.Heap.LiveObjects)
+	}
+	for i, r := range refs {
+		tl, ok := sys.ObjectTimeline(uint32(r))
+		if !ok {
+			t.Fatalf("no timeline for object %d", i)
+		}
+		if freed := i == 0; tl.Freed != freed {
+			t.Errorf("object %d timeline freed = %v, want %v", i, tl.Freed, freed)
+		}
+		if i > 0 {
+			if rc := sys.rc.RCOf(r); rc != 1 {
+				t.Errorf("object %d rc = %d, want 1", i, rc)
+			}
+		}
 	}
 }
 
@@ -225,7 +235,7 @@ func TestTraceJSONEndpointServesChromeExport(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	mraw, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{"lfrc_lifecycle_tracked", "lfrc_population_live_objects", "lfrc_census_live_objects", "lfrc_audit_passes_total"} {
+	for _, want := range []string{"lfrc_lifecycle_tracked", "lfrc_census_live_objects", "lfrc_audit_passes_total"} {
 		if !strings.Contains(string(mraw), want) {
 			t.Errorf("/metrics lacks %s", want)
 		}

@@ -141,9 +141,8 @@ func (s *System) WriteMetrics(w io.Writer) {
 	}
 
 	// Graph-census series: a fresh snapshot per scrape when the diagnosis
-	// layer is on (the population census below already pays a heap walk
-	// there), else the most recent explicit System.Census, so a census once
-	// taken keeps reporting. No census yet means no series.
+	// layer is on, else the most recent explicit System.Census, so a census
+	// once taken keeps reporting. No census yet means no series.
 	var cs *CensusSnapshot
 	if st.Lifecycle.Enabled {
 		cs = s.Census()
@@ -218,21 +217,6 @@ func (s *System) WriteMetrics(w io.Writer) {
 	writeScalar(w, "lfrc_audit_passes_total", int64(st.Lifecycle.AuditPasses))
 	writeHeader(w, "lfrc_audit_violations_total", "counter", "Lifecycle invariant violations flagged.")
 	writeScalar(w, "lfrc_audit_violations_total", int64(st.Lifecycle.Violations))
-
-	// The population census walks the heap; at metrics-scrape cadence that
-	// is cheap relative to a scrape, and it is the leak-triage signal: live
-	// objects bucketed by rc, tracked objects by age.
-	c := s.Population()
-	writeHeader(w, "lfrc_population_live_objects", "gauge", "Live objects by reference-count bucket (online population census).")
-	for _, b := range sortedBuckets(c.ByRC) {
-		writeLabeled(w, "lfrc_population_live_objects", "rc", b, c.ByRC[b])
-	}
-	writeHeader(w, "lfrc_population_tracked_objects", "gauge", "Ledger-tracked live objects by age bucket (online population census).")
-	for _, b := range sortedBuckets(c.ByAge) {
-		writeLabeled(w, "lfrc_population_tracked_objects", "age", b, c.ByAge[b])
-	}
-	writeHeader(w, "lfrc_population_oldest_tracked_ns", "gauge", "Age of the oldest ledger-tracked live object in nanoseconds.")
-	writeScalar(w, "lfrc_population_oldest_tracked_ns", c.OldestNS)
 }
 
 // writeContentionMetrics renders the contention observatory: totals
@@ -299,16 +283,6 @@ func writeContentionMetrics(w io.Writer, rep ContentionReport) {
 	writeHeader(w, "lfrc_contention_op_scale", "gauge",
 		"Scaling factor applied to sampled wasted-ns estimates (the recorder's op-sampling interval).")
 	writeScalar(w, "lfrc_contention_op_scale", int64(rep.OpScale))
-}
-
-// sortedBuckets returns a census bucket map's keys in stable order.
-func sortedBuckets(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MetricsHandler serves WriteMetrics over HTTP — the system's /metrics

@@ -41,8 +41,8 @@ type ObservabilityOptions struct {
 	// tracking one in every n allocations from birth: every subsequent
 	// event touching a selected object — including operations op sampling
 	// skips — is appended to its timeline with goroutine attribution.
-	// Read timelines back with System.Timeline, population reports with
-	// System.Population, and export with System.WriteChromeTrace. 1
+	// Read timelines back with System.ObjectTimeline and export them with
+	// System.WriteChromeTrace. 1
 	// tracks every object; 0 leaves the ledger as previously configured
 	// (off by default); a negative value installs it with object sampling
 	// off (the "disabled" mode of experiment O2, costing only the

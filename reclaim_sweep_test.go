@@ -18,8 +18,10 @@ const backend = "lfrc"
 
 // TestReclaimBackendSweep is the reclamation gate under faults: the
 // fault/chaos/auditor storm with an incremental-destroy budget, so releases
-// park zombies while concurrent drains race them. Run under -race by `make
-// check-fault`.
+// park zombies while concurrent drains race them, and the post-close drain
+// runs every closed structure through the zombie stack object by object, so
+// the stack's push and pop fault points fire at system level. Run under
+// -race by `make check-fault`.
 func TestReclaimBackendSweep(t *testing.T) {
 	t.Run(backend, func(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 20260808} {
@@ -27,6 +29,18 @@ func TestReclaimBackendSweep(t *testing.T) {
 				s := sweepOneConfig(t, 0, sweepPlan, seed, lfrc.WithIncrementalDestroy(4))
 				if s.Reclaim.Parked == 0 {
 					t.Error("sweep parked no zombies; the budget never bit")
+				}
+				fired := map[string]uint64{}
+				for _, p := range s.Fault.Points {
+					fired[p.Name] = p.Fires
+					if p.Name == "reclaim.push" || p.Name == "reclaim.drain" {
+						t.Logf("%s: %d attempts, %d fired", p.Name, p.Attempts, p.Fires)
+					}
+				}
+				for _, point := range []string{"reclaim.push", "reclaim.drain"} {
+					if fired[point] == 0 {
+						t.Errorf("fault point %s never fired; the zombie stack saw too little traffic", point)
+					}
 				}
 			})
 		}
@@ -136,7 +150,11 @@ func sweepOneConfig(t *testing.T, strat lfrc.RCStrategy, plan string, seed uint6
 	q.Close()
 	st.Close()
 	set.Close()
-	sys.DrainZombies(0)
+	// Drain the backlog one object per call: each step frees one zombie and
+	// parks its newly dead child, so under a destroy budget every closed
+	// chain passes through the zombie stack.
+	for sys.DrainZombies(1) > 0 {
+	}
 
 	s := sys.Stats()
 	if live := s.Heap.LiveObjects; live != 0 {

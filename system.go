@@ -70,7 +70,6 @@ type config struct {
 	rcStrategy     RCStrategy
 	maxHeapWords   uint64
 	destroyBudget  int
-	poisonCheck    bool
 	allocShards    int
 	observer       bool
 	sampleEvery    int
@@ -107,13 +106,6 @@ func WithMaxHeapWords(n uint64) Option {
 // System.DrainZombies from a maintenance loop to finish deferred work.
 func WithIncrementalDestroy(budget int) Option {
 	return optionFunc(func(c *config) { c.destroyBudget = budget })
-}
-
-// WithPoisonCheck toggles allocation-time verification that recycled memory
-// was not written after being freed. On by default; disable only for
-// benchmarking allocator overhead.
-func WithPoisonCheck(on bool) Option {
-	return optionFunc(func(c *config) { c.poisonCheck = on })
 }
 
 // WithAllocShards sets how many shards the heap's allocator is striped
@@ -201,7 +193,6 @@ func New(opts ...Option) (*System, error) {
 		engine:       EngineLocking,
 		rcStrategy:   RCFigure2,
 		maxHeapWords: 64 << 20,
-		poisonCheck:  true,
 		sampleEvery:  -1,
 		faultSeed:    1,
 	}
@@ -254,7 +245,6 @@ func New(opts ...Option) (*System, error) {
 
 	h := mem.NewHeap(
 		mem.WithMaxWords(cfg.maxHeapWords),
-		mem.WithPoisonCheck(cfg.poisonCheck),
 		mem.WithAllocShards(cfg.allocShards),
 		mem.WithObserver(rec),
 		mem.WithFault(fj),
@@ -389,25 +379,11 @@ type ObjectTimeline = lifecycle.Timeline
 // carrying the offending object's timeline. See ObservabilityOptions.AuditEvery.
 type Violation = lifecycle.Violation
 
-// Population is a point-in-time heap population report bucketed by reference
-// count, with age distribution for ledger-tracked objects. (The name
-// System.Census belongs to the object-graph census — see WithCensusRoots.)
-type Population = lifecycle.Census
-
 // ObjectTimeline returns the lifecycle timeline for ref — the live
 // incarnation if the object is still tracked, else its most recent completed
 // incarnation. Without the lifecycle ledger (or for unsampled objects) it
 // reports false.
 func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.ledger.Timeline(ref) }
-
-// Population walks the heap and reports its population bucketed by reference
-// count, plus the lifecycle ledger's tracked-object age distribution. The
-// walk is online (no stop-the-world): counts are a triage snapshot, not an
-// exact quiescent census. For the full object-graph census — reachability,
-// cycle leaks, retained sizes — see System.Census.
-func (s *System) Population() Population {
-	return lifecycle.TakeCensus(s.heap, s.rc.SnapshotRead, s.ledger)
-}
 
 // AuditPass runs one lifecycle audit pass immediately and returns the
 // violations newly flagged by it. It requires the lifecycle ledger (the
