@@ -1,22 +1,22 @@
-// Command lfrcbench runs the reproduction's experiment suite (E1..E9, A1..A3,
-// L1, G1, R3, O1..O6 — see DESIGN.md §4 and EXPERIMENTS.md) and prints
-// one table per experiment, in the same format EXPERIMENTS.md records. A3's
-// notes include the unified System.Stats snapshot as JSON. Performance
+// Command lfrcbench runs the reproduction's experiment suite (E1..E4,
+// E7..E9, A2, L1, G1, O2..O6, R3 — see DESIGN.md §4 and EXPERIMENTS.md) and
+// prints one table per experiment, in the same format EXPERIMENTS.md
+// records. Each experiment checks a paper claim or a property; performance
 // records are taken and compared by the benchmark under bench/, not here.
 //
 // Usage:
 //
-//	lfrcbench [-run E1,E5] [-engine locking|mcas|both] [-rc figure2|split]
-//	          [-scale N] [-dur 250ms] [-workers 1,2,4,8]
+//	lfrcbench [-run E1,E4] [-engine locking|mcas|both] [-rc figure2|split]
+//	          [-scale N] [-dur 250ms] [-workers 8]
 //	          [-markdown] [-stats-json] [-census] [-metrics addr]
 //	          [-trace out.json] [-fault-plan plan] [-fault-seed N]
 //
 // With no -run flag every experiment runs; an unknown id is an error.
 // -fault-plan replaces the experiment tables with a chaos run of all four
 // structures under that fault-injection plan (see chaos.go); -rc selects its
-// counting strategy. -stats-json appends
+// counting strategy and -workers its worker count. -stats-json appends
 // the final unified System.Stats of the last system an experiment or the
-// chaos run published (O1, O2, O3, O4, A3) as one JSON object on stdout.
+// chaos run published (O2..O6, R3) as one JSON object on stdout.
 // -metrics serves /metrics (Prometheus text), /debug/vars (expvar),
 // /debug/lfrc/{stats,trace} (JSON), /debug/lfrc/trace.json (Chrome
 // trace_event export) and /debug/pprof on addr for the lifetime of the run,
@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -98,10 +97,9 @@ type experiment struct {
 
 // params carries the flag values an experiment may read.
 type params struct {
-	kind    workload.EngineKind
-	scale   workload.Scale
-	dur     time.Duration
-	workers []int
+	kind  workload.EngineKind
+	scale workload.Scale
+	dur   time.Duration
 }
 
 // experiments is the registry behind both -run validation and dispatch, in
@@ -117,16 +115,11 @@ var experiments = []experiment{
 	{"A2", true, func(p params) *workload.Table { return workload.RunA2(p.kind, p.scale) }},
 	{"L1", true, func(p params) *workload.Table { return workload.RunL1(p.kind, p.scale) }},
 	{"G1", true, func(p params) *workload.Table { return workload.RunG1(p.kind, p.dur) }},
-	{"O1", true, func(p params) *workload.Table { return workload.RunO1(p.kind, p.dur) }},
 	{"O2", true, func(p params) *workload.Table { return workload.RunO2(p.kind, p.dur) }},
 	{"O3", true, func(p params) *workload.Table { return workload.RunO3(p.kind, p.dur) }},
 	{"O4", true, func(p params) *workload.Table { return workload.RunO4(p.kind, p.dur) }},
 	{"O5", true, func(p params) *workload.Table { return workload.RunO5(p.kind, p.scale) }},
 	{"O6", true, func(p params) *workload.Table { return workload.RunO6(p.kind, p.dur) }},
-	{"E5", false, func(p params) *workload.Table { return workload.RunE5(p.dur, p.workers) }},
-	{"E6", false, func(p params) *workload.Table { return workload.RunE6(p.scale) }},
-	{"A1", false, func(p params) *workload.Table { return workload.RunA1(p.dur) }},
-	{"A3", false, func(p params) *workload.Table { return workload.RunA3(p.dur) }},
 	{"R3", false, func(p params) *workload.Table { return workload.RunR3(p.dur) }},
 }
 
@@ -161,7 +154,7 @@ func run(args []string, stdout io.Writer) error {
 		engine    = fs.String("engine", "locking", "engine for single-engine experiments: locking, mcas or both")
 		scale     = fs.Int("scale", 1, "iteration multiplier (1 = quick)")
 		dur       = fs.Duration("dur", 250*time.Millisecond, "measurement window for timed experiments")
-		workers   = fs.String("workers", "1,2,4,8", "worker counts for the E5 sweep")
+		workers   = fs.Int("workers", 8, "chaos mode: worker goroutines")
 		markdown  = fs.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
 		statsJSON = fs.Bool("stats-json", false, "dump the published system's unified Stats as JSON on stdout after the run")
 		metrics   = fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9100) during the run")
@@ -182,9 +175,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	workerCounts, err := parseInts(*workers)
-	if err != nil {
-		return fmt.Errorf("-workers: %w", err)
+	if *workers < 1 {
+		return fmt.Errorf("-workers: worker count %d < 1", *workers)
 	}
 	wanted, err := parseRunList(*runList)
 	if err != nil {
@@ -215,8 +207,7 @@ func run(args []string, stdout io.Writer) error {
 	// published, and its verdict is returned after them.
 	var chaosErr error
 	if chaosMode {
-		nw := workerCounts[len(workerCounts)-1]
-		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), rcStrategy, *faultPlan, *faultSeed, *dur, nw, *bundle, *destroyB)
+		chaosErr = runChaos(stdout, lfrc.Engine(kinds[0]), rcStrategy, *faultPlan, *faultSeed, *dur, *workers, *bundle, *destroyB)
 	} else {
 		emit := func(t *workload.Table) {
 			if *markdown {
@@ -226,7 +217,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		want := func(e experiment) bool { return len(wanted) == 0 || wanted[e.id] }
-		p := params{scale: workload.Scale(*scale), dur: *dur, workers: workerCounts}
+		p := params{scale: workload.Scale(*scale), dur: *dur}
 		for _, kind := range kinds {
 			p.kind = kind
 			for _, e := range experiments {
@@ -249,7 +240,7 @@ func tail(stdout io.Writer, tracePath string, doCensus, statsJSON bool) error {
 	if tracePath != "" {
 		sys := workload.CurrentSystem()
 		if sys == nil {
-			return fmt.Errorf("-trace: no experiment published a System (include O1, O2 or A3 in -run)")
+			return fmt.Errorf("-trace: no experiment published a System (include O2 in -run)")
 		}
 		f, err := os.Create(tracePath)
 		if err != nil {
@@ -268,7 +259,7 @@ func tail(stdout io.Writer, tracePath string, doCensus, statsJSON bool) error {
 	if doCensus {
 		sys := workload.CurrentSystem()
 		if sys == nil {
-			return fmt.Errorf("-census: no experiment published a System (include O1, O5 or A3 in -run)")
+			return fmt.Errorf("-census: no experiment published a System (include O2 or O5 in -run)")
 		}
 		reportCensus(stdout, sys)
 	}
@@ -276,7 +267,7 @@ func tail(stdout io.Writer, tracePath string, doCensus, statsJSON bool) error {
 	if statsJSON {
 		sys := workload.CurrentSystem()
 		if sys == nil {
-			return fmt.Errorf("-stats-json: no experiment published a System (include O1 or A3 in -run)")
+			return fmt.Errorf("-stats-json: no experiment published a System (include O2 in -run)")
 		}
 		raw, err := json.Marshal(sys.Stats())
 		if err != nil {
@@ -300,26 +291,4 @@ func parseEngines(s string) ([]workload.EngineKind, error) {
 		return nil, fmt.Errorf(`unknown engine %q (want "locking", "mcas" or "both")`, s)
 	}
 	return []workload.EngineKind{workload.EngineKind(e)}, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("worker count %d < 1", n)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker counts in %q", s)
-	}
-	return out, nil
 }

@@ -50,42 +50,6 @@ func TestParseEngines(t *testing.T) {
 	}
 }
 
-func TestParseInts(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    []int
-		wantErr bool
-	}{
-		{give: "1,2,4", want: []int{1, 2, 4}},
-		{give: " 8 ", want: []int{8}},
-		{give: "1,,2", want: []int{1, 2}},
-		{give: "0", wantErr: true},
-		{give: "x", wantErr: true},
-		{give: "", wantErr: true},
-		{give: ",", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := parseInts(tt.give)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseInts(%q) error = %v, wantErr %v", tt.give, err, tt.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if len(got) != len(tt.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", tt.give, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Errorf("parseInts(%q) = %v, want %v", tt.give, got, tt.want)
-				break
-			}
-		}
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-engine", "bogus"}, io.Discard); err == nil {
 		t.Error("run accepted a bogus engine")
@@ -111,8 +75,8 @@ func TestRunSingleQuickExperiment(t *testing.T) {
 
 func TestStatsJSONDumpsOneObject(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-run", "O1", "-dur", "20ms", "-stats-json"}, &out); err != nil {
-		t.Fatalf("run(O1 -stats-json): %v", err)
+	if err := run([]string{"-run", "O2", "-dur", "20ms", "-stats-json"}, &out); err != nil {
+		t.Fatalf("run(O2 -stats-json): %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	last := lines[len(lines)-1]
@@ -164,7 +128,7 @@ func TestMetricsFlagServesEndpoint(t *testing.T) {
 	done := make(chan struct{})
 
 	// run announces the bound address before the experiments execute and
-	// serves until it returns; scrape /metrics while O1 is still running.
+	// serves until it returns; scrape /metrics while O2 is still running.
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
@@ -186,10 +150,10 @@ func TestMetricsFlagServesEndpoint(t *testing.T) {
 		}
 	}()
 
-	err := run([]string{"-run", "O1", "-dur", "100ms", "-metrics", "127.0.0.1:0"}, &out)
+	err := run([]string{"-run", "O2", "-dur", "100ms", "-metrics", "127.0.0.1:0"}, &out)
 	close(done)
 	if err != nil {
-		t.Fatalf("run(O1 -metrics): %v", err)
+		t.Fatalf("run(O2 -metrics): %v", err)
 	}
 	select {
 	case body := <-scraped:

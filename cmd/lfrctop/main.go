@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lfrcbench -run O1 -metrics :8080 &   # anything serving the debug mux
+//	lfrcbench -run O2 -metrics :8080 &   # anything serving the debug mux
 //	lfrctop -addr localhost:8080
 //
 // Flags:

@@ -59,11 +59,12 @@ type dequeOptionFunc func(*dequeConfig)
 func (f dequeOptionFunc) applyDeque(c *dequeConfig) { f(c) }
 
 // WithValueClaiming makes pops claim each node's value with a CAS before
-// returning it. The published Snark algorithm has two races discovered after
-// publication (Doherty et al., SPAA 2004) that can double-report a value
-// near emptiness; claiming hardens delivery to at-most-once. Enable it when
-// values must not be delivered twice; leave it off to run the
-// paper-faithful algorithm.
+// returning it. The published Snark algorithm has races discovered after
+// publication (Doherty et al., SPAA 2004) near emptiness; claiming hardens
+// delivery to at-most-once. Enable it when values must not be delivered
+// twice; leave it off to run the paper-faithful algorithm. With or without
+// it, a pop racing an opposite-side pop can report empty while the deque
+// holds a value.
 func WithValueClaiming() DequeOption {
 	return dequeOptionFunc(func(c *dequeConfig) { c.claiming = true })
 }

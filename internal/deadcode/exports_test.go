@@ -1,8 +1,11 @@
 // Package deadcode holds a repository-wide check, run by `go test ./...`:
 // every exported function and method declared in a non-test file under
-// internal/ must be named by some non-test file of the repository. An
-// export only tests call is dead weight in the package it lives in: delete
-// it, or list it in allowlist with the reason it stays.
+// internal/ must be named by some non-test file of the repository, and
+// every unexported top-level function by some non-test file of its own
+// package. A function only tests call is dead weight in the package it
+// lives in: delete it, or list it in allowlist with the reason it stays.
+// Unexported methods are not checked: methods are matched by name alone,
+// so a method name some other type uses would hide a dead one.
 package deadcode
 
 import (
@@ -20,9 +23,9 @@ import (
 // module is the import path of the repository root (go.mod).
 const module = "lfrc"
 
-// allowlist names the exports that stay although no non-test file names
+// allowlist names the functions that stay although no non-test file names
 // them: "pkg.Func" for a function, "pkg.Type.Method" for a method, and
-// "pkg" for every export of a package. pkg is the path below internal/.
+// "pkg" for every function of a package. pkg is the path below internal/.
 // An entry that names no export, or an export some non-test file names
 // after all, fails the test too, so the list cannot go stale.
 var allowlist = map[string]string{
@@ -50,6 +53,7 @@ var allowlist = map[string]string{
 	// MarshalJSON that nothing names, belongs here too, with the interface
 	// it implements as its reason.)
 	"check.AuditRC":           "quiescent rc oracle for figure2 heaps; production audits through AuditRCDecoded",
+	"core.RC.Copy":            "LFRCCopy, one of the paper's Figure 2 operations; the structures hand counts along instead, and the core tests run it",
 	"fault.Injector.Would":    "pure replay predicate the determinism tests check schedules against",
 	"hist.Duration.BucketFor": "pins the documented bucket bounds in tests",
 	"lifecycle.Ledger.Wants":  "tests probe the ledger's tracked set",
@@ -57,7 +61,8 @@ var allowlist = map[string]string{
 	"msqueue.NewGoQueue":      "GC-dependent reference queue the MS-queue tests compare against",
 }
 
-// export is one exported function or method declared under internal/.
+// export is one exported function or method, or one unexported top-level
+// function, declared under internal/.
 type export struct {
 	pkg  string // import path
 	recv string // receiver type name; "" for a function
@@ -114,8 +119,11 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 			}
 			continue
 		}
-		if !used {
+		if !used && token.IsExported(e.name) {
 			t.Errorf("%s: %s is exported but no non-test file names it; delete it or add it to allowlist with a reason",
+				e.pos, e.key())
+		} else if !used {
+			t.Errorf("%s: %s is unexported and no non-test file of its package names it; delete it or add it to allowlist with a reason",
 				e.pos, e.key())
 		}
 	}
@@ -180,12 +188,13 @@ func parseTree(t *testing.T, fset *token.FileSet, root string) ([]file, map[stri
 	return files, pkgNames
 }
 
-// declaredExports lists the exported functions and methods f declares.
+// declaredExports lists the exported functions and methods f declares, and
+// its unexported top-level functions other than init.
 func declaredExports(fset *token.FileSet, f file) []export {
 	var out []export
 	for _, d := range f.ast.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok || !fd.Name.IsExported() {
+		if !ok || !fd.Name.IsExported() && (fd.Recv != nil || fd.Name.Name == "init" || fd.Name.Name == "_") {
 			continue
 		}
 		e := export{pkg: f.pkg, name: fd.Name.Name, pos: fset.Position(fd.Pos())}

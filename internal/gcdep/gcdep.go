@@ -13,8 +13,8 @@
 // stripe id, and a DCAS locks its two stripes in order. The LockingEngine
 // used to simulate DCAS the same way on the simulated heap; it now keeps a
 // lock bit in each heap cell instead, while this reference row keeps its
-// striped locks, so experiment E5's overhead figure now also carries the
-// difference between the two DCAS simulations.
+// striped locks, so the benchmark's `ref.gcdep_deque_ns` row also carries
+// the difference between the two DCAS simulations.
 package gcdep
 
 import (

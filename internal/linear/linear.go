@@ -11,7 +11,7 @@
 //
 // The checker is exponential in the number of overlapping operations, as
 // all such checkers are; keep histories to a few thousand operations with
-// modest concurrency (the recorder's windowing helpers do this).
+// modest concurrency (Recorder bounds how many operations overlap).
 package linear
 
 import (
@@ -115,19 +115,16 @@ type CheckResult struct {
 	StatesExplored int
 }
 
-// Check searches for a linearization of the history against spec. It
-// decomposes the history into independent windows (maximal groups of
-// real-time-overlapping operations are never split) only when the object
-// state can be threaded through — which is always, since windows are
-// processed in real-time order against the running state.
+// Check searches for a linearization of the history against spec: it is
+// CheckEvents over the recorded events, searched as one history.
 func Check(spec Spec, h *History) (CheckResult, error) {
 	events := h.Events()
 	return CheckEvents(spec, events)
 }
 
-// ErrUndecided reports a search that spent its state budget before it found
-// a linearization or ruled one out. Such a history fails its check in
-// seconds instead of searching for minutes.
+// ErrUndecided reports a search that spent its state or time budget before
+// it found a linearization or ruled one out. Such a history fails its check
+// instead of searching until the test binary's timeout.
 var ErrUndecided = errors.New("linear: undecided")
 
 // maxStates is the state budget of CheckEvents: twenty times the most any
@@ -136,8 +133,15 @@ var ErrUndecided = errors.New("linear: undecided")
 // on a 2-CPU linux/amd64 host.
 const maxStates = 1 << 20
 
+// maxDuration is the wall-clock budget of CheckEvents. The state budget
+// alone does not bound time: under the race detector a state costs many
+// times more, and spending 2^20 of them has outlasted a 10-minute test
+// timeout. No recorded history comes near it without -race.
+const maxDuration = 60 * time.Second
+
 // CheckEvents is Check over an explicit event slice. A search that visits
-// more than maxStates configurations gives up with ErrUndecided.
+// more than maxStates configurations, or runs longer than maxDuration, gives
+// up with ErrUndecided.
 //
 // The search is the Wing–Gong construction with memoization over
 // configurations. Events are sorted by invocation time; a configuration is
@@ -149,10 +153,11 @@ const maxStates = 1 << 20
 // candidates are found by a forward scan from p that stops at the first
 // pending event whose return time precedes the candidate's invocation.
 func CheckEvents(spec Spec, events []Event) (CheckResult, error) {
-	return checkEvents(spec, events, maxStates)
+	return checkEvents(spec, events, maxStates, maxDuration)
 }
 
-func checkEvents(spec Spec, events []Event, budget int) (CheckResult, error) {
+// checkEvents is CheckEvents with an explicit state budget and time limit.
+func checkEvents(spec Spec, events []Event, budget int, limit time.Duration) (CheckResult, error) {
 	res := CheckResult{Events: len(events)}
 	if len(events) == 0 {
 		res.Linearizable = true
@@ -166,6 +171,7 @@ func checkEvents(spec Spec, events []Event, budget int) (CheckResult, error) {
 	})
 
 	n := len(events)
+	start := time.Now()
 	seen := map[string]bool{}
 	explored := 0
 	var deepest int
@@ -196,7 +202,9 @@ func checkEvents(spec Spec, events []Event, budget int) (CheckResult, error) {
 			return true
 		}
 		explored++
-		if explored > budget {
+		// The clock is read once per 1024 states, so the bound costs
+		// the search nothing measurable.
+		if explored > budget || explored%1024 == 0 && time.Since(start) > limit {
 			undecided = true
 			return true // unwind the search
 		}
@@ -249,7 +257,8 @@ func checkEvents(spec Spec, events []Event, budget int) (CheckResult, error) {
 	ok := dfs(0, extrasSet{}, spec.Init())
 	res.StatesExplored = explored
 	if undecided {
-		return res, fmt.Errorf("%w: %d states searched, deepest %d of %d events", ErrUndecided, budget, deepest, n)
+		return res, fmt.Errorf("%w: %d states searched in %v, deepest %d of %d events",
+			ErrUndecided, explored, time.Since(start).Round(time.Millisecond), deepest, n)
 	}
 	if !ok {
 		return res, fmt.Errorf("linear: no linearization (search stuck after %d of %d events)", deepest, n)

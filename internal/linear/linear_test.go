@@ -179,7 +179,10 @@ func TestSetSpecHistories(t *testing.T) {
 }
 
 func TestLongSequentialHistoryIsFast(t *testing.T) {
-	// Windowing must keep a long non-overlapping history linear-time.
+	// The candidate scan stops at the first pending event that returned
+	// before the candidate invoked, so in a history with no overlap each
+	// configuration has one candidate and the search is linear in its
+	// length.
 	var events []Event
 	for i := int64(0); i < 5000; i++ {
 		events = append(events, seqEvent(2*i, push(ActPushRight, uint64(i+1))))
@@ -190,7 +193,7 @@ func TestLongSequentialHistoryIsFast(t *testing.T) {
 		t.Fatalf("long history rejected: %v %v", res, err)
 	}
 	if res.StatesExplored > 4*len(events) {
-		t.Errorf("windowing ineffective: explored %d states for %d events", res.StatesExplored, len(events))
+		t.Errorf("search not linear: explored %d states for %d events", res.StatesExplored, len(events))
 	}
 }
 
@@ -220,9 +223,15 @@ func TestStateBudgetReportsUndecided(t *testing.T) {
 	}
 	events = append(events, Event{Op: popOK(ActPopLeft, 7), Invoke: 200, Return: 210})
 
-	res, err := checkEvents(DequeSpec{}, events, 100)
+	res, err := checkEvents(DequeSpec{}, events, 100, maxDuration)
 	if !errors.Is(err, ErrUndecided) || res.Linearizable {
 		t.Fatalf("budget 100: %+v, %v; want ErrUndecided", res, err)
+	}
+	// The time bound: with no time to spend, the search gives up at its
+	// first clock check (state 1024) although the state budget is far off.
+	res, err = checkEvents(DequeSpec{}, events, maxStates, 0)
+	if !errors.Is(err, ErrUndecided) || res.StatesExplored != 1024 {
+		t.Fatalf("time limit 0: %v after %d states; want ErrUndecided at state 1024", err, res.StatesExplored)
 	}
 	res, err = CheckEvents(DequeSpec{}, events)
 	if err == nil || errors.Is(err, ErrUndecided) {

@@ -14,12 +14,13 @@ import (
 
 // TestPublishedSnarkHistories runs the *published* Snark algorithm (no
 // value claiming) through the linearizability checker on pop-heavy,
-// near-empty workloads -- the neighbourhood of the two races Doherty et al.
-// (SPAA 2004) later proved exist in the published algorithm. The races
-// required a model checker to find originally and have never manifested
-// under this harness's natural scheduling; a non-zero count here would be a
-// reproduction of that result, so it is logged rather than asserted. The
-// WithValueClaiming variant is the one the exact-semantics tests assert on.
+// near-empty workloads -- the neighbourhood of the races Doherty et al.
+// (SPAA 2004) later proved exist in the published algorithm. Some histories
+// do fail here (6 of 300 on one run on a 2-CPU host): a pop reports a false
+// empty, the race TestPublishedSnarkFalseEmpty replays deterministically.
+// The count reproduces those post-publication races and is logged rather
+// than asserted, because the published path is the reproduction and stays
+// as printed.
 func TestPublishedSnarkHistories(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	violations := 0
@@ -72,4 +73,51 @@ func TestPublishedSnarkHistories(t *testing.T) {
 		d.Close()
 	}
 	t.Logf("published Snark: %d/%d histories non-linearizable", violations, rounds)
+}
+
+// TestPublishedSnarkFalseEmpty replays the false-empty race in the published
+// pops deterministically. PopRight loads RightHat (node X), then LeftHat,
+// then X.R. Between the LeftHat and X.R loads another thread pushes Y on the
+// right and pops X on the left; that PopLeft's general-case DCAS sets X.R to
+// null, its sentinel mark. The stalled PopRight then reads X.R == null, takes
+// the hat to rest on a sentinel and reports empty, although the deque held
+// [1], then [1 2], then [2] and was never empty. A later PopLeft still
+// returns 2, so no value is lost: the history is not linearizable, but the
+// heap is sound. The race is in the algorithm, so the published variant
+// reproduces it here; the claiming variant guards delivery only and has the
+// same window.
+func TestPublishedSnarkFalseEmpty(t *testing.T) {
+	h := mem.NewHeap()
+	rc := core.New(h, dcas.NewLocking(h))
+	d, err := snark.New(rc, snark.MustRegisterTypes(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.PushRight(1); err != nil {
+		t.Fatal(err)
+	}
+	var loads int
+	var popped snark.Value
+	var poppedOK bool
+	rc.LoadHook = func(mem.Ref) {
+		// PopRight's loads: RightHat first, LeftHat second.
+		if loads++; loads != 2 {
+			return
+		}
+		rc.LoadHook = nil
+		if err := d.PushRight(2); err != nil {
+			t.Error(err)
+		}
+		popped, poppedOK = d.PopLeft()
+	}
+	if v, ok := d.PopRight(); ok {
+		t.Fatalf("PopRight = (%d, true); the replayed schedule should report a false empty", v)
+	}
+	if popped != 1 || !poppedOK {
+		t.Fatalf("interleaved PopLeft = (%d, %v), want (1, true)", popped, poppedOK)
+	}
+	if v, ok := d.PopLeft(); v != 2 || !ok {
+		t.Fatalf("PopLeft after the false empty = (%d, %v), want (2, true)", v, ok)
+	}
 }

@@ -5,7 +5,7 @@ import "sync/atomic"
 // GoQueue is the GC-dependent Michael–Scott queue on native Go objects:
 // the form the methodology would start from. Go's GC supplies reclamation
 // and ABA safety, so plain single-word CAS suffices throughout — the
-// baseline for measuring what LFRC's counts cost (experiment E5/E6).
+// baseline for measuring what LFRC's counts cost.
 type GoQueue struct {
 	head atomic.Pointer[goNode]
 	tail atomic.Pointer[goNode]

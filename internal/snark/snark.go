@@ -23,9 +23,12 @@
 // deques can double-report or lose a value. This package ships the
 // *published* algorithm, faithful to what the LFRC paper transformed; the
 // WithValueClaiming option adds a per-node claim CAS on the value cell so
-// that no value can be returned twice, which is what the stress tests assert
-// exact semantics against. Memory safety — the LFRC contribution — holds in
-// both variants.
+// that no value can be returned twice. Neither variant is linearizable: a
+// pop stalled between its LeftHat and hat-node link loads can read the null
+// a concurrent opposite-side pop writes there, take it for the sentinel and
+// report empty while the deque holds a value (internal/linear's
+// TestPublishedSnarkFalseEmpty replays it). Memory safety — the LFRC
+// contribution — holds in both variants.
 package snark
 
 import (
@@ -121,7 +124,8 @@ func WithCyclicSentinels() Option {
 
 // WithValueClaiming makes pops claim the node's value with a CAS before
 // returning it, hardening the published algorithm's post-publication races
-// into at-most-once delivery (see the package comment).
+// into at-most-once delivery. It does not stop a pop reporting a false empty
+// (see the package comment).
 func WithValueClaiming() Option {
 	return func(d *Deque) { d.claiming = true }
 }

@@ -31,7 +31,7 @@ var o4Modes = []o4Mode{
 const o4Rounds = 5
 
 // RunO4 measures the telemetry timeline's overhead on the balanced deque
-// throughput workload (the same workload O1 judges the flight recorder on):
+// throughput workload (the same workload O2 judges the lifecycle ledger on):
 // timeline off, and sampling at 1s, the default 100ms, and an aggressive
 // 10ms. The claim under test is that continuous telemetry is free enough to
 // leave on: capture is read-only against the striped counters and allocates

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lfrc"
@@ -19,7 +21,7 @@ var r3Strategies = []lfrc.RCStrategy{lfrc.RCFigure2, lfrc.RCSplit}
 //     pointer-colocated stash instead, so the rc share should collapse (what
 //     remains migrates to the pointer/rc_ext roles on the cells that are
 //     genuinely contended).
-//   - the alloc-heavy A3-style stack workload, balanced and uninstrumented,
+//   - the alloc-heavy stack workload of runA3Cell, balanced and uninstrumented,
 //     runs interleaved figure2/split/figure2/split...: link lifetimes are one
 //     push/pop, so split's stash bookkeeping is all overhead and no
 //     amortization — the worst case the 1.05x acceptance bound is set
@@ -106,20 +108,15 @@ func RunR3(dur time.Duration) *Table {
 	}
 
 	// Part 2: alloc-heavy balanced throughput, interleaved so run i of each
-	// strategy sees near-identical machine state. Reuses the A3 cell runner
-	// (stack push/pop bursts, every op an alloc or free) at GOMAXPROCS
-	// shards.
+	// strategy sees near-identical machine state. The stack workload's
+	// push/pop bursts make every op an alloc or a free.
 	rates := map[string][]float64{}
 	for r := 0; r < repeats; r++ {
 		for _, strat := range r3Strategies {
-			ops, stats, err := runA3Cell(EngineLocking, workers, 0, dur, lfrc.WithRCStrategy(strat))
+			ops, err := runA3Cell(workers, dur, lfrc.WithRCStrategy(strat))
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("rc=%s run %d FAILED: %v", strat, r, err))
 				continue
-			}
-			if stats.Heap.Allocs != stats.Heap.Frees || stats.Heap.DoubleFrees != 0 || stats.Heap.Corruptions != 0 {
-				t.Notes = append(t.Notes, fmt.Sprintf("rc=%s run %d UNSAFE: allocs=%d frees=%d doubleFrees=%d corruptions=%d",
-					strat, r, stats.Heap.Allocs, stats.Heap.Frees, stats.Heap.DoubleFrees, stats.Heap.Corruptions))
 			}
 			rates[strat.String()] = append(rates[strat.String()], float64(ops)/dur.Seconds())
 		}
@@ -146,4 +143,79 @@ func RunR3(dur time.Duration) *Table {
 		"rc = an object's count word (figure2 Load DCASes it); rc_ext = a pointer cell's colocated stash (split Load CASes it); failures count contended attempts only",
 	)
 	return t
+}
+
+// runA3Cell runs the alloc-heavy stack workload (the former experiment A3's
+// cell) on a default System built with opts: each worker pushes a burst onto
+// a shared Treiber stack (every push allocates a node) and pops it back
+// (every pop frees one). It returns total push+pop operations, and fails
+// unless the closed system conserves its objects, took no heap damage and
+// audits clean.
+func runA3Cell(workers int, dur time.Duration, opts ...lfrc.Option) (int64, error) {
+	sys, err := lfrc.New(opts...)
+	if err != nil {
+		return 0, err
+	}
+	st, err := sys.NewStack()
+	if err != nil {
+		return 0, err
+	}
+
+	const burst = 64
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+		ops  atomic.Int64
+		werr atomic.Value
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var n int64
+			for !stop.Load() {
+				for i := 0; i < burst; i++ {
+					if err := st.Push(lfrc.Value(w)<<32 | lfrc.Value(i)); err != nil {
+						werr.Store(err)
+						stop.Store(true)
+						return
+					}
+				}
+				for i := 0; i < burst; i++ {
+					if _, ok := st.Pop(); !ok {
+						break
+					}
+				}
+				n += 2 * burst
+			}
+			ops.Add(n)
+		}(w)
+	}
+	time.Sleep(dur)
+	stop.Store(true)
+	wg.Wait()
+	if err, _ := werr.Load().(error); err != nil {
+		return 0, err
+	}
+
+	st.Close()
+	st.Close() // idempotence is part of the contract under test
+
+	stats := sys.Stats()
+	if stats.Heap.Allocs != stats.Heap.Frees+stats.Heap.LiveObjects {
+		return 0, fmt.Errorf("conservation violated: allocs %d != frees %d + live %d",
+			stats.Heap.Allocs, stats.Heap.Frees, stats.Heap.LiveObjects)
+	}
+	if stats.Heap.LiveObjects != 0 {
+		return 0, fmt.Errorf("%d objects leaked after Close", stats.Heap.LiveObjects)
+	}
+	if stats.Heap.DoubleFrees != 0 || stats.Heap.Corruptions != 0 {
+		return 0, fmt.Errorf("heap damage: %d double frees, %d corruptions",
+			stats.Heap.DoubleFrees, stats.Heap.Corruptions)
+	}
+	if audit := sys.Audit(); len(audit) != 0 {
+		return 0, fmt.Errorf("audit: %v", audit)
+	}
+	SetCurrentSystem(sys)
+	return ops.Load(), nil
 }

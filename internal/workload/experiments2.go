@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"lfrc/internal/gcdep"
-	"lfrc/internal/mem"
 	"lfrc/internal/snark"
 )
 
@@ -89,117 +86,6 @@ func RunE4(kind EngineKind, dur time.Duration) *Table {
 			parked.Load,
 		)
 		t.AddRow("mutex deque", "-", healthy, res.HealthyOps, res.OpsPerSec())
-	}
-	return t
-}
-
-// RunE5 sweeps deque throughput across worker counts and operation mixes
-// for the three implementations, quantifying what GC-independence costs
-// (reference-count maintenance) relative to the GC-dependent baseline.
-func RunE5(dur time.Duration, workersList []int) *Table {
-	t := &Table{
-		ID:     "E5",
-		Title:  "deque throughput: LFRC vs GC-dependent vs mutex",
-		Claim:  "implicit in §1/§5: LFRC trades per-operation count maintenance for GC-independence",
-		Header: []string{"implementation", "workers", "mix", "ops/sec"},
-		Notes: []string{
-			"expected shape: gcdep > lfrc(locking) > lfrc(mcas); mutex competitive at 1 worker, degrading with contention",
-			"absolute numbers are simulation-specific; compare ratios",
-		},
-	}
-	if len(workersList) == 0 {
-		workersList = []int{1, 2, 4, 8}
-	}
-	mixes := []struct {
-		name string
-		mix  Mix
-	}{
-		{name: "balanced", mix: Balanced},
-		{name: "push-heavy", mix: PushHeavy},
-	}
-
-	for _, m := range mixes {
-		for _, workers := range workersList {
-			for _, impl := range []string{"lfrc(locking)", "lfrc(mcas)", "gcdep", "mutex"} {
-				var (
-					d       Deque
-					cleanup func()
-				)
-				switch impl {
-				case "lfrc(locking)", "lfrc(mcas)":
-					kind := EngineLocking
-					if impl == "lfrc(mcas)" {
-						kind = EngineMCAS
-					}
-					env := NewEnv(kind)
-					sd, err := env.NewDeque()
-					if err != nil {
-						continue
-					}
-					d, cleanup = SnarkAdapter{D: sd}, sd.Close
-				case "gcdep":
-					d, cleanup = GcdepAdapter{D: gcdep.New()}, func() {}
-				default:
-					d, cleanup = NewMutexDeque(), func() {}
-				}
-				res := RunThroughput(d, workers, dur, m.mix, 128)
-				t.AddRow(impl, workers, m.name, res.OpsPerSec())
-				cleanup()
-			}
-		}
-	}
-	return t
-}
-
-// RunE6 micro-measures each LFRC operation (the structure of Figure 2) on
-// both engines, single-threaded: the per-op cost the methodology adds.
-func RunE6(scale Scale) *Table {
-	t := &Table{
-		ID:     "E6",
-		Title:  "LFRC operation microbenchmarks (single-threaded)",
-		Claim:  "§5 describes each operation's structure; this measures its cost per engine",
-		Header: []string{"operation", "engine", "ns/op"},
-		Notes: []string{
-			"expected shape: Load (1 DCAS) > Store/CAS (1 CAS + rc updates) > Copy (no shared access); mcas multiplies DCAS cost",
-		},
-	}
-	iters := scale.times(200_000)
-
-	for _, kind := range Engines {
-		env := NewEnv(kind)
-		rc, h := env.RC, env.Heap
-		holder, _ := rc.NewObject(env.CellType)
-		a := h.FieldAddr(holder, 0)
-		obj, _ := rc.NewObject(env.SnarkTypes.SNode)
-		rc.Store(a, obj)
-		obj2, _ := rc.NewObject(env.SnarkTypes.SNode)
-
-		bench := func(name string, op func()) {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				op()
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-			t.AddRow(name, kind.String(), fmt.Sprintf("%.1f", ns))
-		}
-
-		var dst mem.Ref
-		bench("Load", func() { rc.Load(a, &dst) })
-		bench("Store", func() { rc.Store(a, obj) })
-		var local mem.Ref
-		bench("Copy", func() { rc.Copy(&local, obj) })
-		bench("CAS (success)", func() { rc.CAS(a, obj, obj) })
-		bench("CAS (failure)", func() { rc.CAS(a, obj2, obj2) })
-		holder2, _ := rc.NewObject(env.CellType)
-		b := h.FieldAddr(holder2, 0)
-		rc.Store(b, obj)
-		bench("DCAS (success)", func() { rc.DCAS(a, b, obj, obj, obj, obj) })
-		bench("DCAS (failure)", func() { rc.DCAS(a, b, obj2, obj2, obj2, obj2) })
-		bench("Destroy+New pair", func() {
-			n, _ := rc.NewObject(env.SnarkTypes.SNode)
-			rc.Destroy(n)
-		})
-		rc.Destroy(dst, local)
 	}
 	return t
 }

@@ -180,53 +180,6 @@ func RunE9(kind EngineKind, scale Scale) *Table {
 	return t
 }
 
-// RunA1 is the engine ablation: identical DCAS/CAS traffic on the modeled
-// hardware DCAS vs the lock-free software MCAS, plus a contended deque
-// comparison. It quantifies what the paper's hardware assumption is worth.
-func RunA1(dur time.Duration) *Table {
-	t := &Table{
-		ID:     "A1",
-		Title:  "ablation: modeled hardware DCAS (locking) vs software MCAS",
-		Claim:  "§1: the paper assumes hardware DCAS; software MCAS from CAS is the commodity fallback and costs more",
-		Header: []string{"benchmark", "locking", "mcas", "mcas/locking"},
-		Notes: []string{
-			"expected shape: mcas pays 2-5x per DCAS (descriptor install/resolve/remove), less on CAS-only paths",
-		},
-	}
-
-	measure := func(kind EngineKind, contended bool) float64 {
-		env := NewEnv(kind)
-		d, err := env.NewDeque()
-		if err != nil {
-			return 0
-		}
-		defer d.Close()
-		workers := 1
-		if contended {
-			workers = 4
-		}
-		res := RunThroughput(SnarkAdapter{D: d}, workers, dur, Balanced, 128)
-		return res.OpsPerSec()
-	}
-
-	for _, row := range []struct {
-		name      string
-		contended bool
-	}{
-		{name: "deque ops/sec (1 worker)", contended: false},
-		{name: "deque ops/sec (4 workers)", contended: true},
-	} {
-		l := measure(EngineLocking, row.contended)
-		m := measure(EngineMCAS, row.contended)
-		ratio := "-"
-		if l > 0 {
-			ratio = fmt.Sprintf("%.2f", m/l)
-		}
-		t.AddRow(row.name, fmt.Sprintf("%.0f", l), fmt.Sprintf("%.0f", m), ratio)
-	}
-	return t
-}
-
 // RunA2 is the incremental-destroy ablation (paper §7: avoid "long delays
 // when a thread destroys the last pointer to a large structure"): dropping a
 // K-node list with different per-call budgets, measuring the longest single

@@ -19,12 +19,6 @@ type Mix struct {
 // Balanced is the default 25/25/25/25 mix.
 var Balanced = Mix{PushLeft: 1, PushRight: 1, PopLeft: 1, PopRight: 1}
 
-// PushHeavy grows the structure (70% pushes).
-var PushHeavy = Mix{PushLeft: 7, PushRight: 7, PopLeft: 3, PopRight: 3}
-
-// PopHeavy shrinks the structure (70% pops).
-var PopHeavy = Mix{PushLeft: 3, PushRight: 3, PopLeft: 7, PopRight: 7}
-
 // pick selects an operation index 0..3 by weight.
 func (m Mix) pick(rng *rand.Rand) int {
 	total := m.PushLeft + m.PushRight + m.PopLeft + m.PopRight

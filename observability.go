@@ -22,7 +22,7 @@ type ObservabilityOptions struct {
 	// SampleEvery sets the flight recorder's op-sampling interval to
 	// 1-in-n. 1 records every operation; 0 keeps the default; a negative
 	// value installs the recorder with recording disabled, which isolates
-	// its fixed hot-path cost (the "disabled" mode of experiment O1).
+	// its fixed hot-path cost.
 	SampleEvery int
 
 	// Contention enables the DCAS contention observatory: every LFRC and

@@ -67,9 +67,9 @@ func TestObserverDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingZeroInstallsDisabledRecorder pins the "disabled" mode of
-// experiment O1: the recorder is installed (its fixed hot-path cost is paid)
-// but records nothing.
+// TestTraceSamplingZeroInstallsDisabledRecorder pins the installed-but-
+// disabled recorder: it is installed (its fixed hot-path cost is paid) but
+// records nothing.
 func TestTraceSamplingZeroInstallsDisabledRecorder(t *testing.T) {
 	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: -1}))
 	if err != nil {
