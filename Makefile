@@ -71,10 +71,12 @@ check-timeline:
 # Heap-census gate: the graph/SCC unit suite, the cycle-leak acceptance
 # scenario (with budget-parked zombies as limbo), and censuses taken while mutator
 # goroutines run — all under the race detector, which is what proves the
-# census's read-only snapshot loads never race the engines.
+# census's read-only snapshot loads never race the engines. The count audit
+# and the backup collector run on the census graph, so their suites run here
+# too.
 check-census:
-	$(GO) test -race -count=1 ./internal/census ./internal/pprofenc
-	$(GO) test -race -count=1 -run 'TestCensus|TestDebugMux' .
+	$(GO) test -race -count=1 ./internal/census ./internal/pprofenc ./internal/gctrace
+	$(GO) test -race -count=1 -run 'TestCensus|TestDebugMux|TestCollect|TestAudit' .
 
 build:
 	$(GO) build ./...

@@ -51,18 +51,13 @@ func WithCensusRoots(fn func() []uint32) Option {
 // mutators run; such a snapshot is race-clean but approximate. Quiescent
 // snapshots are exact. Zombies parked by an incremental-destroy budget
 // (WithIncrementalDestroy) are classified "limbo", not leaked; drain with
-// DrainZombies first when a final verdict is wanted.
+// DrainZombies first when a final verdict is wanted. Collect drains them
+// itself before it marks, because its sweep would free a parked zombie the
+// drain still holds.
 //
 // The most recent snapshot is also what the lfrc_census_* metrics report.
 func (s *System) Census() *CensusSnapshot {
-	roots := map[uint32]census.Root{}
-	for r, nr := range s.collector.NamedRoots() {
-		name := nr.Name
-		if name == "" {
-			name = "root"
-		}
-		roots[uint32(r)] = census.Root{Ref: uint32(r), Name: name, Count: nr.Count}
-	}
+	roots := s.collector.Roots()
 	for _, fn := range s.censusRoots {
 		for _, ref := range fn() {
 			if ref == 0 || !s.heap.InArena(mem.Ref(ref)) {

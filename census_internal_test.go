@@ -2,6 +2,7 @@ package lfrc
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -292,5 +293,36 @@ func TestWriteCensusProfileCapture(t *testing.T) {
 	defer f.Close()
 	if err := sys.WriteCensusProfile(f); err != nil {
 		t.Fatalf("WriteCensusProfile: %v", err)
+	}
+}
+
+// TestAuditReportsPoisonedLiveCount plants poison in a live object's count
+// cell on a quiescent heap: Audit and the census's mismatch count both
+// report it, because the block's header still shows it live.
+func TestAuditReportsPoisonedLiveCount(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tid, err := sys.heap.RegisterType(mem.TypeDesc{Name: "poisoned", NumFields: 1})
+	if err != nil {
+		t.Fatalf("RegisterType: %v", err)
+	}
+	r, err := sys.rc.NewObject(tid)
+	if err != nil {
+		t.Fatalf("NewObject: %v", err)
+	}
+	sys.collector.AddRoot(r) // the local handle, declared: the count is exact
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("precondition: Audit = %q, want none", vs)
+	}
+	sys.heap.Store(sys.heap.RCAddr(r), mem.Poison)
+
+	want := fmt.Sprintf("rc violation at %#x: want 1, got %d", r, int64(mem.Poison))
+	if vs := sys.Audit(); len(vs) != 1 || vs[0] != want {
+		t.Errorf("Audit = %q, want [%q]", vs, want)
+	}
+	if n := sys.Census().RCMismatchCount; n != 1 {
+		t.Errorf("Census().RCMismatchCount = %d, want 1", n)
 	}
 }

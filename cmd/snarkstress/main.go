@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"lfrc"
-	"lfrc/internal/check"
+	"lfrc/internal/census"
 	"lfrc/internal/core"
 	"lfrc/internal/mem"
 	"lfrc/internal/snark"
@@ -196,6 +196,13 @@ func soak(st string, o options) error {
 	)
 	deadline := time.Now().Add(o.dur)
 	audits := 0
+	anchor := uint32(structure.anchor())
+	cfg := census.Config{
+		Heap:   env.Heap,
+		Read:   env.RC.SnapshotRead,
+		Decode: env.RC.DecodeLink,
+		Roots:  map[uint32]census.Root{anchor: {Ref: anchor, Name: st, Count: 1}},
+	}
 
 	for time.Now().Before(deadline) {
 		// One concurrent burst...
@@ -233,12 +240,11 @@ func soak(st string, o options) error {
 
 		// ...then a quiescent audit.
 		audits++
-		extra := map[mem.Ref]int64{structure.anchor(): 1}
-		if vs := check.AuditRCDecoded(env.Heap, extra, env.RC.DecodeLink); len(vs) != 0 {
-			return fmt.Errorf("audit %d: %d rc violations, first: %s", audits, len(vs), vs[0])
+		if ms := census.Audit(cfg); len(ms) != 0 {
+			return fmt.Errorf("audit %d: %d rc violations, first: %+v", audits, len(ms), ms[0])
 		}
-		if vs := check.ScanPoison(env.Heap); len(vs) != 0 {
-			return fmt.Errorf("audit %d: %d poison violations, first: %s", audits, len(vs), vs[0])
+		if ds := env.Heap.ScanPoison(); len(ds) != 0 {
+			return fmt.Errorf("audit %d: %d poison violations, first: %+v", audits, len(ds), ds[0])
 		}
 		hs := env.Heap.Stats()
 		if hs.Corruptions != 0 || hs.DoubleFrees != 0 {
@@ -261,13 +267,14 @@ func soak(st string, o options) error {
 		return fmt.Errorf("conservation: pushed %d, recovered %d", pushed.Load(), got)
 	}
 	// A census before teardown shows what the structure held.
-	for _, c := range check.Census(env.Heap) {
-		fmt.Printf("  census: %-16s live=%-6d freed-slots=%-6d live-words=%d\n",
-			c.Name, c.Live, c.Freed, c.LiveWords)
+	snap := census.Take(cfg)
+	for _, ty := range snap.Types {
+		fmt.Printf("  census: %-16s live=%-6d live-bytes=%d\n", ty.Name, ty.Objects, ty.Bytes)
 	}
+	fmt.Printf("  census: freed-slots=%d\n", snap.FreedSlots)
 	structure.close()
-	if leaks := check.Leaks(env.Heap); len(leaks) != 0 {
-		return fmt.Errorf("%d objects leaked after close", len(leaks))
+	if n := census.Take(cfg).LiveObjects; n != 0 {
+		return fmt.Errorf("%d objects leaked after close", n)
 	}
 	fmt.Printf("  done: %d ops, %d values pushed and fully recovered, zero leaks\n",
 		totalOps.Load(), pushed.Load())

@@ -17,6 +17,11 @@
 //     quiescent Audit,
 //   - per-type retained-size attribution.
 //
+// The graph build is the only code that walks the heap as a graph. Take runs
+// every pass over it; Audit (the quiescent count audit behind System.Audit)
+// runs only the mismatch pass, uncapped; Garbage (the §7 backup collector's
+// mark) runs only the reachability pass.
+//
 // The census is strictly read-only: every cell access is a plain atomic load
 // (never an engine read, which would help — i.e. mutate — in-flight MCAS
 // operations), it frees nothing and retains nothing. Taken while mutators
@@ -31,6 +36,7 @@
 package census
 
 import (
+	"sync"
 	"time"
 
 	"lfrc/internal/mem"
@@ -213,11 +219,21 @@ type Snapshot struct {
 	cycleTypeOrder []string
 }
 
-// graph is the materialized object graph a snapshot was computed from.
+// graph is the materialized object graph: every live block with its stored
+// count and its decoded out-edges. materialize is the only code that walks
+// the heap as a graph; every pass below reads the graph alone.
 type graph struct {
 	heap  *mem.Heap
 	nodes []node
-	index map[uint32]int32 // ref -> nodes index
+	outs  []edge // every node's out-edges, node by node
+
+	// index maps a block's line number (ref / mem.LineWords) to its node
+	// index plus one; 0 means no live block starts there. Every slot starts
+	// on a line, so a line names at most one block.
+	index []int32
+
+	// Walk totals, copied into a snapshot by Take.
+	freedSlots, edges, dangling, liveBytes int64
 }
 
 // node classes, in verdict order.
@@ -241,16 +257,37 @@ func className(c uint8) string {
 type node struct {
 	ref   uint32
 	typ   mem.TypeID
+	gen   uint32 // slot generation the walk saw
 	words int32
 	rc    uint64
-	edges []int32 // out-neighbor node indices
-	in    int32   // in-edge count (self-edges included)
-	inw   int64   // weighted in-edge sum (== in under figure2)
+	first int32 // out-edges are outs[first:end]
+	end   int32
+	inw   int64 // weighted in-edge sum (self-edges included)
 	class uint8
 	root  bool
 }
 
+// edge is one pointer field naming a live object: the target's node index
+// and the count weight the link carries (1 under figure2, the stash under
+// split).
+type edge struct {
+	to int32
+	w  int64
+}
+
 func (n *node) bytes() int64 { return int64(n.words) * 8 }
+
+// out returns node i's out-edges.
+func (g *graph) out(i int32) []edge { return g.outs[g.nodes[i].first:g.nodes[i].end] }
+
+// lookup returns the node index of the live block at ref, or -1.
+func (g *graph) lookup(ref uint64) int32 {
+	k := ref / mem.LineWords
+	if ref%mem.LineWords != 0 || k >= uint64(len(g.index)) {
+		return -1
+	}
+	return g.index[k] - 1
+}
 
 // Take captures one census.
 func Take(cfg Config) *Snapshot {
@@ -270,19 +307,106 @@ func Take(cfg Config) *Snapshot {
 		cfg.MaxMismatches = DefaultMaxMismatches
 	}
 
-	g := materialize(cfg, s)
+	g := materialize(cfg)
 	s.g = g
-	classify(cfg, s, g)
+	s.LiveObjects = int64(len(g.nodes))
+	s.LiveBytes = g.liveBytes
+	s.FreedSlots = g.freedSlots
+	s.Edges = g.edges
+	s.DanglingEdges = g.dangling
+	for _, r := range cfg.Roots {
+		s.Roots = append(s.Roots, r)
+	}
+	sortRoots(s.Roots)
+
+	g.classify(cfg.Roots)
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		b := &s.Limbo
+		switch n.class {
+		case classReachable:
+			b = &s.Reachable
+		case classUnreachable:
+			b = &s.Unreachable
+		}
+		b.Objects++
+		b.Bytes += n.bytes()
+	}
 	findCycles(cfg, s, g)
-	findMismatches(cfg, s, g)
-	attributeTypes(cfg, s, g)
+	s.RCMismatchCount, s.RCMismatches = g.mismatches(cfg.Roots, cfg.MaxMismatches)
+	attributeTypes(s, g)
 
 	s.WallNS = time.Since(start).Nanoseconds()
 	return s
 }
 
+// Audit runs the graph and mismatch passes only and returns every object
+// whose stored count disagrees with its weighted in-edges plus root
+// registrations, uncapped, in address order. At quiescence an empty result
+// means every count is exact (the paper's §1 count invariant); this is the
+// quiescent count audit.
+func Audit(cfg Config) []Mismatch {
+	g := materialize(cfg)
+	defer spare.Put(g)
+	g.classify(cfg.Roots)
+	_, ms := g.mismatches(cfg.Roots, -1)
+	return ms
+}
+
+// Sweep is what the backup tracing collector frees: the live objects no
+// root reaches, and the links they hold on objects a root does reach.
+type Sweep struct {
+	// Reached counts the live objects reachable from the roots.
+	Reached int
+
+	// Garbage lists every other live object, in address order.
+	Garbage []mem.Ref
+
+	// Links lists each link from a garbage object to a reached one. The
+	// collector subtracts its weight from the target's count before it
+	// frees the garbage, so ordinary reclamation stays exact afterwards.
+	Links []Link
+}
+
+// Link is one pointer edge into a reached object and the count weight it
+// carries.
+type Link struct {
+	To     mem.Ref
+	Weight int64
+}
+
+// Garbage runs the graph and reachability passes only — no limbo, cycle,
+// mismatch or type pass — and returns the collector's sweep. Budget-parked
+// zombies are garbage here like any other unreached object, so a caller
+// that must not free them drains the zombie stack first.
+func Garbage(cfg Config) Sweep {
+	g := materialize(cfg)
+	defer spare.Put(g)
+	g.reach(cfg.Roots)
+	var sw Sweep
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if n.class == classReachable {
+			sw.Reached++
+			continue
+		}
+		sw.Garbage = append(sw.Garbage, mem.Ref(n.ref))
+		for _, e := range g.out(int32(i)) {
+			if t := &g.nodes[e.to]; t.class == classReachable {
+				sw.Links = append(sw.Links, Link{To: mem.Ref(t.ref), Weight: e.w})
+			}
+		}
+	}
+	return sw
+}
+
+// spare holds graphs whose passes are done and that no snapshot keeps (an
+// Audit's or a Garbage's), so their tables are reused: a backup collector
+// run every few milliseconds then does not churn the Go heap.
+var spare sync.Pool
+
 // materialize walks the heap and builds the node table and edge lists.
-func materialize(cfg Config, s *Snapshot) *graph {
+func materialize(cfg Config) *graph {
 	decode := cfg.Decode
 	if decode == nil {
 		decode = func(u uint64) (mem.Ref, int64) {
@@ -292,26 +416,53 @@ func materialize(cfg Config, s *Snapshot) *graph {
 			return mem.Ref(u), 1
 		}
 	}
-	g := &graph{heap: cfg.Heap, index: make(map[uint32]int32)}
+	// Size the tables from the heap's counters; a heap that grows under
+	// the walk grows them too.
+	hs := cfg.Heap.Stats()
+	g, _ := spare.Get().(*graph)
+	if g == nil {
+		g = &graph{}
+	}
+	*g = graph{
+		heap:  cfg.Heap,
+		nodes: g.nodes[:0],
+		outs:  g.outs[:0],
+		index: g.index[:0],
+	}
+	if n := int(hs.LiveObjects); cap(g.nodes) < n {
+		g.nodes = make([]node, 0, n)
+	}
+	if n := int(hs.HighWater/mem.LineWords) + 1; cap(g.index) < n {
+		g.index = make([]int32, n)
+	} else {
+		g.index = g.index[:n]
+		clear(g.index)
+	}
 	cfg.Heap.WalkBlocks(func(b mem.Block) bool {
 		if b.Freed {
-			s.FreedSlots++
+			g.freedSlots++
 			return true
 		}
-		g.index[uint32(b.Ref)] = int32(len(g.nodes))
+		k := int(b.Ref / mem.LineWords)
+		if k >= len(g.index) {
+			g.index = append(g.index, make([]int32, k+1-len(g.index))...)
+		}
+		g.index[k] = int32(len(g.nodes)) + 1
 		g.nodes = append(g.nodes, node{
 			ref:   uint32(b.Ref),
 			typ:   b.Type,
+			gen:   b.Gen,
 			words: int32(b.Size),
 			rc:    cfg.Read(cfg.Heap.RCAddr(b.Ref)),
 		})
 		return true
 	})
-	s.LiveObjects = int64(len(g.nodes))
 
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		s.LiveBytes += n.bytes()
+		g.liveBytes += n.bytes()
+		n.first = int32(len(g.outs))
+		n.end = n.first
 		d, err := cfg.Heap.Type(n.typ)
 		if err != nil {
 			continue
@@ -325,38 +476,29 @@ func materialize(cfg Config, s *Snapshot) *graph {
 			if child == 0 {
 				continue
 			}
-			j, ok := int32(-1), false
-			if uint64(child) <= 0xFFFF_FFFF {
-				j, ok = g.index[uint32(child)]
-			}
-			if !ok {
-				s.DanglingEdges++
+			j := g.lookup(uint64(child))
+			if j < 0 {
+				g.dangling++
 				continue
 			}
-			n.edges = append(n.edges, j)
-			g.nodes[j].in++
+			g.outs = append(g.outs, edge{to: j, w: w})
 			g.nodes[j].inw += w
-			s.Edges++
+			g.edges++
 		}
+		n.end = int32(len(g.outs))
 	}
 	return g
 }
 
-// classify partitions the nodes: BFS reachability from the roots, then limbo
-// husks (live blocks with a zero or poisoned stored count — retired, awaiting
-// a drain) and everything only husks still pin, then the rest of the
-// unreachable set, which is true garbage.
-func classify(cfg Config, s *Snapshot, g *graph) {
-	for ref, r := range cfg.Roots {
-		s.Roots = append(s.Roots, r)
-		if i, ok := g.index[ref]; ok {
+// reach marks the roots and everything they reach classReachable and the
+// rest classUnreachable.
+func (g *graph) reach(roots map[uint32]Root) {
+	var stack []int32
+	for ref := range roots {
+		if i := g.lookup(uint64(ref)); i >= 0 {
 			g.nodes[i].root = true
 		}
 	}
-	sortRoots(s.Roots)
-
-	// Reachability from the roots.
-	var stack []int32
 	for i := range g.nodes {
 		if g.nodes[i].root {
 			g.nodes[i].class = classReachable
@@ -365,26 +507,30 @@ func classify(cfg Config, s *Snapshot, g *graph) {
 			g.nodes[i].class = classUnreachable
 		}
 	}
-	visited := make([]bool, len(g.nodes))
-	for _, i := range stack {
-		visited[i] = true
-	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, j := range g.nodes[i].edges {
-			if !visited[j] {
-				visited[j] = true
-				g.nodes[j].class = classReachable
-				stack = append(stack, j)
+		for _, e := range g.out(i) {
+			if g.nodes[e.to].class != classReachable {
+				g.nodes[e.to].class = classReachable
+				stack = append(stack, e.to)
 			}
 		}
 	}
+}
+
+// classify partitions the nodes: reachability from the roots, then limbo
+// husks (live blocks with a zero or poisoned stored count — retired,
+// awaiting a drain) and everything only husks still pin, then the rest of
+// the unreachable set, which is true garbage.
+func (g *graph) classify(roots map[uint32]Root) {
+	g.reach(roots)
 
 	// Limbo: unreachable husks (rc 0 or poisoned) and, transitively,
 	// unreachable objects they pin — budget-deferred zombies are parked
 	// with fields intact, so a husk's subgraph is en route to the
 	// allocator, not leaked.
+	var stack []int32
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		if n.class == classUnreachable && (n.rc == 0 || n.rc >= mem.Poison) {
@@ -395,51 +541,48 @@ func classify(cfg Config, s *Snapshot, g *graph) {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, j := range g.nodes[i].edges {
-			if g.nodes[j].class == classUnreachable {
-				g.nodes[j].class = classLimbo
-				stack = append(stack, j)
+		for _, e := range g.out(i) {
+			if g.nodes[e.to].class == classUnreachable {
+				g.nodes[e.to].class = classLimbo
+				stack = append(stack, e.to)
 			}
-		}
-	}
-
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		switch n.class {
-		case classReachable:
-			s.Reachable.Objects++
-			s.Reachable.Bytes += n.bytes()
-		case classUnreachable:
-			s.Unreachable.Objects++
-			s.Unreachable.Bytes += n.bytes()
-		default:
-			s.Limbo.Objects++
-			s.Limbo.Bytes += n.bytes()
 		}
 	}
 }
 
-// findMismatches compares each object's stored count against its weighted
+// mismatches compares each object's stored count against its weighted
 // in-edge sum (each link contributes its decoded weight — 1 under figure2,
-// the stash under split) plus root registrations. Poisoned counts are
-// skipped: the block was freed between the header read and the rc read,
-// which is a walk race, not a count bug.
-func findMismatches(cfg Config, s *Snapshot, g *graph) {
+// the stash under split) plus root registrations. It returns the exact
+// count and the list, capped at max (max < 0: uncapped).
+//
+// A poisoned stored count is a mismatch only if the block is still the one
+// the walk saw: free sets the freed bit before it poisons, and a recycle
+// bumps the generation before the slot is live again, so a re-read header
+// that is freed or of a later generation means the block was freed between
+// the walk's header and count reads — a walk race, not a count bug. A block
+// that is still live and of the same generation holds poison in a live
+// count cell, which is a bug whether or not mutators run.
+func (g *graph) mismatches(roots map[uint32]Root, max int) (int64, []Mismatch) {
+	var count int64
+	var list []Mismatch
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		if n.rc >= mem.Poison {
-			continue
-		}
 		expected := n.inw
 		if n.root {
-			expected += cfg.Roots[n.ref].Count
+			expected += roots[n.ref].Count
 		}
 		if int64(n.rc) == expected {
 			continue
 		}
-		s.RCMismatchCount++
-		if len(s.RCMismatches) < cfg.MaxMismatches {
-			s.RCMismatches = append(s.RCMismatches, Mismatch{
+		if n.rc >= mem.Poison {
+			r := mem.Ref(n.ref)
+			if g.heap.IsFreed(r) || g.heap.Generation(r) != n.gen {
+				continue
+			}
+		}
+		count++
+		if max < 0 || len(list) < max {
+			list = append(list, Mismatch{
 				Ref:      n.ref,
 				Type:     g.typeName(n.typ),
 				Stored:   n.rc,
@@ -448,10 +591,11 @@ func findMismatches(cfg Config, s *Snapshot, g *graph) {
 			})
 		}
 	}
+	return count, list
 }
 
 // attributeTypes builds the per-type retained-size table, largest first.
-func attributeTypes(cfg Config, s *Snapshot, g *graph) {
+func attributeTypes(s *Snapshot, g *graph) {
 	byType := map[mem.TypeID]*TypeStat{}
 	var order []mem.TypeID
 	for i := range g.nodes {

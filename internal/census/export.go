@@ -124,8 +124,8 @@ func (s *Snapshot) WriteDOT(w io.Writer, maxNodes int) error {
 	}
 	for i := range s.g.nodes {
 		n := &s.g.nodes[i]
-		for _, j := range n.edges {
-			fmt.Fprintf(bw, "  n%d -> n%d;\n", n.ref, s.g.nodes[j].ref)
+		for _, e := range s.g.out(int32(i)) {
+			fmt.Fprintf(bw, "  n%d -> n%d;\n", n.ref, s.g.nodes[e.to].ref)
 		}
 	}
 	fmt.Fprintf(bw, "}\n")

@@ -22,7 +22,7 @@ func findCycles(cfg Config, s *Snapshot, g *graph) {
 
 	var sccs [][]int32
 
-	// Iterative Tarjan: frame.ei is the edge cursor into nodes[v].edges.
+	// Iterative Tarjan: frame.ei is the edge cursor into g.out(v).
 	type frame struct {
 		v  int32
 		ei int
@@ -41,8 +41,9 @@ func findCycles(cfg Config, s *Snapshot, g *graph) {
 			f := &callStack[len(callStack)-1]
 			v := f.v
 			advanced := false
-			for f.ei < len(g.nodes[v].edges) {
-				w := g.nodes[v].edges[f.ei]
+			out := g.out(v)
+			for f.ei < len(out) {
+				w := out[f.ei].to
 				f.ei++
 				if !leaked(w) {
 					continue
@@ -98,8 +99,8 @@ func findCycles(cfg Config, s *Snapshot, g *graph) {
 
 	// Keep only genuine cycles.
 	selfLoop := func(v int32) bool {
-		for _, w := range g.nodes[v].edges {
-			if w == v {
+		for _, e := range g.out(v) {
+			if e.to == v {
 				return true
 			}
 		}
@@ -152,10 +153,10 @@ func findCycles(cfg Config, s *Snapshot, g *graph) {
 			work = work[:len(work)-1]
 			c.RetainedObjects++
 			c.RetainedBytes += g.nodes[v].bytes()
-			for _, w := range g.nodes[v].edges {
-				if leaked(w) && stamp[w] != mark {
-					stamp[w] = mark
-					work = append(work, w)
+			for _, e := range g.out(v) {
+				if leaked(e.to) && stamp[e.to] != mark {
+					stamp[e.to] = mark
+					work = append(work, e.to)
 				}
 			}
 		}

@@ -52,12 +52,10 @@ var allowlist = map[string]string{
 	// (A method only the standard library calls, such as a String or
 	// MarshalJSON that nothing names, belongs here too, with the interface
 	// it implements as its reason.)
-	"check.AuditRC":           "quiescent rc oracle for figure2 heaps; production audits through AuditRCDecoded",
 	"core.RC.Copy":            "LFRCCopy, one of the paper's Figure 2 operations; the structures hand counts along instead, and the core tests run it",
 	"fault.Injector.Would":    "pure replay predicate the determinism tests check schedules against",
 	"hist.Duration.BucketFor": "pins the documented bucket bounds in tests",
 	"lifecycle.Ledger.Wants":  "tests probe the ledger's tracked set",
-	"mem.Heap.Generation":     "tests read a slot's reuse generation",
 	"msqueue.NewGoQueue":      "GC-dependent reference queue the MS-queue tests compare against",
 }
 

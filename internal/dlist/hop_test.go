@@ -3,8 +3,7 @@ package dlist
 import (
 	"testing"
 
-	"lfrc/internal/check"
-	"lfrc/internal/mem"
+	"lfrc/internal/census"
 )
 
 // TestSearchHandsCountsAlong pins the cost of a list hop: a traversal hands
@@ -39,9 +38,14 @@ func TestSearchHandsCountsAlong(t *testing.T) {
 				t.Errorf("Destroys = %d, want %d", got, n)
 			}
 
-			extra := map[mem.Ref]int64{l.Anchor(): 1}
-			if vs := check.AuditRCDecoded(w.h, extra, w.rc.DecodeLink); len(vs) != 0 {
-				t.Errorf("count audit after Contains: %v", vs)
+			anchor := uint32(l.Anchor())
+			if ms := census.Audit(census.Config{
+				Heap:   w.h,
+				Read:   w.rc.SnapshotRead,
+				Decode: w.rc.DecodeLink,
+				Roots:  map[uint32]census.Root{anchor: {Ref: anchor, Count: 1}},
+			}); len(ms) != 0 {
+				t.Errorf("count audit after Contains: %+v", ms)
 			}
 		})
 	}

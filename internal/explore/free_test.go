@@ -6,7 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"lfrc/internal/check"
+	"lfrc/internal/census"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
@@ -83,12 +83,12 @@ func loadVsFreeScenario(mk func(*mem.Heap, func(bool)) dcas.Engine, relink bool)
 			if p := rc.Stats().PoisonedRCUpdates; p != 0 {
 				return fmt.Errorf("%d poisoned rc updates", p)
 			}
-			extra := map[mem.Ref]int64{holder: 1}
+			roots := map[uint32]census.Root{uint32(holder): {Ref: uint32(holder), Count: 1}}
 			if dst != 0 {
-				extra[dst]++
+				roots[uint32(dst)] = census.Root{Ref: uint32(dst), Count: 1}
 			}
-			if vs := check.AuditRC(h, extra); len(vs) != 0 {
-				return fmt.Errorf("audit: %v", vs)
+			if ms := census.Audit(census.Config{Heap: h, Read: h.Load, Roots: roots}); len(ms) != 0 {
+				return fmt.Errorf("audit: %+v", ms)
 			}
 			return nil
 		}

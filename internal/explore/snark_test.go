@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"lfrc/internal/check"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
@@ -111,8 +110,8 @@ func heapProblems(h *mem.Heap, base mem.Stats) []string {
 			problems = append(problems, fmt.Sprintf("%s=%d", c.name, c.n))
 		}
 	}
-	if vs := check.ScanPoison(h); len(vs) != 0 {
-		problems = append(problems, fmt.Sprintf("poison: %v", vs))
+	if ds := h.ScanPoison(); len(ds) != 0 {
+		problems = append(problems, fmt.Sprintf("poison: %+v", ds))
 	}
 	return problems
 }

@@ -62,7 +62,7 @@ func (w *World) RemoveRoot(r mem.Ref) { w.gc.RemoveRoot(r) }
 func (w *World) Collect() gctrace.Result {
 	start := time.Now()
 	w.mu.Lock()
-	res := w.gc.Collect()
+	res := w.gc.Collect(w.H.Load, nil) // the world is stopped: plain loads, bare refs
 	w.mu.Unlock()
 
 	w.collection.Lock()

@@ -9,17 +9,20 @@
 // a concurrent collector (making *it* lock-free is exactly the future work
 // the paper leaves open).
 //
-// Collect marks every object reachable from the registered roots through
-// registered pointer fields, then sweeps: unreachable live objects are freed
-// regardless of their reference counts (a garbage cycle's counts never reach
-// zero — that is the point), and any references such objects held into the
-// surviving graph are subtracted from the survivors' counts so ordinary LFRC
-// reclamation stays exact afterwards.
+// Collect takes its mark from the heap census: the census builds the object
+// graph (reading cells through the caller's reader and decoding links
+// through the caller's decoder) and runs its reachability pass. Collect then
+// sweeps: unreachable live objects are freed regardless of their reference
+// counts (a garbage cycle's counts never reach zero — that is the point),
+// and the weight of every link such objects held into the surviving graph is
+// subtracted from the survivors' counts so ordinary LFRC reclamation stays
+// exact afterwards.
 package gctrace
 
 import (
 	"sync"
 
+	"lfrc/internal/census"
 	"lfrc/internal/mem"
 )
 
@@ -29,9 +32,8 @@ import (
 type Collector struct {
 	h *mem.Heap
 
-	mu     sync.Mutex
-	roots  map[mem.Ref]*rootEntry
-	decode func(uint64) (mem.Ref, int64)
+	mu    sync.Mutex
+	roots map[mem.Ref]*rootEntry
 }
 
 // rootEntry is one registered root's bookkeeping: how many handles hold it
@@ -44,29 +46,6 @@ type rootEntry struct {
 // New creates a collector for h.
 func New(h *mem.Heap) *Collector {
 	return &Collector{h: h, roots: make(map[mem.Ref]*rootEntry)}
-}
-
-// SetDecoder installs a link decoder mapping a raw pointer-cell word to
-// (referent, count weight). RC strategies that pack per-link state into the
-// pointer word (split) need it so the mark phase follows real edges and the
-// sweep phase subtracts each dying link's full weight from its survivor. A
-// nil decoder (the default) reads bare refs at weight 1 — the figure2 layout.
-func (c *Collector) SetDecoder(decode func(uint64) (mem.Ref, int64)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.decode = decode
-}
-
-// decodeCell applies the installed decoder (or the bare-ref default) to one
-// pointer-cell word. Callers hold c.mu.
-func (c *Collector) decodeCell(u uint64) (mem.Ref, int64) {
-	if c.decode != nil {
-		return c.decode(u)
-	}
-	if u == 0 {
-		return 0, 0
-	}
-	return mem.Ref(u), 1
 }
 
 // AddRoot registers a root reference: an object the mutator side holds alive
@@ -110,32 +89,24 @@ func (c *Collector) RemoveRoot(r mem.Ref) {
 	}
 }
 
-// Roots returns a snapshot of the registered roots and their registration
-// counts (one registration per external handle).
-func (c *Collector) Roots() map[mem.Ref]int64 {
+// Roots returns a snapshot of the registered roots in the census's form:
+// each root's registration count (one per external handle) and
+// structure-kind label ("root" when none was given).
+func (c *Collector) Roots() map[uint32]census.Root {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[mem.Ref]int64, len(c.roots))
-	for r, e := range c.roots {
-		out[r] = int64(e.count)
-	}
-	return out
+	return c.rootsLocked()
 }
 
-// NamedRoot is one root in a NamedRoots snapshot.
-type NamedRoot struct {
-	Count int64
-	Name  string
-}
-
-// NamedRoots returns a snapshot of the registered roots with their
-// registration counts and structure-kind labels.
-func (c *Collector) NamedRoots() map[mem.Ref]NamedRoot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[mem.Ref]NamedRoot, len(c.roots))
+// rootsLocked is Roots for a caller that holds c.mu.
+func (c *Collector) rootsLocked() map[uint32]census.Root {
+	out := make(map[uint32]census.Root, len(c.roots))
 	for r, e := range c.roots {
-		out[r] = NamedRoot{Count: int64(e.count), Name: e.name}
+		name := e.name
+		if name == "" {
+			name = "root"
+		}
+		out[uint32(r)] = census.Root{Ref: uint32(r), Name: name, Count: int64(e.count)}
 	}
 	return out
 }
@@ -156,75 +127,33 @@ type Result struct {
 }
 
 // Collect runs one stop-the-world mark–sweep pass and returns its result.
-// The heap must be quiescent.
-func (c *Collector) Collect() Result {
+// The heap must be quiescent. read loads a cell and decode maps a raw
+// pointer-cell word to (referent, count weight), as census.Config.Read and
+// Decode do: the RC strategy's link codec, so the mark follows real edges
+// and the sweep subtracts each dying link's full weight (its unspent stash
+// under split, exactly 1 under figure2). A nil decode reads bare refs.
+func (c *Collector) Collect(read func(mem.Addr) uint64, decode func(uint64) (mem.Ref, int64)) Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// Mark phase: BFS from the roots through registered pointer fields.
-	marked := make(map[mem.Ref]bool, len(c.roots)*4)
-	stack := make([]mem.Ref, 0, len(c.roots))
-	for r := range c.roots {
-		if !c.h.IsFreed(r) && !marked[r] {
-			marked[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		d, err := c.h.Type(c.h.TypeOf(p))
-		if err != nil {
-			continue
-		}
-		for _, f := range d.PtrFields {
-			t, _ := c.decodeCell(c.h.Load(c.h.FieldAddr(p, f)))
-			if t == 0 || marked[t] || c.h.IsFreed(t) {
-				continue
+	sw := census.Garbage(census.Config{Heap: c.h, Read: read, Decode: decode, Roots: c.rootsLocked()})
+	res := Result{Marked: sw.Reached}
+	for _, l := range sw.Links {
+		// Subtract the weight the dying link held, clamping at 0.
+		a := c.h.RCAddr(l.To)
+		for {
+			old := c.h.Load(a)
+			nw := uint64(0)
+			if old > uint64(l.Weight) {
+				nw = old - uint64(l.Weight)
 			}
-			marked[t] = true
-			stack = append(stack, t)
-		}
-	}
-
-	// Sweep phase: gather unreachable live objects first, then adjust
-	// survivor counts, then free.
-	var garbage []mem.Ref
-	c.h.Walk(func(r mem.Ref, freed bool) bool {
-		if !freed && !marked[r] {
-			garbage = append(garbage, r)
-		}
-		return true
-	})
-
-	res := Result{Marked: len(marked)}
-	for _, g := range garbage {
-		d, err := c.h.Type(c.h.TypeOf(g))
-		if err != nil {
-			continue
-		}
-		for _, f := range d.PtrFields {
-			t, w := c.decodeCell(c.h.Load(c.h.FieldAddr(g, f)))
-			if t == 0 || !marked[t] {
-				continue // fellow garbage needs no bookkeeping
+			if old == 0 || c.h.CAS(a, old, nw) {
+				break
 			}
-			// Subtract the full weight the dying link held (its unspent
-			// stash under split, exactly 1 under figure2), clamping at 0.
-			a := c.h.RCAddr(t)
-			for {
-				old := c.h.Load(a)
-				nw := uint64(0)
-				if old > uint64(w) {
-					nw = old - uint64(w)
-				}
-				if old == 0 || c.h.CAS(a, old, nw) {
-					break
-				}
-			}
-			res.RCAdjusted++
 		}
+		res.RCAdjusted++
 	}
-	for _, g := range garbage {
+	for _, g := range sw.Garbage {
 		if err := c.h.Free(g); err == nil {
 			res.Freed++
 		}

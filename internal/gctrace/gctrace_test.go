@@ -27,9 +27,13 @@ func newWorld(t *testing.T) *world {
 	}
 }
 
+// collect runs one pass through the RC's snapshot reader and link codec, as
+// System.Collect does.
+func (w *world) collect() Result { return w.gc.Collect(w.rc.SnapshotRead, w.rc.DecodeLink) }
+
 func TestCollectEmptyHeap(t *testing.T) {
 	w := newWorld(t)
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Marked != 0 || res.Freed != 0 {
 		t.Errorf("Collect on empty heap = %+v, want zeros", res)
 	}
@@ -42,7 +46,7 @@ func TestCollectSparesRootReachable(t *testing.T) {
 	w.rc.StoreAlloc(w.h.FieldAddr(root, 0), child)
 	w.gc.AddRoot(root)
 
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Freed != 0 {
 		t.Errorf("Collect freed %d root-reachable objects", res.Freed)
 	}
@@ -65,7 +69,7 @@ func TestCollectReclaimsSimpleCycle(t *testing.T) {
 	if got := w.h.Stats().LiveObjects; got != 2 {
 		t.Fatalf("precondition: LiveObjects = %d, want 2 leaked", got)
 	}
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Freed != 2 {
 		t.Errorf("Freed = %d, want 2", res.Freed)
 	}
@@ -80,7 +84,7 @@ func TestCollectReclaimsSelfCycle(t *testing.T) {
 	w.rc.Store(w.h.FieldAddr(a, 0), a) // self-pointer, like a Snark sentinel
 	w.rc.Destroy(a)
 
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Freed != 1 {
 		t.Errorf("Freed = %d, want 1", res.Freed)
 	}
@@ -101,7 +105,7 @@ func TestCollectAdjustsSurvivorCounts(t *testing.T) {
 	if got := w.rc.RCOf(s); got != 2 {
 		t.Fatalf("precondition: rc(s) = %d, want 2 (local + garbage ref)", got)
 	}
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Freed != 2 {
 		t.Errorf("Freed = %d, want 2", res.Freed)
 	}
@@ -127,11 +131,11 @@ func TestRootRegistrationCounts(t *testing.T) {
 	w.gc.RemoveRoot(a)
 
 	// Still rooted once: must survive.
-	if res := w.gc.Collect(); res.Freed != 0 {
+	if res := w.collect(); res.Freed != 0 {
 		t.Errorf("Freed = %d with live root, want 0", res.Freed)
 	}
 	w.gc.RemoveRoot(a)
-	if res := w.gc.Collect(); res.Freed != 1 {
+	if res := w.collect(); res.Freed != 1 {
 		t.Errorf("Freed = %d after last RemoveRoot, want 1", res.Freed)
 	}
 }
@@ -164,7 +168,7 @@ func TestBackupCollectorOnCyclicSnark(t *testing.T) {
 	// Root the deque through its anchor: everything the live structure
 	// needs hangs off it.
 	w.gc.AddRoot(d.Anchor())
-	res := w.gc.Collect()
+	res := w.collect()
 	if res.Freed == 0 {
 		t.Fatal("backup collector reclaimed nothing; expected stranded sentinel cycles")
 	}

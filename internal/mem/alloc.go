@@ -160,10 +160,7 @@ func (h *Heap) free(r Ref, idx int) error {
 	hdr := h.Load(r)
 	size := headerSize(hdr)
 	gen := headerGen(hdr)
-	h.Store(h.RCAddr(r), Poison)
-	for a := r + HeaderWords; a < r+Addr(size); a++ {
-		h.Store(a, Poison)
-	}
+	h.poison(r, size)
 
 	c := class(size)
 	st.frees[c].Add(1)
@@ -175,20 +172,66 @@ func (h *Heap) free(r Ref, idx int) error {
 	return nil
 }
 
-// checkPoison verifies a recycled slot's poison words and repairs any damage
-// so corruption is counted once, not compounded.
-func (h *Heap) checkPoison(r Ref, size int, st *statStripe) {
-	damaged := false
+// poison writes the pattern a freed slot of size words at r carries until
+// it is recycled: Poison in the count cell and in every payload cell. The
+// header keeps the freed bit and the aux cell the free-list link, so neither
+// is poisoned. poison and poisonDamage are the only code that knows this
+// layout; change them together.
+func (h *Heap) poison(r Ref, size int) {
+	h.Store(h.RCAddr(r), Poison)
+	for a := r + HeaderWords; a < r+Addr(size); a++ {
+		h.Store(a, Poison)
+	}
+}
+
+// poisonDamage returns the offset from r of the first cell of a freed slot
+// of size words that no longer holds the pattern poison wrote, or 0 if the
+// pattern is intact.
+func (h *Heap) poisonDamage(r Ref, size int) int {
 	if h.Load(h.RCAddr(r)) != Poison {
-		damaged = true
+		return int(h.RCAddr(r) - r)
 	}
 	for a := r + HeaderWords; a < r+Addr(size); a++ {
 		if h.Load(a) != Poison {
-			damaged = true
+			return int(a - r)
 		}
 	}
-	if damaged {
+	return 0
+}
+
+// checkPoison counts a recycled slot whose poison is damaged as one
+// corruption and captures a postmortem for it. It repairs nothing; the slot
+// leaves the free list here, so each damage is counted once.
+func (h *Heap) checkPoison(r Ref, size int, st *statStripe) {
+	if h.poisonDamage(r, size) != 0 {
 		st.corruptions.Add(1)
 		h.obs.CapturePostmortem("poison corruption on recycled slot", uint32(r))
 	}
+}
+
+// PoisonDamage is one freed slot whose poison pattern was overwritten: some
+// thread wrote to freed memory.
+type PoisonDamage struct {
+	Ref Ref
+
+	// Offset is the first damaged cell's offset from Ref (1 for the count
+	// cell).
+	Offset int
+}
+
+// ScanPoison checks the poison pattern of every freed slot and returns each
+// damaged one, in address order. Alloc makes the same check when it recycles
+// a slot; ScanPoison finds the damage before any recycle, so a test can
+// blame the run that wrote to freed memory. The heap must be quiescent.
+func (h *Heap) ScanPoison() []PoisonDamage {
+	var out []PoisonDamage
+	h.WalkBlocks(func(b Block) bool {
+		if b.Freed {
+			if off := h.poisonDamage(b.Ref, b.Size); off != 0 {
+				out = append(out, PoisonDamage{Ref: b.Ref, Offset: off})
+			}
+		}
+		return true
+	})
+	return out
 }

@@ -16,9 +16,9 @@ func TestAllocInitialState(t *testing.T) {
 	if got := h.TypeOf(r); got != node {
 		t.Errorf("TypeOf = %d, want %d", got, node)
 	}
-	// SizeOf reports the slot, not the record: a node's three header and
+	// The header reports the slot, not the record: a node's three header and
 	// three payload words round up to one cache line.
-	if got := h.SizeOf(r); got != LineWords {
+	if got := sizeOf(h, r); got != LineWords {
 		t.Errorf("SizeOf = %d, want %d", got, LineWords)
 	}
 	if got := h.Load(h.RCAddr(r)); got != 1 {
@@ -41,7 +41,7 @@ func TestFreePoisonsSlot(t *testing.T) {
 	h := testHeap(t)
 	node, _ := registerPair(t, h)
 	r := h.MustAlloc(node)
-	size := h.SizeOf(r)
+	size := sizeOf(h, r)
 
 	if err := h.Free(r); err != nil {
 		t.Fatalf("Free: %v", err)
@@ -178,6 +178,55 @@ func TestUseAfterFreeCorruptionDetected(t *testing.T) {
 	}
 }
 
+func TestScanPoisonCleanHeap(t *testing.T) {
+	h := testHeap(t)
+	node, _ := registerPair(t, h)
+	h.MustAlloc(node)
+	if err := h.Free(h.MustAlloc(node)); err != nil {
+		t.Fatalf("Free: %v", err)
+	}
+	if ds := h.ScanPoison(); len(ds) != 0 {
+		t.Errorf("ScanPoison = %+v, want none", ds)
+	}
+}
+
+// TestScanPoisonDetectsDamage: a write into a freed slot's count cell or
+// payload is reported before any recycle, at the first damaged offset.
+func TestScanPoisonDetectsDamage(t *testing.T) {
+	tests := []struct {
+		name   string
+		damage func(h *Heap, r Ref)
+		offset int
+	}{
+		{
+			name:   "rc cell",
+			damage: func(h *Heap, r Ref) { h.Store(h.RCAddr(r), Poison+1) },
+			offset: 1,
+		},
+		{
+			name:   "payload cell",
+			damage: func(h *Heap, r Ref) { h.Store(h.FieldAddr(r, 1), 0) },
+			offset: HeaderWords + 1,
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			h := testHeap(t)
+			node, _ := registerPair(t, h)
+			r := h.MustAlloc(node)
+			if err := h.Free(r); err != nil {
+				t.Fatalf("Free: %v", err)
+			}
+			tt.damage(h, r)
+
+			ds := h.ScanPoison()
+			if len(ds) != 1 || ds[0].Ref != r || ds[0].Offset != tt.offset {
+				t.Errorf("ScanPoison = %+v, want offset %d at %d", ds, tt.offset, r)
+			}
+		})
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	h := testHeap(t)
 	node, leaf := registerPair(t, h)
@@ -247,12 +296,16 @@ func TestBumpSkipsSegmentBoundary(t *testing.T) {
 func TestWalkVisitsEveryObject(t *testing.T) {
 	h := NewHeap(WithMaxWords(4 * segWords))
 	node, leaf := registerPair(t, h)
+	wide := h.MustRegisterType(TypeDesc{Name: "wide", NumFields: 7}) // two lines
 
 	want := map[Ref]bool{} // ref -> freed
 	for i := 0; i < 500; i++ {
 		typ := node
-		if i%3 == 0 {
+		switch {
+		case i%3 == 0:
 			typ = leaf
+		case i%7 == 0:
+			typ = wide
 		}
 		r := h.MustAlloc(typ)
 		want[r] = false
@@ -263,43 +316,29 @@ func TestWalkVisitsEveryObject(t *testing.T) {
 			want[r] = true
 		}
 	}
-	// Reallocate some freed slots so Walk sees recycled objects too.
+	// Reallocate some freed slots so the walk sees recycled objects too.
 	for i := 0; i < 20; i++ {
 		r := h.MustAlloc(node)
 		want[r] = false
 	}
 
 	got := map[Ref]bool{}
-	h.Walk(func(r Ref, freed bool) bool {
-		if _, dup := got[r]; dup {
-			t.Fatalf("Walk visited %d twice", r)
+	prev := Ref(0)
+	h.WalkBlocks(func(b Block) bool {
+		if b.Ref <= prev {
+			t.Fatalf("WalkBlocks visited %d after %d: not in address order", b.Ref, prev)
 		}
-		got[r] = freed
+		prev = b.Ref
+		got[b.Ref] = b.Freed
 		return true
 	})
 	if len(got) != len(want) {
-		t.Fatalf("Walk visited %d slots, want %d", len(got), len(want))
+		t.Fatalf("WalkBlocks visited %d slots, want %d", len(got), len(want))
 	}
 	for r, freed := range want {
 		if got[r] != freed {
 			t.Errorf("slot %d freed = %v, want %v", r, got[r], freed)
 		}
-	}
-}
-
-func TestWalkEarlyStop(t *testing.T) {
-	h := testHeap(t)
-	_, leaf := registerPair(t, h)
-	for i := 0; i < 10; i++ {
-		h.MustAlloc(leaf)
-	}
-	n := 0
-	h.Walk(func(Ref, bool) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("Walk visited %d slots after early stop, want 3", n)
 	}
 }
 
@@ -314,11 +353,11 @@ func TestWalkAcrossSegments(t *testing.T) {
 		n++
 	}
 	visited := 0
-	h.Walk(func(Ref, bool) bool {
+	h.WalkBlocks(func(Block) bool {
 		visited++
 		return true
 	})
 	if visited != n {
-		t.Errorf("Walk visited %d objects across segments, want %d", visited, n)
+		t.Errorf("WalkBlocks visited %d objects across segments, want %d", visited, n)
 	}
 }

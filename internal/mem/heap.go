@@ -243,10 +243,6 @@ func (h *Heap) typeOf(id TypeID) *TypeDesc { return &h.types[id] }
 
 // Header introspection -------------------------------------------------------
 
-// SizeOf returns the slot size in words of the object at r: its header and
-// payload rounded up to whole cache lines.
-func (h *Heap) SizeOf(r Ref) int { return headerSize(h.Load(r)) }
-
 // TypeOf returns the TypeID of the object at r.
 func (h *Heap) TypeOf(r Ref) TypeID { return headerType(h.Load(r)) }
 
@@ -263,31 +259,6 @@ func (h *Heap) InArena(a Addr) bool {
 	return a >= firstAddr && uint64(a) < h.next.Load()
 }
 
-// Walk visits every object slot ever carved from the arena, live or freed,
-// in address order, until fn returns false. The heap must be quiescent (no
-// concurrent allocation) for the traversal to be coherent; it exists for the
-// stop-the-world tracing collector and the invariant auditors.
-//
-// Words below the global cursor that hold no object — unfilled shard-chunk
-// tails, remainders abandoned on refill, slivers skipped at segment
-// boundaries — were never written and still read zero, whose size field is
-// invalid; Walk steps over them word by word.
-func (h *Heap) Walk(fn func(r Ref, freed bool) bool) {
-	end := h.next.Load()
-	for a := uint64(firstAddr); a < end; {
-		hdr := h.Load(Addr(a))
-		size := headerSize(hdr)
-		if size < HeaderWords || size > maxObjWords {
-			a++
-			continue
-		}
-		if !fn(Ref(a), headerFreed(hdr)) {
-			return
-		}
-		a += uint64(size)
-	}
-}
-
 // Block is one object slot as decoded from a single atomic header read. All
 // fields describe the same instant: a block observed live here cannot have
 // been half-freed between separate TypeOf/IsFreed calls, which matters to
@@ -301,10 +272,17 @@ type Block struct {
 }
 
 // WalkBlocks visits every object slot ever carved from the arena, live or
-// freed, in address order, until fn returns false. Unlike Walk it decodes the
-// whole header once per slot and hands the caller a self-consistent Block.
-// It tolerates concurrent mutation the same way Walk does: each header is one
-// atomic load, and non-object words below the cursor are stepped over.
+// freed, in address order, until fn returns false. It decodes the whole
+// header once per slot and hands the caller a self-consistent Block. It is
+// the one heap walk: the census builds its object graph on it, and through
+// the census the backup collector and the count audit.
+//
+// Each header is one atomic load, so a walk tolerates concurrent mutation;
+// only a quiescent heap yields a coherent picture. Words below the global
+// cursor that hold no object — unfilled shard-chunk tails, remainders
+// abandoned on refill, slivers skipped at segment boundaries — were never
+// written and still read zero, whose size field is invalid; WalkBlocks
+// steps over them word by word.
 func (h *Heap) WalkBlocks(fn func(b Block) bool) {
 	end := h.next.Load()
 	for a := uint64(firstAddr); a < end; {

@@ -11,6 +11,10 @@ func testHeap(t *testing.T, opts ...Option) *Heap {
 	return NewHeap(opts...)
 }
 
+// sizeOf is the slot size in words of the object at r, read from its
+// header: its header and payload rounded up to whole cache lines.
+func sizeOf(h *Heap, r Ref) int { return headerSize(h.Load(r)) }
+
 func registerPair(t *testing.T, h *Heap) (node, leaf TypeID) {
 	t.Helper()
 	node = h.MustRegisterType(TypeDesc{Name: "node", NumFields: 3, PtrFields: []int{0, 1}})

@@ -40,7 +40,7 @@ func (lt *lineTracker) alloc(typ TypeID, path string) Ref {
 
 func (lt *lineTracker) add(r Ref, path string) {
 	lt.t.Helper()
-	size := lt.h.SizeOf(r)
+	size := sizeOf(lt.h, r)
 	if r%LineWords != 0 || size%LineWords != 0 {
 		lt.t.Fatalf("%s: slot at word %d of %d words is not whole lines", path, r, size)
 	}
@@ -57,7 +57,7 @@ func (lt *lineTracker) add(r Ref, path string) {
 
 func (lt *lineTracker) free(r Ref) {
 	lt.t.Helper()
-	size := lt.h.SizeOf(r)
+	size := sizeOf(lt.h, r)
 	if err := lt.h.Free(r); err != nil {
 		lt.t.Fatalf("Free(%d): %v", r, err)
 	}
@@ -136,7 +136,7 @@ func TestSlotsOwnTheirLines(t *testing.T) {
 	for try := 0; try < 4 && !stole; try++ {
 		victim := batch[0]
 		lt.free(victim)
-		c := class(h.SizeOf(victim))
+		c := class(sizeOf(h, victim))
 		away := 1 - lt.shard
 		for i := range h.shards {
 			if r, ok := h.shards[i].popLocal(h, c); ok {

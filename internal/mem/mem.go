@@ -15,8 +15,8 @@
 //   - Every slot is a whole number of 64-byte cache lines (LineWords words)
 //     and starts on a line, so no two objects share a line: a hot count or
 //     pointer cell never drags a neighbouring object's cells along with it.
-//     The header records the slot size, and that is the footprint SizeOf,
-//     the live-word statistics and the census report.
+//     The header records the slot size, and that is the footprint
+//     WalkBlocks, the live-word statistics and the census report.
 //   - Allocation is lock-free and sharded: each shard owns one free list
 //     per slot size (Treiber stacks whose head words pack an index and a pop
 //     counter to defeat ABA) and a private bump chunk claimed from the arena

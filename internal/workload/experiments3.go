@@ -82,7 +82,6 @@ func RunE8(kind EngineKind, scale Scale) *Table {
 		return t
 	}
 	gc := gctrace.New(env.Heap)
-	gc.SetDecoder(env.RC.DecodeLink)
 	gc.AddRoot(d.Anchor())
 
 	for i := 0; i < n; i++ {
@@ -93,10 +92,10 @@ func RunE8(kind EngineKind, scale Scale) *Table {
 	}
 	t.AddRow("after churn (half popped)", env.Heap.Stats().LiveObjects, "-")
 
-	res := gc.Collect()
+	res := gc.Collect(env.RC.SnapshotRead, env.RC.DecodeLink)
 	t.AddRow("after first trace", env.Heap.Stats().LiveObjects, res.Freed)
 
-	res2 := gc.Collect()
+	res2 := gc.Collect(env.RC.SnapshotRead, env.RC.DecodeLink)
 	t.AddRow("after second trace", env.Heap.Stats().LiveObjects, res2.Freed)
 
 	// Verify the survivors are exactly the live elements.

@@ -134,6 +134,43 @@ func TestCollectIsNoOpOnAcyclicStructures(t *testing.T) {
 	d.Close()
 }
 
+// TestCollectDrainsZombiesFirst: with an incremental-destroy budget, closing
+// a deque parks zombies on the zombie stack. A collection must not free them
+// under the stack: a later drain would release freed slots again.
+func TestCollectDrainsZombiesFirst(t *testing.T) {
+	sys, err := lfrc.New(lfrc.WithIncrementalDestroy(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sys.NewDeque()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := lfrc.Value(1); v <= 100; v++ {
+		if err := d.PushRight(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+	if sys.ZombieCount() == 0 {
+		t.Fatal("precondition: Close parked no zombies")
+	}
+	res := sys.Collect()
+	if n := sys.ZombieCount(); n != 0 {
+		t.Errorf("ZombieCount = %d after Collect, want 0", n)
+	}
+	sys.DrainZombies(0)
+	if n := sys.Stats().RC.FreeErrors; n != 0 {
+		t.Errorf("FreeErrors = %d, want 0", n)
+	}
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Errorf("Audit after drain: %v", vs)
+	}
+	if n := sys.Stats().Heap.LiveObjects; n != 0 {
+		t.Errorf("LiveObjects = %d after Collect %+v and drain, want 0", n, res)
+	}
+}
+
 func TestValueClaimingOption(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sys, err := lfrc.New()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lfrc/internal/census"
-	"lfrc/internal/check"
 	"lfrc/internal/contend"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
@@ -285,10 +284,6 @@ func New(opts ...Option) (*System, error) {
 		faultPlan:   cfg.faultPlan,
 		censusRoots: cfg.censusRoots,
 	}
-	// The backup collector walks pointer cells directly, so it must read
-	// them through the RC strategy's link codec (split packs a weight stash
-	// into the word; sweeping a dying link must return that stash).
-	s.collector.SetDecoder(s.rc.DecodeLink)
 	if led != nil {
 		var audOpts []lifecycle.AuditOption
 		if cfg.auditEvery > 0 {
@@ -659,8 +654,13 @@ func (s *System) ZombieCount() int64 { return s.rc.ZombieCount() }
 // returns how many unreachable objects it reclaimed. Every structure created
 // from this System is automatically registered as a root until its Close.
 // The system must be quiescent: no operations may run concurrently.
+//
+// Collect first drains the zombie stack (WithIncrementalDestroy): a parked
+// zombie is unreachable but already on its way to the allocator, and the
+// drain would release it again after the sweep had freed it.
 func (s *System) Collect() CollectResult {
-	return CollectResult(s.collector.Collect())
+	s.rc.DrainZombies(0)
+	return CollectResult(s.collector.Collect(s.rc.SnapshotRead, s.rc.DecodeLink))
 }
 
 // CollectResult reports one backup-collection pass.
@@ -685,11 +685,16 @@ type CollectResult struct {
 // postmortem (the trailing flight events touching the offending ref),
 // retrievable with Postmortems.
 func (s *System) Audit() []string {
-	vs := check.AuditRCDecoded(s.heap, s.collector.Roots(), s.rc.DecodeLink)
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-		s.obs.CapturePostmortem("audit: "+v.String(), uint32(v.Ref))
+	ms := census.Audit(census.Config{
+		Heap:   s.heap,
+		Read:   s.rc.SnapshotRead,
+		Decode: s.rc.DecodeLink,
+		Roots:  s.collector.Roots(),
+	})
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = fmt.Sprintf("rc violation at %#x: want %d, got %d", m.Ref, m.Expected, int64(m.Stored))
+		s.obs.CapturePostmortem("audit: "+out[i], m.Ref)
 	}
 	return out
 }
