@@ -342,6 +342,22 @@ func TestWalkVisitsEveryObject(t *testing.T) {
 	}
 }
 
+func TestWalkEarlyStop(t *testing.T) {
+	h := testHeap(t)
+	_, leaf := registerPair(t, h)
+	for i := 0; i < 10; i++ {
+		h.MustAlloc(leaf)
+	}
+	n := 0
+	h.WalkBlocks(func(Block) bool {
+		n++
+		return n < 3
+	})
+	if n != 3 {
+		t.Errorf("WalkBlocks visited %d slots after early stop, want 3", n)
+	}
+}
+
 func TestWalkAcrossSegments(t *testing.T) {
 	h := NewHeap(WithMaxWords(4 * segWords))
 	big := h.MustRegisterType(TypeDesc{Name: "big", NumFields: MaxFields})

@@ -76,6 +76,52 @@ func TestWalkBlocksEarlyStop(t *testing.T) {
 	}
 }
 
+// TestWalkBlocksAgreesWithWalk: the block walk must see exactly the slots
+// Alloc handed out, mixed sizes, freed and recycled ones included, in address
+// order and with each freed flag as the caller left it.
+func TestWalkBlocksAgreesWithWalk(t *testing.T) {
+	h := NewHeap()
+	a := h.MustRegisterType(TypeDesc{Name: "a", NumFields: 2})
+	b := h.MustRegisterType(TypeDesc{Name: "b", NumFields: 7})
+	want := map[Ref]bool{} // ref -> freed
+	for i := 0; i < 16; i++ {
+		tid := a
+		if i%3 == 0 {
+			tid = b
+		}
+		r, err := h.Alloc(tid)
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		want[r] = false
+		if i%5 == 0 {
+			if err := h.Free(r); err != nil {
+				t.Fatalf("Free: %v", err)
+			}
+			want[r] = true
+		}
+	}
+	var fromBlocks []Block
+	h.WalkBlocks(func(blk Block) bool {
+		fromBlocks = append(fromBlocks, blk)
+		return true
+	})
+	if len(fromBlocks) != len(want) {
+		t.Fatalf("WalkBlocks saw %d slots, Alloc handed out %d", len(fromBlocks), len(want))
+	}
+	for i, blk := range fromBlocks {
+		if i > 0 && blk.Ref <= fromBlocks[i-1].Ref {
+			t.Errorf("slot %d: WalkBlocks visited %d after %d", i, blk.Ref, fromBlocks[i-1].Ref)
+		}
+		freed, ok := want[blk.Ref]
+		if !ok {
+			t.Errorf("slot %d: WalkBlocks visited %d, which Alloc never returned", i, blk.Ref)
+		} else if blk.Freed != freed {
+			t.Errorf("slot %d: ref %d freed=%v, want %v", i, blk.Ref, blk.Freed, freed)
+		}
+	}
+}
+
 // TestCarvedWordsAreMappedWhenPublished: a walker that reads the cursor and
 // then a word below it must find that word's segment mapped, even while a
 // carve is crossing into a new segment. The census walks the heap this way
