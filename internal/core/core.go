@@ -345,6 +345,14 @@ func (c *RC) StoreAlloc(a mem.Addr, v mem.Ref) {
 	}
 }
 
+// Sole reports whether v's count is exactly 1, for a caller that holds a
+// counted local reference to v: then that reference is the only one and no
+// pointer cell links to v. Every other way to gain a reference to v needs a
+// link or a reference to copy, so a true answer stays true until the caller
+// releases v. Under split the count is the links' stashes plus one unit per
+// local reference, so the same test holds.
+func (c *RC) Sole(v mem.Ref) bool { return c.e.Read(c.h.RCAddr(v)) == 1 }
+
 // Copy implements LFRCCopy (Figure 2, lines 29–32): it assigns pointer value
 // w to the local pointer variable *v, adjusting both reference counts.
 func (c *RC) Copy(v *mem.Ref, w mem.Ref) {

@@ -9,22 +9,29 @@
 // necessary. Garbage is naturally acyclic (nodes point only forward), so
 // Step 3 required no changes at all.
 //
-// Known footprint property (finding F1 in EXPERIMENTS.md): each retired
-// dummy's next pointer references the node retired after it, so a straggler
-// holding a counted reference to one old dummy transitively pins every
-// later-retired node until it lets go — reclamation is deferred, never lost.
-// Snark avoids this by redirecting popped nodes' pointers to Dummy; doing
-// the same here would let an enqueue with a stale tail link into a severed
-// node (its CAS on next expects 0), so the MS queue keeps the original
-// algorithm and documents the cost. See TestStragglerPinsRetiredChain.
+// One departure from the published algorithm bounds the footprint (finding
+// F1 in EXPERIMENTS.md). Each retired dummy's next pointer references the
+// node retired after it, so a straggler holding a counted reference to one
+// old dummy would transitively pin every later-retired node until it lets
+// go. A successful Dequeue therefore redirects the next pointer of one in
+// severEvery retired dummies that another thread still holds to the queue's
+// sentinel node, as Snark's pops redirect to Dummy: every node of a pinned
+// chain is held when it retires, so the chain stops within about severEvery
+// nodes per P. The sentinel is never null, so an enqueue with a stale tail
+// still cannot link into a retired node (its CAS on next expects 0); Head
+// and Tail never point at it, so no operation links after it. See
+// TestStragglerPinsRetiredChain.
 package msqueue
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"lfrc/internal/core"
 	"lfrc/internal/fault"
 	"lfrc/internal/mem"
+	"lfrc/internal/stripe"
 )
 
 // Value is the payload type. Values must be at most mem.ValueMask.
@@ -38,9 +45,21 @@ const (
 
 // Anchor field indices.
 const (
-	aHead = 0
-	aTail = 1
+	aHead     = 0
+	aTail     = 1
+	aSentinel = 2 // the node retired dummies' next pointers are redirected to
 )
+
+// severEvery is how many held retirements on one P pass between two that
+// are redirected to the sentinel. Most held retirements are held only for a
+// moment, by a concurrent Dequeue about to fail its CAS, and a redirect
+// contends with that Dequeue on the new head's count: in 2-client churn,
+// redirecting every held retirement cost about 20% of throughput and one in
+// 8 about 15%, while one in 64 stays within run-to-run noise. A straggler's
+// chain stays within severEvery retired nodes per P, a few hundred words,
+// where without the redirect it grew past a 64Ki-word heap segment within
+// one preemption.
+const severEvery = 64
 
 // Types holds the heap type ids the queue uses; register once per heap.
 type Types struct {
@@ -60,8 +79,8 @@ func RegisterTypes(h *mem.Heap) (Types, error) {
 	}
 	anchor, err := h.RegisterType(mem.TypeDesc{
 		Name:      "msqueue.Anchor",
-		NumFields: 2,
-		PtrFields: []int{aHead, aTail},
+		NumFields: 3,
+		PtrFields: []int{aHead, aTail, aSentinel},
 	})
 	if err != nil {
 		return Types{}, fmt.Errorf("msqueue: register anchor: %w", err)
@@ -89,11 +108,27 @@ type Queue struct {
 	headA  mem.Addr
 	tailA  mem.Addr
 	closed bool
+
+	// sentinel is the node at the anchor's aSentinel field; the anchor's
+	// link keeps it live until Close.
+	sentinel mem.Ref
+
+	// held counts, per P, retirements of dummies another thread still
+	// held, for severEvery.
+	held []heldCount
+}
+
+// heldCount is one P's count of held retirements, padded to its own cache
+// line.
+type heldCount struct {
+	n atomic.Uint32
+	_ [60]byte
 }
 
 // New builds an empty queue: Head and Tail point at a dummy node.
 func New(rc *core.RC, ts Types) (*Queue, error) {
-	q := &Queue{rc: rc, h: rc.Heap(), ts: ts, fj: rc.Fault()}
+	q := &Queue{rc: rc, h: rc.Heap(), ts: ts, fj: rc.Fault(),
+		held: make([]heldCount, stripe.Clamp(runtime.GOMAXPROCS(0), 1))}
 	anchor, err := rc.NewObject(ts.Anchor)
 	if err != nil {
 		return nil, fmt.Errorf("msqueue: allocate anchor: %w", err)
@@ -109,6 +144,14 @@ func New(rc *core.RC, ts Types) (*Queue, error) {
 	}
 	rc.StoreAlloc(q.headA, dummy)
 	rc.Store(q.tailA, dummy)
+
+	sentinel, err := rc.NewObject(ts.QNode)
+	if err != nil {
+		q.Close()
+		return nil, fmt.Errorf("msqueue: allocate sentinel: %w", err)
+	}
+	q.sentinel = sentinel
+	rc.StoreAlloc(q.h.FieldAddr(anchor, aSentinel), sentinel)
 	return q, nil
 }
 
@@ -180,6 +223,13 @@ func (q *Queue) Dequeue() (v Value, ok bool) {
 			continue
 		}
 		if q.rc.CAS(q.headA, head, next) {
+			// head is retired. If no other thread holds it, the
+			// Destroy below frees it now; if one does, it may be a
+			// straggler, and one such retirement in severEvery is cut
+			// from the live queue so a straggler's chain stays short.
+			if !q.rc.Sole(head) && q.held[stripe.Hint(len(q.held))].n.Add(1)%severEvery == 0 {
+				q.rc.Store(q.nextA(head), q.sentinel)
+			}
 			q.rc.Destroy(head, tail, next)
 			return value, true
 		}
