@@ -13,14 +13,14 @@
 // F1 in EXPERIMENTS.md). Each retired dummy's next pointer references the
 // node retired after it, so a straggler holding a counted reference to one
 // old dummy would transitively pin every later-retired node until it lets
-// go. A successful Dequeue therefore redirects the next pointer of one in
-// severEvery retired dummies that another thread still holds to the queue's
-// sentinel node, as Snark's pops redirect to Dummy: every node of a pinned
-// chain is held when it retires, so the chain stops within about severEvery
-// nodes per P. The sentinel is never null, so an enqueue with a stale tail
-// still cannot link into a retired node (its CAS on next expects 0); Head
-// and Tail never point at it, so no operation links after it. See
-// TestStragglerPinsRetiredChain.
+// go. So one successful Dequeue in severEvery per P checks whether another
+// thread still holds the dummy it retired, and if one does, redirects the
+// dummy's next pointer to the queue's sentinel node, as Snark's pops
+// redirect to Dummy. Every node of a pinned chain is held when it retires,
+// so the chain stops within severEvery retirements per P. The sentinel is
+// never null, so an enqueue with a stale tail still cannot link into a
+// retired node (its CAS on next expects 0); Head and Tail never point at
+// it, so no operation links after it. See TestStragglerPinsRetiredChain.
 package msqueue
 
 import (
@@ -50,15 +50,16 @@ const (
 	aSentinel = 2 // the node retired dummies' next pointers are redirected to
 )
 
-// severEvery is how many held retirements on one P pass between two that
-// are redirected to the sentinel. Most held retirements are held only for a
-// moment, by a concurrent Dequeue about to fail its CAS, and a redirect
-// contends with that Dequeue on the new head's count: in 2-client churn,
-// redirecting every held retirement cost about 20% of throughput and one in
-// 8 about 15%, while one in 64 stays within run-to-run noise. A straggler's
-// chain stays within severEvery retired nodes per P, a few hundred words,
-// where without the redirect it grew past a 64Ki-word heap segment within
-// one preemption.
+// severEvery is how many retirements on one P pass between two checks for
+// a straggler. A check reads the retired dummy's count, a line that a
+// concurrent Dequeue still holding the dummy (about one retirement in three
+// under 2-client churn) is working on, and a redirect contends with that
+// Dequeue on the new head's count. In the benchmark's queue-churn, checking
+// every retirement cost about 7% of throughput and redirecting every held
+// one about 20%. While a straggler pins a chain every retirement is held,
+// so the chain ends within severEvery retirements per P: a few hundred
+// words, where without the redirect it grew past a 64Ki-word heap segment
+// within one preemption.
 const severEvery = 64
 
 // Types holds the heap type ids the queue uses; register once per heap.
@@ -113,14 +114,13 @@ type Queue struct {
 	// link keeps it live until Close.
 	sentinel mem.Ref
 
-	// held counts, per P, retirements of dummies another thread still
-	// held, for severEvery.
-	held []heldCount
+	// retired counts, per P, the dummies Dequeue retired, for severEvery.
+	retired []retiredCount
 }
 
-// heldCount is one P's count of held retirements, padded to its own cache
+// retiredCount is one P's count of retired dummies, padded to its own cache
 // line.
-type heldCount struct {
+type retiredCount struct {
 	n atomic.Uint32
 	_ [60]byte
 }
@@ -128,7 +128,7 @@ type heldCount struct {
 // New builds an empty queue: Head and Tail point at a dummy node.
 func New(rc *core.RC, ts Types) (*Queue, error) {
 	q := &Queue{rc: rc, h: rc.Heap(), ts: ts, fj: rc.Fault(),
-		held: make([]heldCount, stripe.Clamp(runtime.GOMAXPROCS(0), 1))}
+		retired: make([]retiredCount, stripe.Clamp(runtime.GOMAXPROCS(0), 1))}
 	anchor, err := rc.NewObject(ts.Anchor)
 	if err != nil {
 		return nil, fmt.Errorf("msqueue: allocate anchor: %w", err)
@@ -223,11 +223,11 @@ func (q *Queue) Dequeue() (v Value, ok bool) {
 			continue
 		}
 		if q.rc.CAS(q.headA, head, next) {
-			// head is retired. If no other thread holds it, the
-			// Destroy below frees it now; if one does, it may be a
-			// straggler, and one such retirement in severEvery is cut
-			// from the live queue so a straggler's chain stays short.
-			if !q.rc.Sole(head) && q.held[stripe.Hint(len(q.held))].n.Add(1)%severEvery == 0 {
+			// head is retired. One retirement in severEvery per P
+			// checks whether another thread still holds it; one that
+			// does may be a straggler, so head's link to the live
+			// queue is cut and the straggler's chain stays short.
+			if q.retired[stripe.Hint(len(q.retired))].n.Add(1)%severEvery == 0 && !q.rc.Sole(head) {
 				q.rc.Store(q.nextA(head), q.sentinel)
 			}
 			q.rc.Destroy(head, tail, next)

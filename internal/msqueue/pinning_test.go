@@ -13,7 +13,7 @@ import (
 // holding a counted reference to one old dummy transitively keeps every
 // subsequently retired node live (every churned pair left one more object
 // live). With it, the chain the straggler pins ends at a node redirected to
-// the sentinel within severEvery held retirements per P, the way the Snark
+// the sentinel within severEvery retirements per P, the way the Snark
 // deque's pops redirect to Dummy (TestSnarkPopsDoNotChainGarbage in package
 // snark). Releasing the straggler's reference frees the chain.
 func TestStragglerPinsRetiredChain(t *testing.T) {
