@@ -11,7 +11,11 @@ import (
 // CensusSnapshot is one whole-heap object-graph census: reachability from
 // the declared roots, unreachable-but-counted cycles (the garbage LFRC can
 // never free, PAPER.md §7), stored-RC vs. in-edge mismatches, and per-type
-// retained-size attribution. See System.Census.
+// retained-size attribution. Counts are in the system's RC strategy's
+// units: under figure2 a quiescent count is the object's in-degree (plus
+// root registrations); under split, the default, it is the sum of the
+// weights its links carry, so a count of 65536 can be one link. See
+// System.Census.
 type CensusSnapshot = census.Snapshot
 
 // CensusDelta is the difference between two censuses: per-type growth and
@@ -44,7 +48,9 @@ func WithCensusRoots(fn func() []uint32) Option {
 // block, reads each pointer field and reference count with side-effect-free
 // atomic loads, and reports reachability from the declared roots (collection
 // anchors plus WithCensusRoots), cycle leaks with retained bytes, stored-RC
-// vs. actual-in-edge mismatches, and per-type attribution.
+// vs. actual-in-edge mismatches (each in-edge weighted by the credit its
+// link carries: 1 under figure2, the link's weight stash under split), and
+// per-type attribution.
 //
 // The census is strictly read-only — it frees nothing, retains nothing, and
 // never helps an in-flight engine operation — so it is safe to take while

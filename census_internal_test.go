@@ -14,9 +14,10 @@ import (
 )
 
 // buildCycle plants the paper's unfixable garbage: a doubly-linked A⇄B pair
-// whose counts each settle at 1 (held only by the other member) with no
-// Go-side reference remaining. LFRC can never free it — exactly what the
-// census exists to report.
+// whose counts each settle at the credit of one link (held only by the other
+// member) with no Go-side reference remaining. LFRC can never free it —
+// exactly what the census exists to report. The comments give figure2's
+// counts; under split each link adds its weight instead of 1.
 func buildCycle(t *testing.T, sys *System) (a, b mem.Ref) {
 	t.Helper()
 	tid, err := sys.heap.RegisterType(mem.TypeDesc{Name: "cyclepair", NumFields: 2, PtrFields: []int{0, 1}})
@@ -43,89 +44,103 @@ func buildCycle(t *testing.T, sys *System) (a, b mem.Ref) {
 // lfrc_census_cycle_bytes gauge. A set closed under an incremental-destroy
 // budget of 1 leaves its chain behind a zombie parked on the zombie stack,
 // and the pre-drain census must classify that zombie and what it pins as
-// limbo, never as leaks. The subtest is named after the backend.
+// limbo, never as leaks. The subtest is named after the backend, with one
+// subtest per RC strategy below it: each cycle member's count is the credit
+// of its one in-link, 1 under figure2 and the link's weight under split.
 func TestCensusCycleLeak(t *testing.T) {
 	t.Run(reclaim.Name, func(t *testing.T) {
-		sys, err := New(WithIncrementalDestroy(1))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		defer sys.Close()
-		q, err := sys.NewQueue()
-		if err != nil {
-			t.Fatalf("NewQueue: %v", err)
-		}
-		for i := Value(0); i < 64; i++ {
-			if err := q.Enqueue(i); err != nil {
-				t.Fatalf("Enqueue: %v", err)
-			}
-		}
-		for i := 0; i < 32; i++ {
-			if _, ok := q.Dequeue(); !ok {
-				t.Fatal("Dequeue: empty")
-			}
-		}
-		set, err := sys.NewSet()
-		if err != nil {
-			t.Fatalf("NewSet: %v", err)
-		}
-		for k := Value(32); k > 0; k-- {
-			if _, err := set.Insert(k); err != nil {
-				t.Fatalf("Insert: %v", err)
-			}
-		}
-		set.Close() // budget 1: frees one node, parks the next, which pins the rest
-		a, b := buildCycle(t, sys)
-
-		pre := sys.Census()
-		if pre.Unreachable.Objects != 2 {
-			t.Errorf("pre-drain unreachable = %d, want 2 (only the cycle): %+v",
-				pre.Unreachable.Objects, pre.Unreachable)
-		}
-		if pre.Limbo.Objects == 0 {
-			t.Errorf("pre-drain census shows no limbo despite a closed set parked undrained")
-		}
-
-		q.Close()
-		sys.DrainZombies(0)
-		c := sys.Census()
-
-		if c.Limbo.Objects != 0 {
-			t.Errorf("post-drain limbo = %d, want 0", c.Limbo.Objects)
-		}
-		if c.CycleCount != 1 || len(c.Cycles) != 1 {
-			t.Fatalf("cycle count = %d (%d listed), want 1", c.CycleCount, len(c.Cycles))
-		}
-		cy := c.Cycles[0]
-		if cy.Size != 2 || cy.Bytes <= 0 || cy.RetainedBytes < cy.Bytes {
-			t.Errorf("cycle = %+v, want size 2 with positive (retained) bytes", cy)
-		}
-		members := map[uint32]uint64{}
-		for _, o := range cy.Objects {
-			members[o.Ref] = o.RC
-			if o.Type != "cyclepair" {
-				t.Errorf("member type = %q, want cyclepair", o.Type)
-			}
-		}
-		if members[uint32(a)] != 1 || members[uint32(b)] != 1 {
-			t.Errorf("members = %v, want a=%d and b=%d at rc=1", cy.Objects, a, b)
-		}
-		if c.CycleBytes <= 0 || c.Unreachable.Objects != 2 {
-			t.Errorf("cycle_bytes=%d unreachable=%d, want >0 and 2", c.CycleBytes, c.Unreachable.Objects)
-		}
-		// The cycle's counts are consistent (1 in-edge each), so it must
-		// NOT be flagged as an rc mismatch — it is a leak, not a count bug.
-		if c.RCMismatchCount != 0 {
-			t.Errorf("rc mismatches = %d (%v), want 0", c.RCMismatchCount, c.RCMismatches)
-		}
-
-		var buf bytes.Buffer
-		sys.WriteMetrics(&buf)
-		v, ok := metricValue(buf.String(), "lfrc_census_cycle_bytes")
-		if !ok || v <= 0 {
-			t.Errorf("lfrc_census_cycle_bytes = %v (found=%v), want > 0", v, ok)
+		for _, tc := range []struct {
+			rc     RCStrategy
+			credit uint64
+		}{
+			{RCFigure2, 1},
+			{RCSplit, 1 << 16}, // core's default split link weight
+		} {
+			t.Run(tc.rc.String(), func(t *testing.T) { testCensusCycleLeak(t, tc.rc, tc.credit) })
 		}
 	})
+}
+
+func testCensusCycleLeak(t *testing.T, rc RCStrategy, credit uint64) {
+	sys, err := New(WithIncrementalDestroy(1), WithRCStrategy(rc))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer sys.Close()
+	q, err := sys.NewQueue()
+	if err != nil {
+		t.Fatalf("NewQueue: %v", err)
+	}
+	for i := Value(0); i < 64; i++ {
+		if err := q.Enqueue(i); err != nil {
+			t.Fatalf("Enqueue: %v", err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if _, ok := q.Dequeue(); !ok {
+			t.Fatal("Dequeue: empty")
+		}
+	}
+	set, err := sys.NewSet()
+	if err != nil {
+		t.Fatalf("NewSet: %v", err)
+	}
+	for k := Value(32); k > 0; k-- {
+		if _, err := set.Insert(k); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	set.Close() // budget 1: frees one node, parks the next, which pins the rest
+	a, b := buildCycle(t, sys)
+
+	pre := sys.Census()
+	if pre.Unreachable.Objects != 2 {
+		t.Errorf("pre-drain unreachable = %d, want 2 (only the cycle): %+v",
+			pre.Unreachable.Objects, pre.Unreachable)
+	}
+	if pre.Limbo.Objects == 0 {
+		t.Errorf("pre-drain census shows no limbo despite a closed set parked undrained")
+	}
+
+	q.Close()
+	sys.DrainZombies(0)
+	c := sys.Census()
+
+	if c.Limbo.Objects != 0 {
+		t.Errorf("post-drain limbo = %d, want 0", c.Limbo.Objects)
+	}
+	if c.CycleCount != 1 || len(c.Cycles) != 1 {
+		t.Fatalf("cycle count = %d (%d listed), want 1", c.CycleCount, len(c.Cycles))
+	}
+	cy := c.Cycles[0]
+	if cy.Size != 2 || cy.Bytes <= 0 || cy.RetainedBytes < cy.Bytes {
+		t.Errorf("cycle = %+v, want size 2 with positive (retained) bytes", cy)
+	}
+	members := map[uint32]uint64{}
+	for _, o := range cy.Objects {
+		members[o.Ref] = o.RC
+		if o.Type != "cyclepair" {
+			t.Errorf("member type = %q, want cyclepair", o.Type)
+		}
+	}
+	if members[uint32(a)] != credit || members[uint32(b)] != credit {
+		t.Errorf("members = %v, want a=%d and b=%d at rc=%d", cy.Objects, a, b, credit)
+	}
+	if c.CycleBytes <= 0 || c.Unreachable.Objects != 2 {
+		t.Errorf("cycle_bytes=%d unreachable=%d, want >0 and 2", c.CycleBytes, c.Unreachable.Objects)
+	}
+	// The cycle's counts are consistent (one in-link each), so it must
+	// NOT be flagged as an rc mismatch — it is a leak, not a count bug.
+	if c.RCMismatchCount != 0 {
+		t.Errorf("rc mismatches = %d (%v), want 0", c.RCMismatchCount, c.RCMismatches)
+	}
+
+	var buf bytes.Buffer
+	sys.WriteMetrics(&buf)
+	v, ok := metricValue(buf.String(), "lfrc_census_cycle_bytes")
+	if !ok || v <= 0 {
+		t.Errorf("lfrc_census_cycle_bytes = %v (found=%v), want > 0", v, ok)
+	}
 }
 
 // metricValue scans Prometheus text exposition for an unlabelled series.

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	lfrcbench [-run E1,E4] [-engine locking|mcas|both] [-rc figure2|split]
+//	lfrcbench [-run E1,E4] [-engine locking|mcas|both] [-rc split|figure2]
 //	          [-scale N] [-dur 250ms] [-workers 8]
 //	          [-markdown] [-stats-json] [-census] [-metrics addr]
 //	          [-trace out.json] [-fault-plan plan] [-fault-seed N]
@@ -14,7 +14,8 @@
 // With no -run flag every experiment runs; an unknown id is an error.
 // -fault-plan replaces the experiment tables with a chaos run of all four
 // structures under that fault-injection plan (see chaos.go); -rc selects its
-// counting strategy and -workers its worker count. -stats-json appends
+// counting strategy (split, lfrc.New's default, unless set) and -workers its
+// worker count. -stats-json appends
 // the final unified System.Stats of the last system an experiment or the
 // chaos run published (O2..O6, R3) as one JSON object on stdout.
 // -metrics serves /metrics (Prometheus text), /debug/vars (expvar),
@@ -165,8 +166,8 @@ func run(args []string, stdout io.Writer) error {
 		destroyB  = fs.Int("destroy-budget", 0, "chaos mode: incremental-destroy budget (objects parked per release; 0 = eager)")
 		doCensus  = fs.Bool("census", false, "after the run, take a heap census of the published system, drain zombies, take another, and print the summaries plus the diff")
 	)
-	rcStrategy := lfrc.RCFigure2
-	fs.Var(&rcStrategy, "rc", "chaos mode: reference-count strategy, figure2 or split (experiment R3 always measures both)")
+	rcStrategy := lfrc.RCSplit // lfrc.New's default
+	fs.Var(&rcStrategy, "rc", "chaos mode: reference-count strategy, split or the paper's figure2 (experiment R3 always measures both)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

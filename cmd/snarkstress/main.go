@@ -7,7 +7,7 @@
 // Usage:
 //
 //	snarkstress [-dur 10s] [-workers 8] [-engine locking|mcas]
-//	            [-rc figure2|split]
+//	            [-rc split|figure2]
 //	            [-structure deque|queue|stack|all]
 //	            [-checkpoint 2s] [-claim]
 //
@@ -61,8 +61,8 @@ func run(args []string) error {
 		claim      = fs.Bool("claim", true, "use the value-claiming deque variant")
 	)
 	fs.Var(&engine, "engine", "DCAS engine: locking or mcas")
-	rcStrategy := lfrc.RCFigure2
-	fs.Var(&rcStrategy, "rc", "reference-count strategy: figure2 or split")
+	rcStrategy := lfrc.RCSplit // lfrc.New's default
+	fs.Var(&rcStrategy, "rc", "reference-count strategy: split or the paper's figure2")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

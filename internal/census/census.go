@@ -13,8 +13,9 @@
 //     extra roots the caller registers),
 //   - unreachable-but-counted strongly connected components — cycle leaks,
 //     with member lists and retained bytes,
-//   - stored-RC vs. actual-in-edge mismatches, the per-object form of the
-//     quiescent Audit,
+//   - stored-RC vs. weighted in-edge mismatches, the per-object form of the
+//     quiescent Audit (a link's weight is 1 under figure2 and its stash
+//     under split, so a split count is a weight sum, not an in-degree),
 //   - per-type retained-size attribution.
 //
 // The graph build is the only code that walks the heap as a graph. Take runs
@@ -135,7 +136,7 @@ type Cycle struct {
 }
 
 // Mismatch is one object whose stored reference count disagrees with its
-// actual in-edges plus root registrations. At quiescence any mismatch is a
+// weighted in-edges plus root registrations. At quiescence any mismatch is a
 // count bug (the per-object form of a failed Audit); while mutators run,
 // in-flight operations produce transient ones.
 type Mismatch struct {

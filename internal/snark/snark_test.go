@@ -17,17 +17,24 @@ type world struct {
 	ts Types
 }
 
+// worldFactories builds one world per {engine} x {rc strategy} cell, named
+// as internal/linear's configMatrix: figure2 cells by engine alone, split
+// cells with a "-split" suffix.
 func worldFactories() map[string]func(t *testing.T) *world {
-	mk := func(engine func(h *mem.Heap) dcas.Engine) func(t *testing.T) *world {
+	mk := func(engine func(h *mem.Heap) dcas.Engine, k core.StrategyKind) func(t *testing.T) *world {
 		return func(t *testing.T) *world {
 			t.Helper()
 			h := mem.NewHeap()
-			return &world{h: h, rc: core.New(h, engine(h)), ts: MustRegisterTypes(h)}
+			return &world{h: h, rc: core.New(h, engine(h), core.WithStrategyKind(k)), ts: MustRegisterTypes(h)}
 		}
 	}
+	locking := func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) }
+	mcas := func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) }
 	return map[string]func(t *testing.T) *world{
-		"locking": mk(func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) }),
-		"mcas":    mk(func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) }),
+		"locking":       mk(locking, core.StrategyFigure2),
+		"mcas":          mk(mcas, core.StrategyFigure2),
+		"locking-split": mk(locking, core.StrategySplit),
+		"mcas-split":    mk(mcas, core.StrategySplit),
 	}
 }
 

@@ -42,7 +42,10 @@ func RunO3(kind EngineKind, dur time.Duration) *Table {
 	)
 
 	for _, m := range o3Modes {
+		// Pinned to the paper's protocol: its per-read count-word DCAS is
+		// the rc hot spot the profile must show beside the hats.
 		opts := []lfrc.Option{
+			lfrc.WithRCStrategy(lfrc.RCFigure2),
 			lfrc.WithObservability(lfrc.ObservabilityOptions{
 				Contention:  true,
 				SampleEvery: 64,

@@ -225,10 +225,15 @@ func TestDebugMuxContentTypesAnd404(t *testing.T) {
 }
 
 // contendedSystem builds a contention-observed system and hammers one deque
-// from several goroutines so the observatory has real failed attempts in it.
+// from four goroutines. Every fourth right-hat DCAS attempt is injected as
+// failed, so retried pushes reach the observatory whether or not the
+// goroutines ever collide.
 func contendedSystem(t *testing.T) *lfrc.System {
 	t.Helper()
-	sys, err := lfrc.New(lfrc.WithObservability(lfrc.ObservabilityOptions{Contention: true, SampleEvery: 1}))
+	sys, err := lfrc.New(
+		lfrc.WithObservability(lfrc.ObservabilityOptions{Contention: true, SampleEvery: 1}),
+		lfrc.WithFaultPlan("snark.pushright:every=4"),
+	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -314,15 +319,13 @@ func TestMetricsIncludeContentionSeries(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
-	// Four goroutines on one deque must collide at least once; when they do
-	// the hat roles surface as labels.
-	rep := sys.ContentionReport()
-	if len(rep.Cells) == 0 {
-		t.Skip("no contention observed this run (scheduler never collided)")
+	// The injected right-hat failures end in retried pushes, whose cells
+	// surface with their roles as labels.
+	if len(sys.ContentionReport().Cells) == 0 {
+		t.Fatal("no contention cells despite injected right-hat DCAS failures")
 	}
-	if !strings.Contains(body, `role="right_hat"`) && !strings.Contains(body, `role="rc"`) &&
-		!strings.Contains(body, `role="pointer"`) && !strings.Contains(body, `role="left_hat"`) {
-		t.Errorf("no role-labeled contention series in:\n%s", body)
+	if !strings.Contains(body, `role="right_hat"`) {
+		t.Errorf("no right_hat-labelled contention series in:\n%s", body)
 	}
 	// A system without contention observation emits none of these series.
 	plain, err := lfrc.New()

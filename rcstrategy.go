@@ -18,9 +18,9 @@ type RCStrategy int
 const (
 	// RCFigure2 is the paper's protocol (Figure 2, PODC 2001): one count
 	// per object, every Load guarded by a DCAS on the pointer cell and the
-	// referent's count word together. It is the ablation baseline — kept
-	// bit-for-bit identical to the pre-seam implementation — and the
-	// default.
+	// referent's count word together. It is the reproduction and the
+	// ablation baseline, kept bit-for-bit identical to the pre-seam
+	// implementation; select it with WithRCStrategy(RCFigure2).
 	RCFigure2 RCStrategy = iota + 1
 
 	// RCSplit is weighted reference counting: each link carries an
@@ -31,6 +31,8 @@ const (
 	// removes the figure2 protocol's rc DCAS hot spot. The count word is
 	// only touched on link creation/destruction (merging a dying link's
 	// remaining stash back in one update) and on the rare stash refill.
+	// It is the default. An object's count is then a sum of link weights,
+	// not an in-degree.
 	RCSplit
 )
 
@@ -82,10 +84,11 @@ func (r RCStrategy) kind() core.StrategyKind {
 }
 
 // WithRCStrategy selects the reference-count strategy. The default is
-// RCFigure2, the paper-faithful protocol. Both strategies run under the same
-// structures, engines, reclaimer, fault points, lifecycle auditor and
-// census, so they can be compared on identical workloads (experiment
-// R3).
+// RCSplit, which keeps reads off hot objects' count words;
+// WithRCStrategy(RCFigure2) runs the paper-faithful protocol. Both
+// strategies run under the same structures, engines, reclaimer, fault
+// points, lifecycle auditor and census, so they can be compared on
+// identical workloads (experiment R3).
 func WithRCStrategy(r RCStrategy) Option {
 	return optionFunc(func(c *config) { c.rcStrategy = r })
 }

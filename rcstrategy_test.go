@@ -8,6 +8,33 @@ import (
 	"lfrc"
 )
 
+// TestRCStrategyDefault pins the facade's default: a System built with no
+// options runs split, and the paper's protocol stays one option away.
+func TestRCStrategyDefault(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []lfrc.Option
+		want string
+	}{
+		{"default", nil, "split"},
+		{"figure2", []lfrc.Option{lfrc.WithRCStrategy(lfrc.RCFigure2)}, "figure2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := lfrc.New(tc.opts...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer sys.Close()
+			if got := sys.RCStrategyName(); got != tc.want {
+				t.Errorf("RCStrategyName = %q, want %q", got, tc.want)
+			}
+			if got := sys.Stats().RCStrategy; got != tc.want {
+				t.Errorf("Stats().RCStrategy = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestSplitStrategySystem runs the full public surface under the split RC
 // strategy on both engines: structure round trips, a quiescent Audit (which
 // must understand weighted links), a Census (zero mismatches, no false

@@ -48,7 +48,7 @@ func TestReclaimBackendSweep(t *testing.T) {
 }
 
 // sweepOneConfig runs the fault/chaos/auditor storm on one rc strategy
-// (strat 0 keeps the default, figure2) and returns the final Stats. Extra
+// (strat 0 keeps the facade default, split) and returns the final Stats. Extra
 // options (the RC sweep passes WithEngine) are appended last.
 func sweepOneConfig(t *testing.T, strat lfrc.RCStrategy, plan string, seed uint64, extra ...lfrc.Option) lfrc.Stats {
 	opts := []lfrc.Option{

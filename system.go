@@ -190,7 +190,7 @@ func (tr *typeReg[T]) get(h *mem.Heap, register func(*mem.Heap) (T, error)) (T, 
 func New(opts ...Option) (*System, error) {
 	cfg := config{
 		engine:       EngineLocking,
-		rcStrategy:   RCFigure2,
+		rcStrategy:   RCSplit,
 		maxHeapWords: 64 << 20,
 		sampleEvery:  -1,
 		faultSeed:    1,
