@@ -97,7 +97,8 @@ INLINE_REQUIRED = \
 	'internal/dcas (*MCASEngine).yield' \
 	'internal/obs (*Recorder).Sample' \
 	'internal/obs (*Recorder).RecordT' \
-	'internal/core (*RC).recordT'
+	'internal/core (*RC).recordT' \
+	'internal/core (*RC).count'
 
 check-inline:
 	@inl=$$($(GO) build -gcflags=-m ./internal/mem ./internal/dcas ./internal/obs ./internal/core 2>&1 | \
@@ -144,11 +145,16 @@ check-bench:
 # Watchdog / diagnostic-bundle gate. Three layers:
 #   1. the rule-engine unit suite and the system-level watchdog/bundle tests
 #      (capture-while-mutating runs under the race detector);
-#   2. a planted heap exhaustion (mem.alloc:p=0.6 fails allocations often
-#      enough that some outlast the heap-pressure policy's 8 retries): the
-#      chaos run itself stays clean, the explicitly requested bundle must
-#      carry the incident, and lfrcdoctor — offline, from the tarball alone —
-#      must reach the heap_exhaustion verdict with exit 1;
+#   2. a planted heap exhaustion: mem.alloc:nth=201+...+300 fails the
+#      100 consecutive allocation attempts 201-300, so every operation that
+#      meets the run fails its initial attempt and all 8 heap-pressure
+#      retries. Setup makes well under 200 attempts (one chaos run makes
+#      ~500 in its first 100ms) and the run is over long before 500ms, so
+#      the schedule spares setup and plants exhaustions whatever the
+#      scheduling. The chaos run itself stays clean, the explicitly
+#      requested bundle must carry the incident, and lfrcdoctor — offline,
+#      from the tarball alone — must reach the heap_exhaustion verdict with
+#      exit 1;
 #   3. a planted retry storm (core.load:p=0.85 forces the paper's §5 retry
 #      window): the chaos run stays clean, the bundle must carry the storm,
 #      and lfrcdoctor must surface the retry_storm finding.
@@ -160,7 +166,7 @@ check-doctor:
 	$(GO) test -count=1 ./cmd/lfrcdoctor
 	@dir=$$(mktemp -d /tmp/lfrc-doctor-XXXXXX); \
 	echo "check-doctor: heap exhaustion -> bundle -> lfrcdoctor"; \
-	$(GO) run ./cmd/lfrcbench -fault-plan 'mem.alloc:p=0.6' \
+	$(GO) run ./cmd/lfrcbench -fault-plan "mem.alloc:nth=$$(seq -s+ 201 300)" \
 		-dur 500ms -workers 4 -bundle $$dir/oom.tar.gz >$$dir/oom.log 2>&1 || { echo "check-doctor: heap-exhaustion chaos run failed"; cat $$dir/oom.log; rm -rf $$dir; exit 1; }; \
 	if $(GO) run ./cmd/lfrcdoctor -json $$dir/oom.tar.gz >$$dir/oom.json 2>&1; then \
 		echo "check-doctor: lfrcdoctor called the exhausted bundle healthy"; cat $$dir/oom.json; rm -rf $$dir; exit 1; \

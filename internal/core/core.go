@@ -73,9 +73,10 @@ type RC struct {
 	LoadHook  func(v mem.Ref)
 	NaiveHook func(v mem.Ref)
 
-	// stats is striped across cache-line-padded counter blocks so hot
-	// operations on different goroutines don't contend on one line;
-	// snapshots sum across stripes.
+	// stats is striped across cache-line-padded tally blocks so hot
+	// operations on different goroutines don't contend on one line; each
+	// operation adds one to its outcome's tally (see tally), and Stats sums
+	// the stripes and derives the per-kind counters.
 	stats []opStripe
 
 	// obs is the optional flight recorder. A nil recorder is fully
@@ -170,6 +171,10 @@ func New(h *mem.Heap, e dcas.Engine, opts ...Option) *RC {
 // st routes the calling goroutine to the counter stripe of the P it runs on.
 func (c *RC) st() *opStripe { return &c.stats[stripe.Hint(len(c.stats))] }
 
+// count adds one to tally k on the caller's stripe: the one P lookup and the
+// one counter add an LFRC operation makes.
+func (c *RC) count(k tally) { c.st().n[k].Add(1) }
+
 // Observer returns the attached flight recorder, which is nil (a valid,
 // disabled recorder) unless WithObserver was used. Structure packages built
 // on this RC record their own op-level events through it.
@@ -214,7 +219,7 @@ func (c *RC) NewObject(t mem.TypeID) (mem.Ref, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.stats[stripe.Of(p, len(c.stats))].allocs.Add(1)
+	c.stats[stripe.Of(p, len(c.stats))].n[tAlloc].Add(1)
 	return r, nil
 }
 
@@ -223,16 +228,25 @@ func (c *RC) NewObject(t mem.TypeID) (mem.Ref, error) {
 // strategy — the paper's Figure-2 DCAS (lines 1–12) under figure2, a
 // weight-stash borrow under split — and then releases the reference
 // previously held in *dest. The retry loop itself lives with the strategy
-// (see strategy.go).
+// (see strategy.go). A Load that releases a live dest is a list hop, the
+// hot path of every traversal, so it releases the old referent itself
+// rather than through the variadic destroy, and counts the load and the
+// release in one add.
 func (c *RC) Load(a mem.Addr, dest *mem.Ref) {
 	t0 := c.obs.Sample()
 	olddest := *dest
-	v, old, delta, retries := c.strat.Load(c, a)
+	v, old, delta, retries, refilled := c.strat.Load(c, a)
 	*dest = v
-	st := c.st()
-	st.loads.Add(1)
 	c.recordT(t0, obs.KindLoad, v, a, true, retries, old, delta)
-	c.destroy(st, olddest)
+	k := tLoad
+	if refilled {
+		k = tLoadRefill
+	}
+	if olddest != 0 {
+		c.releaseRef(olddest)
+		k++
+	}
+	c.count(k)
 }
 
 // NaiveLoad is the CAS-only load the paper argues against in §5 (the
@@ -243,7 +257,6 @@ func (c *RC) Load(a mem.Addr, dest *mem.Ref) {
 // never use it in real code.
 func (c *RC) NaiveLoad(a mem.Addr, dest *mem.Ref) {
 	t0 := c.obs.Sample()
-	st := c.st()
 	var retries uint32
 	var oldrc uint64
 	olddest := *dest
@@ -263,15 +276,19 @@ func (c *RC) NaiveLoad(a mem.Addr, dest *mem.Ref) {
 		}
 		c.addToRC(obs.KindNaiveLoad, v, -1)
 		retries++
-		st.loadRetries.Add(1)
+		c.count(tLoadRetry)
 		c.ct.Attempt(obs.KindNaiveLoad, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, true, false)
 	}
-	st.loads.Add(1)
 	if retries > 0 {
 		c.ct.OpDone(obs.KindNaiveLoad, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 	}
 	c.recordT(t0, obs.KindNaiveLoad, *dest, a, true, retries, oldrc, 1)
-	c.destroy(st, olddest)
+	k := tLoad
+	if olddest != 0 {
+		c.releaseRef(olddest)
+		k = tLoadHop
+	}
+	c.count(k)
 }
 
 // Store implements LFRCStore (Figure 2, lines 21–28): it stores pointer
@@ -293,13 +310,11 @@ func (c *RC) Store(a mem.Addr, v mem.Ref) {
 			continue
 		}
 		if c.e.CAS(a, u, nw) {
-			st := c.st()
-			st.stores.Add(1)
 			if retries > 0 {
 				c.ct.OpDone(obs.KindStore, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 			}
 			c.recordT(t0, obs.KindStore, v, a, true, retries, oldrc, lc)
-			c.releaseWord(st, u)
+			c.count(tStore + c.releaseWord(u))
 			return
 		}
 		retries++
@@ -329,13 +344,11 @@ func (c *RC) StoreAlloc(a mem.Addr, v mem.Ref) {
 			continue
 		}
 		if c.e.CAS(a, u, nw) {
-			st := c.st()
-			st.stores.Add(1)
 			if retries > 0 {
 				c.ct.OpDone(obs.KindStore, uint32(a), contend.RolePointer, 0, contend.RoleUnknown, retries)
 			}
 			c.obs.Record(t0, obs.KindStore, uint32(v), uint32(a), true, retries)
-			c.releaseWord(st, u)
+			c.count(tStore + c.releaseWord(u))
 			return
 		}
 		retries++
@@ -363,10 +376,13 @@ func (c *RC) Copy(v *mem.Ref, w mem.Ref) {
 	}
 	old := *v
 	*v = w
-	st := c.st()
-	st.copies.Add(1)
 	c.recordT(t0, obs.KindCopy, w, 0, true, 0, oldrc, 1)
-	c.destroy(st, old)
+	k := tCopy
+	if old != 0 {
+		c.releaseRef(old)
+		k = tCopyDestroy
+	}
+	c.count(k)
 }
 
 // CAS implements LFRCCAS: the single-location simplification of DCAS (paper
@@ -379,20 +395,18 @@ func (c *RC) CAS(a mem.Addr, old, new mem.Ref) bool {
 	if new != 0 {
 		oldrc = c.addToRC(obs.KindCAS, new, lc)
 	}
-	st := c.st()
-	st.casOps.Add(1)
 	// An injected firing fails the whole operation: the caller observes a
 	// lost CAS and the provisional credit on new is compensated below — the
 	// exact path a genuine failure takes.
 	if !c.fj.Inject(fault.CoreCAS) {
 		if d, ok := c.strat.Swing(c, a, old, new); ok {
 			c.recordT(t0, obs.KindCAS, new, a, true, 0, oldrc, lc)
-			c.releaseWord(st, d)
+			c.count(tCAS + c.releaseWord(d))
 			return true
 		}
 	}
 	c.recordT(t0, obs.KindCAS, new, a, false, 0, oldrc, lc)
-	c.releaseWeight(st, new, lc)
+	c.count(tCAS + c.releaseWeight(new, lc))
 	return false
 }
 
@@ -410,66 +424,67 @@ func (c *RC) DCAS(a0, a1 mem.Addr, old0, old1, new0, new1 mem.Ref) bool {
 	if new1 != 0 {
 		c.addToRC(obs.KindDCAS, new1, lc)
 	}
-	st := c.st()
-	st.dcasOps.Add(1)
 	if !c.fj.Inject(fault.CoreDCAS) {
 		if d0, d1, ok := c.strat.SwingPair(c, a0, a1, old0, old1, new0, new1); ok {
 			c.recordT(t0, obs.KindDCAS, new0, a0, true, 0, oldrc0, lc)
-			c.releasePair(st, d0, d1)
+			c.count(tDCAS + c.releasePair(d0, d1))
 			return true
 		}
 	}
 	c.recordT(t0, obs.KindDCAS, new0, a0, false, 0, oldrc0, lc)
-	if lc == 1 {
-		c.destroy(st, new0, new1)
-	} else {
-		c.releaseWeight(st, new0, lc)
-		c.releaseWeight(st, new1, lc)
-	}
+	// Compensating the two credits is releasing the two links the DCAS
+	// would have published.
+	c.count(tDCAS + c.releasePair(c.strat.Pack(new0), c.strat.Pack(new1)))
 	return false
 }
 
-// releaseWord releases the link credit carried by a displaced pointer word,
-// counting on the caller's stripe st (as do releasePair, releaseWeight and
-// destroy, so one LFRC operation looks its stripe up once).
-func (c *RC) releaseWord(st *opStripe, u uint64) {
-	v := c.strat.Ref(u)
-	if v == 0 {
-		return
-	}
-	c.releaseWeight(st, v, c.strat.Weight(u))
+// releaseWord releases the link credit carried by a displaced pointer word
+// and reports the release outcome (see releaseWeight).
+func (c *RC) releaseWord(u uint64) tally {
+	return c.releaseWeight(c.strat.Ref(u), c.strat.Weight(u))
 }
 
 // releasePair releases two displaced pointer words from one DCAS, keeping
-// the figure2 path on the exact batched-Destroy shape it always had.
-func (c *RC) releasePair(st *opStripe, d0, d1 uint64) {
+// the figure2 path on the exact batched-Destroy shape it always had, and
+// reports the pair's outcome as an offset from tDCAS.
+func (c *RC) releasePair(d0, d1 uint64) tally {
 	w0, w1 := c.strat.Weight(d0), c.strat.Weight(d1)
 	if w0 <= 1 && w1 <= 1 {
-		c.destroy(st, c.strat.Ref(d0), c.strat.Ref(d1))
-		return
+		c.destroy(c.strat.Ref(d0), c.strat.Ref(d1))
+		return pair(tally(w0), tally(w1)) // weight 0 is rNone, 1 is rDestroy
 	}
-	c.releaseWord(st, d0)
-	c.releaseWord(st, d1)
+	return pair(c.releaseWord(d0), c.releaseWord(d1))
 }
 
 // releaseWeight drops w units of v's reference count, retiring v when the
-// count hits zero. Weight 1 is exactly Destroy of one local reference; a
-// larger weight is a split-strategy external merge — a destroyed link's
-// remaining stash folded back into the count in one update.
-func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
+// count hits zero, and reports the outcome: rNone for a null v, rDestroy
+// for weight 1 — exactly Destroy of one local reference — and rMerge for a
+// larger weight, a split-strategy external merge that folds a destroyed
+// link's remaining stash back into the count in one update.
+func (c *RC) releaseWeight(v mem.Ref, w int64) tally {
 	if v == 0 || w <= 0 {
-		return
+		return rNone
 	}
 	if w == 1 {
-		c.destroy(st, v)
-		return
+		c.releaseRef(v)
+		return rDestroy
 	}
-	st.destroys.Add(1)
-	st.extMerges.Add(1)
 	old := c.addToRC(obs.KindDestroy, v, -w)
 	hitZero := old == uint64(w)
 	c.recordT(0, obs.KindDestroy, v, 0, hitZero, 0, old, -w)
 	if hitZero {
+		c.rec.Retire(v, 0)
+	}
+	return rMerge
+}
+
+// releaseRef is Destroy of one non-null local reference: v's count drops by
+// one and v is retired if it hit zero. The caller counts it.
+func (c *RC) releaseRef(v mem.Ref) {
+	t0 := c.obs.Sample()
+	old := c.addToRC(obs.KindDestroy, v, -1)
+	c.recordT(t0, obs.KindDestroy, v, 0, old == 1, 0, old, -1)
+	if old == 1 {
 		c.rec.Retire(v, 0)
 	}
 }
@@ -479,13 +494,18 @@ func (c *RC) releaseWeight(st *opStripe, v mem.Ref, w int64) {
 // objects whose count reaches zero are retired to the Reclaimer — which
 // releases every pointer they contain when it frees them, eagerly or, past
 // the incremental-destroy budget, deferred on the zombie stack.
-func (c *RC) Destroy(vs ...mem.Ref) { c.destroy(c.st(), vs...) }
+func (c *RC) Destroy(vs ...mem.Ref) {
+	if n := c.destroy(vs...); n > 0 {
+		c.st().n[tDestroy].Add(n)
+	}
+}
 
-// destroy is Destroy counting on stripe st. The first ref that dies is the
-// Retire root; any further ones are threaded through their link words onto
-// the chain handed along with it, so a single death writes no link word and
-// no death allocates.
-func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
+// destroy is Destroy without the counting: it returns the number of
+// non-null refs it released. The first ref that dies is the Retire root;
+// any further ones are threaded through their link words onto the chain
+// handed along with it, so a single death writes no link word and no death
+// allocates.
+func (c *RC) destroy(vs ...mem.Ref) int64 {
 	t0 := c.obs.Sample()
 	var root, more mem.Ref
 	n := int64(0)
@@ -509,13 +529,10 @@ func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 			}
 		}
 	}
-	if n == 0 {
-		return
-	}
-	st.destroys.Add(n)
 	if root != 0 {
 		c.rec.Retire(root, more)
 	}
+	return n
 }
 
 // ReleaseChildren implements reclaim.Env: it decrements the reference count
@@ -525,12 +542,13 @@ func (c *RC) destroy(st *opStripe, vs ...mem.Ref) {
 // destruction resumes, §7). Nulling is safe: p is count-zero and
 // unreachable, and it keeps a mid-drain Audit consistent — a cleared field
 // contributes no expected count, matching the already-decremented child.
-func (c *RC) ReleaseChildren(p, chain mem.Ref) mem.Ref {
+// The releases are counted on proc's stripe.
+func (c *RC) ReleaseChildren(p, chain mem.Ref, proc int) mem.Ref {
 	d, err := c.h.Type(c.h.TypeOf(p))
 	if err != nil {
 		return chain
 	}
-	var n, merges int64
+	var destroys, merges int64
 	for _, f := range d.PtrFields {
 		u := c.e.Read(c.h.FieldAddr(p, f))
 		child := c.strat.Ref(u)
@@ -541,9 +559,10 @@ func (c *RC) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 		// The dying link's whole remaining weight merges back in one update
 		// (weight is always 1 under figure2).
 		w := c.strat.Weight(u)
-		n++
 		if w > 1 {
 			merges++
+		} else {
+			destroys++
 		}
 		old := c.addToRC(obs.KindDestroy, child, -w)
 		c.recordT(0, obs.KindDestroy, child, 0, old == uint64(w), 0, old, -w)
@@ -551,26 +570,23 @@ func (c *RC) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 			chain = reclaim.Push(c, chain, child)
 		}
 	}
-	if n > 0 {
-		st := c.st()
-		st.destroys.Add(n)
-		if merges > 0 {
-			st.extMerges.Add(merges)
-		}
+	st := &c.stats[stripe.Of(proc, len(c.stats))]
+	if destroys > 0 {
+		st.n[tDestroy].Add(destroys)
+	}
+	if merges > 0 {
+		st.n[tMerge].Add(merges)
 	}
 	return chain
 }
 
-// FreeObject implements reclaim.Env: it returns p's slot to the heap,
-// counting frees and heap-rejected reclamations (double frees caused by
-// corrupted counts).
-func (c *RC) FreeObject(p mem.Ref) {
-	proc := stripe.ID()
-	st := &c.stats[stripe.Of(proc, len(c.stats))]
+// FreeObject implements reclaim.Env: it returns p's slot to proc's heap
+// shard, counting only reclamations the heap rejects (double frees caused
+// by corrupted counts). The Reclaimer counts every call, so Stats derives
+// the successful frees from its count.
+func (c *RC) FreeObject(p mem.Ref, proc int) {
 	if err := c.h.FreeOn(p, proc); err != nil {
-		st.freeErrors.Add(1)
-	} else {
-		st.frees.Add(1)
+		c.stats[stripe.Of(proc, len(c.stats))].n[tFreeError].Add(1)
 	}
 }
 
@@ -602,7 +618,7 @@ func (c *RC) addToRC(kind obs.Kind, p mem.Ref, v int64) uint64 {
 	for {
 		old := c.e.Read(a)
 		if old >= mem.Poison && old <= mem.Poison+8 {
-			c.st().poisonedRCUpdates.Add(1)
+			c.count(tPoisoned)
 		}
 		if c.fj.Inject(fault.CoreAddToRC) {
 			retries++
@@ -692,23 +708,85 @@ func (c *RC) WordStore(a mem.Addr, v uint64) { c.e.Write(a, v) }
 // WordCAS compare-and-swaps a non-pointer (scalar) cell through the engine.
 func (c *RC) WordCAS(a mem.Addr, old, new uint64) bool { return c.e.CAS(a, old, new) }
 
-// opStripe is one stripe of the RC's atomic accounting, padded out to a
-// cache-line multiple so neighbouring stripes never false-share.
+// tally names one counted outcome of one LFRC operation. On its non-retry
+// path every operation makes one P lookup and adds one to the tally of its
+// outcome; Stats derives the per-kind counters (Loads, Destroys, ExtMerges,
+// ...) from the tallies when it is read. An operation that releases a
+// displaced link or a compensated credit is keyed by the release outcome,
+// added to its base tally: nothing released (rNone), a weight-1 release
+// (rDestroy), or a split-strategy external merge (rMerge), which also
+// counts as a Destroy.
+type tally uint8
+
+// Release outcomes, as offsets from an operation's base tally.
+const (
+	rNone tally = iota
+	rDestroy
+	rMerge
+)
+
+const (
+	tAlloc tally = iota
+
+	// Load and NaiveLoad, into a null dest or releasing the old referent of
+	// a live one (a list hop); the Refill pair is a split Load that
+	// recharged a drained stash.
+	tLoad
+	tLoadHop
+	tLoadRefill
+	tLoadRefillHop
+
+	// Store and StoreAlloc, by the release of the displaced link.
+	tStore
+	tStoreDestroy
+	tStoreMerge
+
+	// Copy, by the release of the overwritten local reference.
+	tCopy
+	tCopyDestroy
+
+	// CAS, by the release of the displaced link or compensated credit.
+	tCAS
+	tCASDestroy
+	tCASMerge
+
+	// DCAS and DCASMixed, by their two releases in either order (see pair).
+	tDCAS
+	tDCASDestroy
+	tDCASMerge
+	tDCASDestroy2
+	tDCASDestroyMerge
+	tDCASMerge2
+
+	// tDestroy counts Destroy's non-null refs and the weight-1 child links
+	// freed objects release, n at a time; tMerge the weighted child links
+	// merged back.
+	tDestroy
+	tMerge
+
+	// Off the non-retry path.
+	tLoadRetry
+	tPoisoned
+	tFreeError
+
+	numTallies
+)
+
+// pair is the outcome of a DCAS's two releases as an offset from tDCAS, in
+// either order: none, destroy, merge, destroy+destroy, destroy+merge,
+// merge+merge.
+func pair(r0, r1 tally) tally {
+	if r0 == rNone || r1 == rNone {
+		return r0 + r1
+	}
+	return r0 + r1 + 1
+}
+
+// opStripe is one stripe of the RC's tallies, padded out to a cache-line
+// multiple so neighbouring stripes never false-share.
 type opStripe struct {
-	allocs            atomic.Int64
-	loads             atomic.Int64
-	loadRetries       atomic.Int64
-	stores            atomic.Int64
-	copies            atomic.Int64
-	casOps            atomic.Int64
-	dcasOps           atomic.Int64
-	destroys          atomic.Int64
-	frees             atomic.Int64
-	freeErrors        atomic.Int64
-	poisonedRCUpdates atomic.Int64
-	weightRefills     atomic.Int64
-	extMerges         atomic.Int64
-	_                 [24]byte
+	n [numTallies]atomic.Int64
+	_ [(64 - int(numTallies)*8%64) % 64]byte
 }
 
 // Stats is a snapshot of LFRC operation counters.
@@ -738,25 +816,40 @@ type Stats struct {
 	WeightRefills, ExtMerges int64
 }
 
-// Stats returns a snapshot of the RC's counters, summed across stripes.
+// Stats returns a snapshot of the RC's counters: the tallies summed across
+// stripes, with the per-kind counters derived from them. Frees is the
+// Reclaimer's count of freed objects less the ones the heap rejected, read
+// after the tallies so a snapshot taken while a double free is in flight
+// cannot run ahead of it; at quiescence every field is exact.
 func (c *RC) Stats() Stats {
-	var s Stats
+	var n [numTallies]int64
 	for i := range c.stats {
 		st := &c.stats[i]
-		s.Allocs += st.allocs.Load()
-		s.Frees += st.frees.Load()
-		s.FreeErrors += st.freeErrors.Load()
-		s.Loads += st.loads.Load()
-		s.LoadRetries += st.loadRetries.Load()
-		s.Stores += st.stores.Load()
-		s.Copies += st.copies.Load()
-		s.CASOps += st.casOps.Load()
-		s.DCASOps += st.dcasOps.Load()
-		s.Destroys += st.destroys.Load()
-		s.PoisonedRCUpdates += st.poisonedRCUpdates.Load()
-		s.WeightRefills += st.weightRefills.Load()
-		s.ExtMerges += st.extMerges.Load()
+		for k := range n {
+			n[k] += st.n[k].Load()
+		}
 	}
-	s.ZombiePushes = c.rec.Stats().Parked
-	return s
+	rs := c.rec.Stats()
+	hops := n[tLoadHop] + n[tLoadRefillHop]
+	refills := n[tLoadRefill] + n[tLoadRefillHop]
+	merges := n[tStoreMerge] + n[tCASMerge] + n[tDCASMerge] + n[tDCASDestroyMerge] + 2*n[tDCASMerge2] + n[tMerge]
+	return Stats{
+		Allocs:      n[tAlloc],
+		Frees:       rs.Freed - n[tFreeError],
+		FreeErrors:  n[tFreeError],
+		Loads:       n[tLoad] + n[tLoadHop] + n[tLoadRefill] + n[tLoadRefillHop],
+		LoadRetries: n[tLoadRetry],
+		Stores:      n[tStore] + n[tStoreDestroy] + n[tStoreMerge],
+		Copies:      n[tCopy] + n[tCopyDestroy],
+		CASOps:      n[tCAS] + n[tCASDestroy] + n[tCASMerge],
+		DCASOps: n[tDCAS] + n[tDCASDestroy] + n[tDCASMerge] +
+			n[tDCASDestroy2] + n[tDCASDestroyMerge] + n[tDCASMerge2],
+		// Every merge is also a Destroy; the rest are weight-1 releases.
+		Destroys: merges + hops + n[tStoreDestroy] + n[tCopyDestroy] + n[tCASDestroy] +
+			n[tDCASDestroy] + 2*n[tDCASDestroy2] + n[tDCASDestroyMerge] + n[tDestroy],
+		ZombiePushes:      rs.Parked,
+		PoisonedRCUpdates: n[tPoisoned],
+		WeightRefills:     refills,
+		ExtMerges:         merges,
+	}
 }

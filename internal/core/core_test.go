@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"lfrc/internal/dcas"
@@ -377,35 +379,122 @@ func TestWordOps(t *testing.T) {
 	}
 }
 
+// statsScript drives one of every counted outcome of every LFRC operation on
+// cells private to the call, then releases everything it made: each object
+// it allocates is freed again before it returns.
+func statsScript(w *world) {
+	rc, h := w.rc, w.h
+	holder, _ := rc.NewObject(w.node)
+	a, b, mark := h.FieldAddr(holder, 0), h.FieldAddr(holder, 1), h.FieldAddr(holder, 2)
+	p, _ := rc.NewObject(w.node)
+	q, _ := rc.NewObject(w.node)
+
+	rc.Store(a, p) // displaces null
+	var dst mem.Ref
+	rc.Load(a, &dst)          // into a null dest
+	rc.Load(a, &dst)          // into a live dest, releasing it
+	rc.Load(a, &dst)          // again: under split-w2, refills, then leaves a stash of 1
+	rc.Store(a, q)            // displaces p's link
+	rc.CAS(a, q, p)           // wins, displacing q's link
+	rc.CAS(a, q, p)           // loses
+	rc.DCAS(a, b, p, 0, q, p) // wins, displacing p's link and null
+	rc.DCAS(a, b, q, p, p, q) // wins, displacing two links
+	rc.DCAS(a, b, q, p, q, p) // loses
+	rc.DCASMixed(a, p, q, mark, 0, 1)
+	rc.DCASMixed(a, p, q, mark, 0, 1) // loses: the scalar moved
+	var loc mem.Ref
+	rc.Copy(&loc, p) // into a null local
+	rc.Copy(&loc, q) // releasing it
+
+	// r links to p and is linked only from b, so clearing b frees r, and
+	// freeing r releases its child link.
+	r, _ := rc.NewObject(w.node)
+	rc.Store(h.FieldAddr(r, 0), p)
+	rc.StoreAlloc(b, r) // displaces q's link
+	rc.Store(b, 0)
+	rc.Destroy(dst, loc, p, q, 0) // a multi-ref Destroy
+	rc.Destroy(holder)
+}
+
+// statsCells are the reference-count cells the stats script runs in, each
+// with what one run adds to each Stats field. The figures were taken from the
+// per-field counters that every operation kept before the counts were derived
+// at read time, so they pin the derivation to the old numbers. split-w2 gives
+// each link a stash of 2, so the script's Loads refill the stash and a link
+// displaced with a stash of 1 is released down the weight-1 path.
+var statsCells = []struct {
+	name string
+	opts []Option
+	want Stats
+}{
+	{"figure2", []Option{WithStrategyKind(StrategyFigure2)},
+		Stats{Allocs: 4, Frees: 4, Loads: 3, Stores: 5, Copies: 2, CASOps: 2, DCASOps: 5, Destroys: 22}},
+	{"split", []Option{WithStrategyKind(StrategySplit)},
+		Stats{Allocs: 4, Frees: 4, Loads: 3, Stores: 5, Copies: 2, CASOps: 2, DCASOps: 5, Destroys: 22, ExtMerges: 14}},
+	{"split-w2", []Option{WithStrategyKind(StrategySplit), WithSplitWeights(2, 2)},
+		Stats{Allocs: 4, Frees: 4, Loads: 3, Stores: 5, Copies: 2, CASOps: 2, DCASOps: 5, Destroys: 22, WeightRefills: 1, ExtMerges: 13}},
+}
+
 func TestStatsCounting(t *testing.T) {
 	for name, mk := range worldFactories() {
 		t.Run(name, func(t *testing.T) {
-			w := mk(t)
-			a := w.sharedPtr(t)
-			p, _ := w.rc.NewObject(w.node)
-			w.rc.Store(a, p)
-			var dst mem.Ref
-			w.rc.Load(a, &dst)
-			w.rc.Destroy(dst, p)
-			w.rc.Store(a, 0)
-
-			s := w.rc.Stats()
-			if s.Allocs != 2 { // holder + p
-				t.Errorf("Allocs = %d, want 2", s.Allocs)
-			}
-			if s.Loads != 1 {
-				t.Errorf("Loads = %d, want 1", s.Loads)
-			}
-			if s.Stores != 2 {
-				t.Errorf("Stores = %d, want 2", s.Stores)
-			}
-			if s.Frees != 1 { // p freed; holder still referenced locally
-				t.Errorf("Frees = %d, want 1", s.Frees)
-			}
-			if s.PoisonedRCUpdates != 0 {
-				t.Errorf("PoisonedRCUpdates = %d, want 0", s.PoisonedRCUpdates)
+			for _, cell := range statsCells {
+				t.Run(cell.name, func(t *testing.T) {
+					w := mk(t, cell.opts...)
+					statsScript(w)
+					if got, want := w.rc.Stats(), cell.want; got != want {
+						t.Errorf("Stats =\n%+v\nwant\n%+v", got, want)
+					}
+					if live := w.h.Stats().LiveObjects; live != 0 {
+						t.Errorf("LiveObjects = %d after the script, want 0", live)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestStatsExactUnderConcurrency runs the stats script from more goroutines
+// than there are Ps, each on its own cells, and requires every Stats field to
+// equal the sum of the runs: a counter derived at read time, or one counted
+// on another P's stripe, must lose nothing. `make check-race` runs it under
+// -race, where goroutines migrate between Ps often.
+func TestStatsExactUnderConcurrency(t *testing.T) {
+	goroutines := 2*runtime.GOMAXPROCS(0) + 1
+	const runs = 200
+	for name, mk := range worldFactories() {
+		for _, cell := range statsCells {
+			t.Run(name+"/"+cell.name, func(t *testing.T) {
+				w := mk(t, cell.opts...)
+				var wg sync.WaitGroup
+				for range goroutines {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for range runs {
+							statsScript(w)
+						}
+					}()
+				}
+				wg.Wait()
+				want := scaleStats(cell.want, int64(goroutines*runs))
+				if got := w.rc.Stats(); got != want {
+					t.Errorf("Stats =\n%+v\nwant\n%+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// scaleStats multiplies every counter of s by n.
+func scaleStats(s Stats, n int64) Stats {
+	return Stats{
+		Allocs: s.Allocs * n, Frees: s.Frees * n, FreeErrors: s.FreeErrors * n,
+		Loads: s.Loads * n, LoadRetries: s.LoadRetries * n, Stores: s.Stores * n,
+		Copies: s.Copies * n, CASOps: s.CASOps * n, DCASOps: s.DCASOps * n,
+		Destroys: s.Destroys * n, ZombiePushes: s.ZombiePushes * n,
+		PoisonedRCUpdates: s.PoisonedRCUpdates * n,
+		WeightRefills:     s.WeightRefills * n, ExtMerges: s.ExtMerges * n,
 	}
 }
 

@@ -20,14 +20,12 @@ func (rc *RC) DCASMixed(a0 mem.Addr, old0, new0 mem.Ref, a1 mem.Addr, old1, new1
 	if new0 != 0 {
 		rc.addToRC(obs.KindDCAS, new0, lc)
 	}
-	st := rc.st()
-	st.dcasOps.Add(1)
 	if !rc.fj.Inject(fault.CoreDCAS) {
 		if d0, ok := rc.strat.SwingMixed(rc, a0, old0, new0, a1, old1, new1); ok {
-			rc.releaseWord(st, d0)
+			rc.count(tDCAS + rc.releaseWord(d0))
 			return true
 		}
 	}
-	rc.releaseWeight(st, new0, lc)
+	rc.count(tDCAS + rc.releaseWeight(new0, lc))
 	return false
 }

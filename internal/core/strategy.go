@@ -95,8 +95,9 @@ type Strategy interface {
 	// with fault injection and contention attribution. It returns the
 	// loaded ref, the pre-update value of whichever counter the strategy
 	// touched, the delta applied to it (for the lifecycle rc-transition
-	// event), and the retry count.
-	Load(c *RC, a mem.Addr) (v mem.Ref, old uint64, delta int64, retries uint32)
+	// event), the retry count, and whether it recharged a drained link
+	// stash (split only), which the caller counts with the load.
+	Load(c *RC, a mem.Addr) (v mem.Ref, old uint64, delta int64, retries uint32, refilled bool)
 
 	// Swing is one abstract CAS attempt on the pointer cell at a: replace
 	// the link to old with a full-credit link to new iff the cell still
@@ -156,13 +157,13 @@ func (figure2Strategy) Weight(w uint64) int64 {
 // Load implements LFRCLoad (paper Figure 2, lines 1–12): the pointer is
 // loaded and the referent's count incremented atomically — via DCAS — with
 // the check that the pointer still exists.
-func (figure2Strategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32) {
+func (figure2Strategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32, bool) {
 	var retries uint32
 	for {
 		v := mem.Ref(c.e.Read(a))
 		if v == 0 {
 			c.loadDone(a, 0, retries)
-			return 0, 0, 1, retries
+			return 0, 0, 1, retries, false
 		}
 		r := c.e.Read(c.h.RCAddr(v))
 		if c.LoadHook != nil {
@@ -178,15 +179,15 @@ func (figure2Strategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32) 
 		// the DCAS — and forces the same path.
 		if r == 0 || r >= mem.Poison || c.fj.Inject(fault.CoreLoad) {
 			retries++
-			c.st().loadRetries.Add(1)
+			c.count(tLoadRetry)
 			continue
 		}
 		if c.e.DCAS(a, c.h.RCAddr(v), uint64(v), r, uint64(v), r+1) {
 			c.loadDone(a, v, retries)
-			return v, r, 1, retries
+			return v, r, 1, retries, false
 		}
 		retries++
-		c.st().loadRetries.Add(1)
+		c.count(tLoadRetry)
 		if c.ct != nil {
 			m0, m1 := dcas.Attribute(c.e, a, c.h.RCAddr(v), uint64(v), r)
 			c.ct.Attempt(obs.KindLoad, uint32(a), contend.RolePointer,
@@ -274,39 +275,38 @@ func (s *splitStrategy) AllocCredit() int64 { return s.link - 1 }
 // it with a Figure-2-shaped DCAS on (pointer cell, count word), adding
 // refill units to both sides at once; the stash therefore never reaches 0,
 // which keeps "link exists ⇒ stash ≥ 1 ⇒ count ≥ 1" — no premature free.
-func (s *splitStrategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32) {
+func (s *splitStrategy) Load(c *RC, a mem.Addr) (mem.Ref, uint64, int64, uint32, bool) {
 	var retries uint32
 	for {
 		u := c.e.Read(a)
 		v := mem.Ref(u & splitRefMask)
 		if v == 0 {
 			c.loadDone(a, 0, retries)
-			return 0, 0, 1, retries
+			return 0, 0, 1, retries, false
 		}
 		if c.LoadHook != nil {
 			c.LoadHook(v)
 		}
 		if c.fj.Inject(fault.CoreLoad) {
 			retries++
-			c.st().loadRetries.Add(1)
+			c.count(tLoadRetry)
 			continue
 		}
 		if w := int64(u >> splitWeightShift); w > 1 {
 			if c.e.CAS(a, u, u-(1<<splitWeightShift)) {
 				c.loadDone(a, v, retries)
-				return v, uint64(w), -1, retries
+				return v, uint64(w), -1, retries, false
 			}
 		} else {
 			// A zero or poisoned count: v died; see figure2Strategy.Load.
 			r := c.e.Read(c.h.RCAddr(v))
 			if r != 0 && r < mem.Poison && c.e.DCAS(a, c.h.RCAddr(v), u, r, s.pack(v, s.refill), r+uint64(s.refill)) {
-				c.st().weightRefills.Add(1)
 				c.loadDone(a, v, retries)
-				return v, r, s.refill, retries
+				return v, r, s.refill, retries, true
 			}
 		}
 		retries++
-		c.st().loadRetries.Add(1)
+		c.count(tLoadRetry)
 		if c.ct != nil {
 			// Attribute the lost race: if the pointer itself moved this is
 			// ordinary pointer churn; if only the weight bits changed, the

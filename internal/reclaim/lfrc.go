@@ -56,23 +56,22 @@ func New(env Env, opts ...Option) *Reclaimer {
 		counts: make([]retireStripe, stripe.Clamp(0, runtime.GOMAXPROCS(0)))}
 }
 
-// st routes the calling goroutine to the counter stripe of the P it runs on.
-func (z *Reclaimer) st() *retireStripe { return &z.counts[stripe.Hint(len(z.counts))] }
-
 // Retire hands over root and the 0-terminated chain more (threaded through
 // the link words, as ReleaseChildren builds it) of further objects whose
 // reference count reached zero. It frees them (and any descendants that hit
 // zero) immediately, up to the incremental-destroy budget for the whole
 // call; excess objects park on the zombie stack for a later Drain. A single
-// death passes more = 0 and writes no link word.
+// death passes more = 0 and writes no link word. It looks up the caller's P
+// once, however many objects it frees.
 func (z *Reclaimer) Retire(root, more mem.Ref) {
 	n := int64(1)
 	if more != 0 {
 		n = roots(z.env, more)
 	}
-	st := z.st()
+	proc := stripe.ID()
+	st := &z.counts[stripe.Of(proc, len(z.counts))]
 	st.retired.Add(n)
-	st.freed.Add(int64(z.freeDFS(root, more, z.budget)))
+	st.freed.Add(int64(z.freeDFS(root, more, z.budget, proc)))
 }
 
 // Drain reclaims up to max parked objects (and their newly dead
@@ -80,6 +79,7 @@ func (z *Reclaimer) Retire(root, more mem.Ref) {
 // everything.
 func (z *Reclaimer) Drain(max int) int {
 	z.drains.Add(1)
+	proc := stripe.ID()
 	processed := 0
 	for max <= 0 || processed < max {
 		p := z.pop()
@@ -90,9 +90,9 @@ func (z *Reclaimer) Drain(max int) int {
 		if max > 0 {
 			budget = max - processed
 		}
-		processed += z.freeDFS(p, 0, budget)
+		processed += z.freeDFS(p, 0, budget, proc)
 	}
-	z.st().freed.Add(int64(processed))
+	z.counts[stripe.Of(proc, len(z.counts))].freed.Add(int64(processed))
 	return processed
 }
 
@@ -119,11 +119,12 @@ func (z *Reclaimer) Stats() Stats {
 // newly dead onto the chain, so the chain is the DFS stack and no Go memory
 // is allocated. With a positive budget it frees at most budget objects and
 // parks the rest on the zombie stack, children intact; with budget 0 it
-// frees everything. It returns the number of objects freed.
+// frees everything. It returns the number of objects freed. proc is the
+// caller's P id, handed to the Env with every object.
 //
 // This is the paper's LFRCDestroy recursion (Figure 2, lines 13–15) with
 // the §7 budget cut-off.
-func (z *Reclaimer) freeDFS(p, chain mem.Ref, budget int) int {
+func (z *Reclaimer) freeDFS(p, chain mem.Ref, budget, proc int) int {
 	freed := 0
 	for p != 0 {
 		if budget > 0 && freed >= budget {
@@ -134,8 +135,8 @@ func (z *Reclaimer) freeDFS(p, chain mem.Ref, budget int) int {
 			}
 			return freed
 		}
-		chain = z.env.ReleaseChildren(p, chain)
-		z.env.FreeObject(p)
+		chain = z.env.ReleaseChildren(p, chain, proc)
+		z.env.FreeObject(p, proc)
 		freed++
 		p, chain = pop(z.env, chain)
 	}

@@ -38,7 +38,11 @@ import (
 // one spare word per dead object to link chains and the zombie stack
 // through. The LFRC core implements it; tests implement it with toy heaps.
 //
-// All methods must be safe for concurrent use.
+// All methods must be safe for concurrent use. ReleaseChildren and
+// FreeObject take proc, the id of the P the caller runs on (stripe.ID),
+// which a Retire or Drain reads once and passes to every object it frees:
+// the owner routes its counters and the heap free by it instead of looking
+// the P up again per object.
 type Env interface {
 	// ReleaseChildren decrements the reference count of every pointer
 	// field of p, clears the field, pushes each child whose count reached
@@ -46,11 +50,12 @@ type Env interface {
 	// called exactly once per object, at free time: a budget-parked zombie
 	// keeps its fields intact until its destruction resumes, the paper's
 	// §7 discipline.
-	ReleaseChildren(p, chain mem.Ref) mem.Ref
+	ReleaseChildren(p, chain mem.Ref, proc int) mem.Ref
 
-	// FreeObject returns p's slot to the heap (counting frees and
-	// rejected double-frees in the owner's accounting).
-	FreeObject(p mem.Ref)
+	// FreeObject returns p's slot to the heap. The Reclaimer counts every
+	// call in Stats.Freed; the owner counts only the frees its heap
+	// rejects (double frees caused by corrupted counts).
+	FreeObject(p mem.Ref, proc int)
 
 	// LinkLoad and LinkStore access the per-object link word (the aux
 	// cell) that retire chains and the zombie stack thread dead objects
@@ -98,9 +103,10 @@ type Stats struct {
 	Backend string `json:"backend"`
 
 	// Retired counts objects handed to Retire as roots (root plus each
-	// object on more); Freed counts objects actually freed, including
-	// cascaded descendants discovered while freeing. Parked counts pushes
-	// onto the zombie stack; Pending is its current backlog.
+	// object on more); Freed counts objects actually freed (FreeObject
+	// calls), including cascaded descendants discovered while freeing.
+	// Parked counts pushes onto the zombie stack; Pending is its current
+	// backlog.
 	Retired int64 `json:"retired"`
 	Freed   int64 `json:"freed"`
 	Parked  int64 `json:"parked"`

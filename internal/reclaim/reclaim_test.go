@@ -1,6 +1,7 @@
 package reclaim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,10 @@ type fakeEnv struct {
 	freed     map[mem.Ref]bool
 	freeOrder []mem.Ref
 	doubles   int
+
+	// procs records the P id handed to every ReleaseChildren and
+	// FreeObject call, in call order.
+	procs []int
 
 	// afterRelease, when set, runs under mu at the end of every
 	// ReleaseChildren call: tests corrupt counts from it the way a naive
@@ -44,8 +49,9 @@ func (e *fakeEnv) add(p mem.Ref, rc int, children ...mem.Ref) {
 	e.children[p] = children
 }
 
-func (e *fakeEnv) ReleaseChildren(p, chain mem.Ref) mem.Ref {
+func (e *fakeEnv) ReleaseChildren(p, chain mem.Ref, proc int) mem.Ref {
 	e.mu.Lock()
+	e.procs = append(e.procs, proc)
 	var dead []mem.Ref
 	for _, c := range e.children[p] {
 		e.rc[c]--
@@ -66,9 +72,10 @@ func (e *fakeEnv) ReleaseChildren(p, chain mem.Ref) mem.Ref {
 	return chain
 }
 
-func (e *fakeEnv) FreeObject(p mem.Ref) {
+func (e *fakeEnv) FreeObject(p mem.Ref, proc int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.procs = append(e.procs, proc)
 	if e.freed[p] {
 		e.doubles++
 		return
@@ -508,6 +515,44 @@ func TestRetiredCountsRoots(t *testing.T) {
 		if s := r.Stats(); s.Retired != 3 || s.Freed != 5 {
 			t.Fatalf("stats = %+v, want retired 3 freed 5", s)
 		}
+	})
+}
+
+// TestRetireLooksUpOneProc: a Retire or Drain reads its P id once and hands
+// the same id to every object it frees, however long the walk, so the Env
+// never looks the P up per object. The id is a real P's.
+func TestRetireLooksUpOneProc(t *testing.T) {
+	backend(t, func(t *testing.T) {
+		env := newFakeEnv()
+		const n = 200
+		for p := mem.Ref(1); p < n; p++ {
+			env.add(p, 1, p+1)
+		}
+		env.add(n, 1)
+		env.rc[1] = 0
+		r := New(env, WithBudget(n/2))
+		check := func(what string, want int) {
+			t.Helper()
+			env.mu.Lock()
+			procs := env.procs
+			env.procs = nil
+			env.mu.Unlock()
+			if len(procs) != 2*want {
+				t.Fatalf("%s: %d Env calls, want %d", what, len(procs), 2*want)
+			}
+			for _, p := range procs {
+				if p != procs[0] {
+					t.Fatalf("%s: Env calls got P ids %d and %d, want one", what, procs[0], p)
+				}
+			}
+			if procs[0] < 0 || procs[0] >= runtime.GOMAXPROCS(0) {
+				t.Fatalf("%s: P id %d outside [0, GOMAXPROCS)", what, procs[0])
+			}
+		}
+		r.Retire(1, 0)
+		check("Retire", n/2)
+		r.Drain(0)
+		check("Drain", n/2)
 	})
 }
 
